@@ -87,21 +87,6 @@ def simpson_uniform(y: np.ndarray) -> float:
     return float(total)
 
 
-def integrate_samples(theta: np.ndarray, values: np.ndarray) -> float:
-    """int values dtheta over the sampled arc, Simpson in the index parameter.
-
-    Treats k -> theta_k as a smooth map (true for the graded meshes used here)
-    and integrates values(theta(s)) * theta'(s) ds with theta' from deriv5.
-    """
-    return simpson_uniform(values * deriv5(theta))
-
-
-def hermite_values(xq: np.ndarray, x: np.ndarray, f: np.ndarray,
-                   df: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of (f, df) at query points xq (x increasing)."""
-    return hermite_pair(xq, x, f, df)[0]
-
-
 def hermite_pair(xq: np.ndarray, x: np.ndarray, f: np.ndarray,
                  df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cubic Hermite interpolant and its derivative at query points xq."""

@@ -32,7 +32,6 @@ from ._mesh import (
 from .classify import (
     PSign,
     SolutionType,
-    bernoulli,
     solution_type,
     solve_hyperbolic_span,
 )
@@ -71,29 +70,60 @@ class SmoothnessKind(enum.Enum):
     CuspEndpoints = "CuspEndpoints"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalArc:
     """One life-time of the profile on [0, span], unsigned (psi >= 0).
 
-    profile is ((theta, psi, dpsi), ...) with theta increasing.  Hyperbolic
-    arcs vanish at both ends; for lam >= 1 the end nodes are included with
-    the exact slopes, for 1/2 < lam < 1 the slopes are infinite and the end
-    nodes are omitted (endpoint_slope carries the +inf sentinel).  Elliptic
-    arcs are one full period with psi > 0 everywhere and endpoint_slope 0.
+    profile is a read-only (n, 3) float64 array whose rows are
+    (theta, psi, dpsi) with theta increasing; take its columns with
+    ``theta, psi, dpsi = arc.profile.T``.  Any (n, 3) nested sequence is
+    accepted and copied into that form.  Hyperbolic arcs vanish at both
+    ends; for lam >= 1 the end nodes are included with the exact slopes,
+    for 1/2 < lam < 1 the slopes are infinite and the end nodes are omitted
+    (endpoint_slope carries the +inf sentinel).  Elliptic arcs are one full
+    period with psi > 0 everywhere and endpoint_slope 0.
 
-    mesh_dtheta holds the analytic d theta/d(node index) of the builder's
-    mesh.  Steeply graded meshes (cusp arcs) place end nodes closer than
-    one ulp of the span, so theta differencing is meaningless there; the
-    quadratures divide through by this exact weight instead.  Arcs built
-    by hand may leave it empty, falling back to differencing.
+    mesh_dtheta is a read-only 1-D float64 array holding the analytic
+    d theta/d(node index) of the builder's mesh.  Steeply graded meshes
+    (cusp arcs) place end nodes closer than one ulp of the span, so theta
+    differencing is meaningless there; the quadratures divide through by
+    this exact weight instead.  Arcs built by hand may leave it empty,
+    falling back to differencing.
+
+    Equality is exact: every scalar field compares with == and both arrays
+    element by element.  Arcs are not hashable.
     """
 
     params: FlowParams
     span: float
-    profile: tuple
+    profile: np.ndarray
     endpoint_slope: float
     type: SolutionType
-    mesh_dtheta: tuple = ()
+    mesh_dtheta: np.ndarray = ()
+
+    def __post_init__(self):
+        try:
+            prof = np.array(self.profile, dtype=float)
+            w = np.array(self.mesh_dtheta, dtype=float)
+        except ValueError as e:
+            raise DomainError(f"malformed arc profile: {e}") from None
+        if prof.ndim != 2 or prof.shape[1] != 3 or w.ndim != 1:
+            raise DomainError(
+                f"arc profile must be (n, 3) rows and mesh_dtheta 1-D, got"
+                f" shapes {prof.shape} and {w.shape}")
+        prof.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "profile", prof)
+        object.__setattr__(self, "mesh_dtheta", w)
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalArc):
+            return NotImplemented
+        return (self.params == other.params and self.span == other.span
+                and self.endpoint_slope == other.endpoint_slope
+                and self.type == other.type
+                and np.array_equal(self.profile, other.profile)
+                and np.array_equal(self.mesh_dtheta, other.mesh_dtheta))
 
 
 @dataclass(frozen=True)
@@ -138,28 +168,36 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Polar grid of n_r radii on [r_min, r_max] and n_theta rays from 0."""
+
     r_min: float
     r_max: float
     n_r: int
     n_theta: int
 
+    def axes(self):
+        """(radii, angles) as float arrays, the angles uniform on [0, 2 pi).
 
-def _arc_arrays(arc: LocalArc):
-    prof = np.array(arc.profile)
-    return prof[:, 0], prof[:, 1], prof[:, 2]
-
-
-def _profile_tuple(theta, psi, dpsi):
-    return tuple((float(t), float(v), float(d))
-                 for t, v, d in zip(theta, psi, dpsi))
+        Raises
+        ------
+        DomainError
+            If the grid is malformed (r_min <= 0, r_max <= r_min, sizes < 2).
+        """
+        if not 0.0 < self.r_min < self.r_max:
+            raise DomainError(
+                f"need 0 < r_min < r_max, got [{self.r_min!r},"
+                f" {self.r_max!r}]")
+        if self.n_r < 2 or self.n_theta < 2:
+            raise DomainError("grid needs at least 2 points per direction")
+        return (np.linspace(self.r_min, self.r_max, self.n_r),
+                np.linspace(0.0, TWO_PI, self.n_theta, endpoint=False))
 
 
 def _arc_weights(arc: LocalArc) -> np.ndarray:
     """d theta/d index along the arc mesh, exact when the builder stored it."""
     if len(arc.mesh_dtheta) == len(arc.profile):
-        return np.asarray(arc.mesh_dtheta, dtype=float)
-    th, _psi, _dpsi = _arc_arrays(arc)
-    return deriv5(th)
+        return arc.mesh_dtheta
+    return deriv5(arc.profile[:, 0])
 
 
 def _arc_integral(arc: LocalArc, values: np.ndarray) -> float:
@@ -261,8 +299,8 @@ def _shear_arc(lam: float, B: float, n: int) -> LocalArc:
     if lam < 1.0:
         th_f, psi_f, dpsi_f, w_f = th_f[1:-1], psi_f[1:-1], dpsi_f[1:-1], \
             w_f[1:-1]
-    arc = LocalArc(p, span, _profile_tuple(th_f, psi_f, dpsi_f), end_slope,
-                   solution_type(p), tuple(map(float, w_f)))
+    arc = LocalArc(p, span, np.column_stack((th_f, psi_f, dpsi_f)), end_slope,
+                   solution_type(p), w_f)
     _check_arc(arc)
     return arc
 
@@ -282,8 +320,8 @@ def _harmonic_arc(lam: float, P: float, n: int) -> LocalArc:
     psi[m + 1:] = psi[:m][::-1]
     dpsi[m + 1:] = -dpsi[:m][::-1]
     w = np.full(n + 1, span / n)
-    arc = LocalArc(p, span, _profile_tuple(th, psi, dpsi), c,
-                   solution_type(p), tuple(map(float, w)))
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), c,
+                   solution_type(p), w)
     _check_arc(arc)
     return arc
 
@@ -329,8 +367,8 @@ def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     psi = np.concatenate([v_h[:-1], [v_h[-1]], v_h[:-1][::-1]])
     dpsi = np.concatenate([d_h[:-1], [0.0], -d_h[:-1][::-1]])
     w = span * graded_weights(n, grade)
-    arc = LocalArc(p, span, _profile_tuple(th, psi, dpsi), y0,
-                   solution_type(p), tuple(map(float, w)))
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), y0,
+                   solution_type(p), w)
     _check_arc(arc)
     return arc
 
@@ -406,8 +444,8 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     psi = np.concatenate([x_half[:-1], [x0], x_half[:-1][::-1]])
     dpsi = np.concatenate([dpsi_half[:-1], [0.0], -dpsi_half[:-1][::-1]])
     w = np.concatenate([w_half[:-1], [w_half[-1]], w_half[:-1][::-1]])
-    arc = LocalArc(p, span, _profile_tuple(th, psi, dpsi), end_slope,
-                   solution_type(p), tuple(map(float, w)))
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), end_slope,
+                   solution_type(p), w)
     _check_arc(arc)
     return arc
 
@@ -455,8 +493,8 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
     psi = np.concatenate([v_h[:-1], [v_h[-1]], v_h[:-1][::-1]])
     dpsi = np.concatenate([d_h[:-1], [0.0], -d_h[:-1][::-1]])
     w = np.full(n + 1, span / n)
-    arc = LocalArc(p, span, _profile_tuple(th, psi, dpsi), 0.0,
-                   solution_type(p), tuple(map(float, w)))
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), 0.0,
+                   solution_type(p), w)
     _check_arc(arc)
     return arc
 
@@ -468,8 +506,8 @@ def _rotational_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     psi = np.full(n + 1, ic.x0)
     dpsi = np.zeros(n + 1)
     w = np.full(n + 1, TWO_PI / n)
-    return LocalArc(p, TWO_PI, _profile_tuple(th, psi, dpsi), 0.0,
-                    solution_type(p), tuple(map(float, w)))
+    return LocalArc(p, TWO_PI, np.column_stack((th, psi, dpsi)), 0.0,
+                    solution_type(p), w)
 
 
 def elliptic_global(lam: float, P: float, B: float = 1.0,
@@ -497,11 +535,11 @@ def elliptic_global(lam: float, P: float, B: float = 1.0,
             f"period {arc.span!r} does not divide 2 pi (m = {m})")
     T = TWO_PI / m
     scale = T / arc.span
-    th, psi, dpsi = _arc_arrays(arc)
+    th, psi, dpsi = arc.profile.T
     w = _arc_weights(arc) * scale
     arc = LocalArc(arc.params, T,
-                   _profile_tuple(th * scale, psi, dpsi),
-                   arc.endpoint_slope, arc.type, tuple(map(float, w)))
+                   np.column_stack((th * scale, psi, dpsi)),
+                   arc.endpoint_slope, arc.type, w)
     pieces = tuple(Piece(arc, 1, k * T) for k in range(m))
     return GlobalSolution(lam, P, pieces, SmoothnessKind.C1)
 
@@ -520,21 +558,21 @@ def bernoulli_drift(arc: LocalArc) -> float:
     """
     p = arc.params
     lam = p.lam
-    th, psi, dpsi = _arc_arrays(arc)
+    _th, psi, dpsi = arc.profile.T
     mask = psi >= 0.25 * psi.max()
-    vals = []
-    scale = abs(p.B)
-    for v, d in zip(psi[mask], dpsi[mask]):
-        v, d = float(v), float(d)
-        vals.append(bernoulli(v, d, lam, p.P))
-        cond = ((2.0 * abs(p.P) + lam * lam * v * v + d * d)
-                * math.pow(v, 2.0 / lam - 2.0))
-        scale = max(scale, cond)
-    return (max(vals) - min(vals)) / scale
+    v, d = psi[mask], dpsi[mask]
+    if not v.min() > 0.0:
+        raise DomainError(
+            f"bernoulli requires psi > 0, got psi = {float(v.min())!r}")
+    weight = np.power(v, 2.0 / lam - 2.0)
+    vals = (2.0 * p.P + lam * lam * v * v + d * d) * weight
+    cond = (2.0 * abs(p.P) + lam * lam * v * v + d * d) * weight
+    scale = max(abs(p.B), float(cond.max()))
+    return float(vals.max() - vals.min()) / scale
 
 
 def _check_arc(arc: LocalArc) -> None:
-    th, psi, dpsi = _arc_arrays(arc)
+    psi = arc.profile[:, 1]
     sym = float(np.max(np.abs(psi - psi[::-1])))
     if sym > 1e-7 * max(1.0, float(psi.max())):
         raise NumericalError(f"arch symmetry defect {sym:.3e} exceeds 1e-7")
@@ -635,7 +673,7 @@ def global_profile(g: GlobalSolution):
     ths, psis, dpsis = [], [], []
     last = -1.0
     for piece in g.pieces:
-        th, psi, dpsi = _arc_arrays(piece.arc)
+        th, psi, dpsi = piece.arc.profile.T
         th = th + piece.offset
         psi = piece.sign * psi
         dpsi = piece.sign * dpsi
@@ -658,7 +696,7 @@ def energy_flux(g: GlobalSolution) -> float:
     """
     total = 0.0
     for piece in g.pieces:
-        _th, _psi, dpsi = _arc_arrays(piece.arc)
+        dpsi = piece.arc.profile[:, 2]
         v = dpsi ** 3
         paired = 0.5 * (v + v[::-1])
         total += piece.sign * _arc_integral(piece.arc, paired)
@@ -669,7 +707,7 @@ def h1_seminorm(g: GlobalSolution) -> float:
     """int (psi')^2 dtheta over [0, 2 pi); finite for every accepted arc."""
     parts = []
     for piece in g.pieces:
-        _th, _psi, dpsi = _arc_arrays(piece.arc)
+        dpsi = piece.arc.profile[:, 2]
         parts.append(_arc_integral(piece.arc, dpsi * dpsi))
     return math.fsum(parts)
 
@@ -687,7 +725,7 @@ def weak_residuals(g: GlobalSolution, modes: int = 8) -> list:
     lam, P = g.lam, g.P
     parts = []
     for piece in g.pieces:
-        th, psi, dpsi = _arc_arrays(piece.arc)
+        th, psi, dpsi = piece.arc.profile.T
         bulk = (-(2.0 * lam - 1.0) * dpsi * dpsi + lam * lam * psi * psi
                 - 2.0 * (lam - 1.0) * P)
         cross = lam * psi * dpsi
@@ -725,7 +763,7 @@ def residual_max(g: GlobalSolution) -> float:
     P = g.P
     worst = 0.0
     for piece in g.pieces:
-        th, psi, dpsi = _arc_arrays(piece.arc)
+        th, psi, dpsi = piece.arc.profile.T
         if th.shape[0] < 7:
             raise DomainError("profile too short for residual differencing")
         w = _arc_weights(piece.arc)
@@ -742,17 +780,83 @@ def residual_max(g: GlobalSolution) -> float:
     return worst
 
 
-def _locate(g: GlobalSolution, theta: float):
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
+def _field_grid(g: GlobalSolution, rs, thetas):
+    """Field on the tensor grid rs x thetas, using Psi = r^lam psi(theta).
+
+    The angular pass runs once per ray: it locates the piece, interpolates
+    psi and psi' (one vectorised Hermite call per piece) and takes psi''
+    from the phase ODE.  The radial pass runs once per radius: r^(lam - 1).
+    Every cell is then an outer product of the two, evaluated in the same
+    operation order as a one-point evaluation, so a cell does not depend on
+    the grid it belongs to.  cos, sin and pow stay scalar math calls, as in
+    a one-point evaluation: np.power differs from math.pow in the last bit
+    for some inputs, which would change the exported digits.
+
+    Returns (singular, cells): singular is a bool array over thetas marking
+    cusp junction rays, and cells maps each FieldSample field from x to
+    pressure, in field order, to a (len(rs), len(thetas)) array.  Columns
+    of singular rays hold no meaningful values.  All pieces share g.lam and
+    g.P; every rs must be positive.
+    """
+    lam, P = g.lam, g.P
+    rs = np.asarray(rs, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    n_t = thetas.shape[0]
+    ct, st = np.empty(n_t), np.empty(n_t)
+    psi, dpsi, dd = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
+    singular = np.zeros(n_t, dtype=bool)
     offsets = [p.offset for p in g.pieces]
-    i = bisect_right(offsets, t) - 1
-    if i < 0:
-        i = 0
-    piece = g.pieces[i]
-    tau = min(max(t - piece.offset, 0.0), piece.arc.span)
-    return piece, tau, t
+    rays = [([], []) for _ in g.pieces]
+    for k, theta in enumerate(thetas.tolist()):
+        t = math.fmod(theta, TWO_PI)
+        if t < 0.0:
+            t += TWO_PI
+        ct[k], st[k] = math.cos(t), math.sin(t)
+        i = max(bisect_right(offsets, t) - 1, 0)
+        arc = g.pieces[i].arc
+        tau = min(max(t - g.pieces[i].offset, 0.0), arc.span)
+        if arc.endpoint_slope == math.inf and (
+                tau < 1e-12 or arc.span - tau < 1e-12):
+            singular[k] = True
+        else:
+            rays[i][0].append(k)
+            rays[i][1].append(tau)
+    beta = (lam - 2.0) / lam
+    for piece, (ks, taus) in zip(g.pieces, rays):
+        if not ks:
+            continue
+        B, sign = piece.arc.params.B, piece.sign
+        pv, dv = hermite_pair(np.array(taus), *piece.arc.profile.T)
+        for k, psi_u, d in zip(ks, pv.tolist(), dv.tolist()):
+            psi_u = max(psi_u, 0.0)
+            psi[k] = sign * psi_u
+            dpsi[k] = sign * d
+            if psi_u > 0.0 or B == 0.0 or lam >= 2.0:
+                pw = power0(psi_u, beta) if B != 0.0 else 0.0
+                dd[k] = sign * (-lam * lam * psi_u
+                                + (lam - 1.0) / lam * B * pw)
+            else:
+                # junction ray, 1 < lam < 2: the curvature term diverges
+                dd[k] = math.copysign(math.inf, sign * B)
+    rl = np.array([math.pow(r, lam - 1.0) for r in rs.tolist()])[:, None]
+    r = rs[:, None]
+    u_tau = lam * rl * psi
+    u_nu = -rl * dpsi
+    shape = (rs.shape[0], n_t)
+    cells = {
+        "x": r * ct,
+        "y": r * st,
+        "u_x": u_nu * ct - u_tau * st,
+        "u_y": u_nu * st + u_tau * ct,
+        "u_tau": u_tau,
+        "u_nu": u_nu,
+        "psi": np.broadcast_to(psi, shape),
+        "stream": rl * r * psi,
+        "vorticity": np.where(np.isinf(dd), dd,
+                              (rl / r) * (lam * lam * psi + dd)),
+        "pressure": np.broadcast_to(rl * rl * P, shape),
+    }
+    return singular, cells
 
 
 def field_at(g: GlobalSolution, r: float, theta: float) -> FieldSample:
@@ -773,43 +877,11 @@ def field_at(g: GlobalSolution, r: float, theta: float) -> FieldSample:
     """
     if not r > 0.0:
         raise DomainError(f"field evaluation requires r > 0, got {r!r}")
-    piece, tau, t = _locate(g, theta)
-    arc = piece.arc
-    lam, P, B = arc.params.lam, arc.params.P, arc.params.B
-    if arc.endpoint_slope == math.inf and (
-            tau < 1e-12 or arc.span - tau < 1e-12):
+    singular, cells = _field_grid(g, [r], [theta])
+    if singular[0]:
         raise OnSingularRay(
             f"theta = {theta!r} sits on a cusp junction ray")
-    th, psi, dpsi = _arc_arrays(arc)
-    q = np.array([tau])
-    pv, dv = hermite_pair(q, th, psi, dpsi)
-    psi_u = max(float(pv[0]), 0.0)
-    dpsi_s = piece.sign * float(dv[0])
-    psi_s = piece.sign * psi_u
-    if psi_u > 0.0 or B == 0.0 or lam >= 2.0:
-        beta = (lam - 2.0) / lam
-        pw = power0(psi_u, beta) if B != 0.0 else 0.0
-        dd_s = piece.sign * (-lam * lam * psi_u
-                             + (lam - 1.0) / lam * B * pw)
-    else:
-        # junction ray, 1 < lam < 2: the curvature term diverges
-        dd_s = math.copysign(math.inf, piece.sign * B)
-    rl = math.pow(r, lam - 1.0)
-    u_tau = lam * rl * psi_s
-    u_nu = -rl * dpsi_s
-    ct, st = math.cos(t), math.sin(t)
-    return FieldSample(
-        r=r, theta=theta,
-        x=r * ct, y=r * st,
-        u_x=u_nu * ct - u_tau * st,
-        u_y=u_nu * st + u_tau * ct,
-        u_tau=u_tau, u_nu=u_nu,
-        psi=psi_s,
-        stream=rl * r * psi_s,
-        vorticity=(rl / r) * (lam * lam * psi_s + dd_s)
-        if not math.isinf(dd_s) else dd_s,
-        pressure=rl * rl * P,
-    )
+    return FieldSample(r, theta, *(float(c[0, 0]) for c in cells.values()))
 
 
 def export_grid(g: GlobalSolution, grid: GridSpec):
@@ -823,19 +895,13 @@ def export_grid(g: GlobalSolution, grid: GridSpec):
     DomainError
         If the grid is malformed (r_min <= 0, r_max <= r_min, sizes < 2).
     """
-    if not 0.0 < grid.r_min < grid.r_max:
-        raise DomainError(
-            f"need 0 < r_min < r_max, got [{grid.r_min!r}, {grid.r_max!r}]")
-    if grid.n_r < 2 or grid.n_theta < 2:
-        raise DomainError("grid needs at least 2 points per direction")
-    rs = np.linspace(grid.r_min, grid.r_max, grid.n_r)
-    ths = np.linspace(0.0, TWO_PI, grid.n_theta, endpoint=False)
+    rs, thetas = grid.axes()
+    singular, cells = _field_grid(g, rs, thetas)
+    cols = [c.tolist() for c in cells.values()]
+    rays = list(zip(thetas.tolist(), singular.tolist()))
     rows = []
-    for r in rs:
-        for t in ths:
-            try:
-                rows.append((float(r), float(t), field_at(g, float(r),
-                                                          float(t))))
-            except OnSingularRay:
-                rows.append((float(r), float(t), None))
+    for i, r in enumerate(rs.tolist()):
+        for j, (t, on_ray) in enumerate(rays):
+            rows.append((r, t, None if on_ray else
+                         FieldSample(r, t, *(c[i][j] for c in cols))))
     return rows

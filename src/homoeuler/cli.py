@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,9 +26,9 @@ from .assemble import (
     LocalArc,
     Piece,
     SmoothnessKind,
+    _field_grid,
     elliptic_global,
     energy_flux,
-    export_grid,
     h1_seminorm,
     residual_max,
     stitch,
@@ -107,8 +108,13 @@ def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
     weights rather than a differencing fallback.
     """
     pieces = []
+    # pieces of an elliptic tiling share one arc; convert its arrays once
+    columns = {}
     for p in g.pieces:
         arc = p.arc
+        if id(arc) not in columns:
+            columns[id(arc)] = (arc.profile.tolist(), arc.mesh_dtheta.tolist())
+        profile, mesh = columns[id(arc)]
         slope = None if math.isinf(arc.endpoint_slope) else arc.endpoint_slope
         pieces.append({
             "B": arc.params.B,
@@ -116,8 +122,8 @@ def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
             "offset": p.offset,
             "span": arc.span,
             "endpoint_slope": slope,
-            "profile": [list(row) for row in arc.profile],
-            "mesh_dtheta": list(arc.mesh_dtheta),
+            "profile": profile,
+            "mesh_dtheta": mesh,
         })
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -139,13 +145,20 @@ def solution_to_json(g: GlobalSolution, diagnostics: bool = True) -> str:
     return _emit(serialize_solution(g, diagnostics)) + "\n"
 
 
+def _json_int(text: str):
+    # _fmt writes -0.0 as "-0", which JSON reads as the integer 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def parse_solution(source) -> GlobalSolution:
     """Rebuild a GlobalSolution from serialized form (dict or JSON text).
 
     Inverse of serialize_solution up to dataclass equality; the type tag
-    is recomputed from the parameters, diagnostics are ignored.
+    is recomputed from the parameters, diagnostics are ignored.  JSON text
+    keeps the sign of zero, so re-serializing it reproduces its bytes.
     """
-    d = json.loads(source) if isinstance(source, str) else source
+    d = (json.loads(source, parse_int=_json_int) if isinstance(source, str)
+         else source)
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(
             f"unsupported schema_version {d.get('schema_version')!r}")
@@ -156,10 +169,8 @@ def parse_solution(source) -> GlobalSolution:
         fp = FlowParams(lam, P, float(pc["B"]))
         slope = pc["endpoint_slope"]
         slope = math.inf if slope is None else float(slope)
-        profile = tuple(tuple(float(v) for v in row) for row in pc["profile"])
-        arc = LocalArc(fp, float(pc["span"]), profile, slope,
-                       solution_type(fp),
-                       tuple(float(w) for w in pc["mesh_dtheta"]))
+        arc = LocalArc(fp, float(pc["span"]), pc["profile"], slope,
+                       solution_type(fp), pc["mesh_dtheta"])
         pieces.append(Piece(arc, int(pc["sign"]), float(pc["offset"])))
     return GlobalSolution(lam, P, tuple(pieces),
                           SmoothnessKind[d["smoothness"]])
@@ -169,19 +180,40 @@ FIELD_COLUMNS = ["r", "theta", "x", "y", "u_x", "u_y",
                  "psi_value", "stream", "vorticity", "pressure"]
 
 
+# FieldSample fields behind FIELD_COLUMNS[2:]
+_FIELD_VALUES = ("x", "y", "u_x", "u_y", "psi", "stream", "vorticity",
+                 "pressure")
+# one finite row of values; "%.17g" formats exactly as _fmt does
+_FIELD_ROW = ",".join(["%.17g"] * len(_FIELD_VALUES))
+
+
 def field_csv(g: GlobalSolution, grid: GridSpec) -> str:
-    """Plot-ready polar field table; singular-ray cells stay empty."""
+    """Plot-ready polar field table; singular-ray cells stay empty.
+
+    Rows are formatted one radius at a time from the field arrays, so no
+    per-cell objects are built.
+    """
+    rs, thetas = grid.axes()
+    singular, cells = _field_grid(g, rs, thetas)
+    cols = [cells[name] for name in _FIELD_VALUES]
+    rays = [(_fmt(t) + ",", on_ray)
+            for t, on_ray in zip(thetas.tolist(), singular.tolist())]
+    empty = "," * (len(_FIELD_VALUES) - 1)
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(FIELD_COLUMNS)
-    for r, theta, s in export_grid(g, grid):
-        if s is None:
-            w.writerow([_fmt(r), _fmt(theta)] + [""] * 8)
-            continue
-        vals = [s.x, s.y, s.u_x, s.u_y, s.psi, s.stream, s.vorticity,
-                s.pressure]
-        w.writerow([_fmt(r), _fmt(theta)]
-                   + [_fmt(v) if math.isfinite(v) else "" for v in vals])
+    buf.write(",".join(FIELD_COLUMNS) + "\n")
+    for i, r in enumerate(rs.tolist()):
+        vals = np.stack([c[i] for c in cols], axis=1)
+        finite = np.isfinite(vals).all(axis=1).tolist()
+        head = _fmt(r) + ","
+        for (theta, on_ray), row, ok in zip(rays, vals.tolist(), finite):
+            if on_ray:
+                line = empty
+            elif ok:
+                line = _FIELD_ROW % tuple(row)
+            else:
+                line = ",".join(_fmt(v) if math.isfinite(v) else ""
+                                for v in row)
+            buf.write(head + theta + line + "\n")
     return buf.getvalue()
 
 
@@ -533,8 +565,22 @@ def _positive_int(text: str) -> int:
     return v
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e6 and -1.5e-3 as values, not flags.
+
+    argparse treats a token that starts with '-' as an option unless it
+    matches its negative-number pattern, which has no exponent.
+    """
+
+    _NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="homoeuler",
         description="Homogeneous stationary Euler flows: classification, "
                     "life-spans, global solutions, field export.")

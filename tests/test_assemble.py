@@ -1,13 +1,15 @@
 """Arc building, stitching, flux/energy diagnostics, field evaluation."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from homoeuler import DomainError
-from homoeuler._mesh import simpson_uniform
+from homoeuler._mesh import hermite_pair, simpson_uniform
 from homoeuler.assemble import (
+    FieldSample,
     GlobalSolution,
     GridSpec,
     LocalArc,
@@ -26,8 +28,13 @@ from homoeuler.assemble import (
     stitch,
     weak_residuals,
 )
-from homoeuler.classify import solution_type
-from homoeuler.core import FlowParams
+from homoeuler.classify import (
+    PSign,
+    solution_type,
+    solve_elliptic,
+    solve_hyperbolic_span,
+)
+from homoeuler.core import FlowParams, power0
 from homoeuler.errors import InadmissibleArc, OnSingularRay, SpanMismatch
 from homoeuler.families import ode_residual, point_vortex
 
@@ -369,3 +376,100 @@ class TestExportGrid:
             export_grid(g, GridSpec(1.0, 0.5, 2, 2))
         with pytest.raises(DomainError):
             export_grid(g, GridSpec(0.5, 1.0, 1, 2))
+
+
+def field_reference(g, r, theta):
+    """Scalar oracle for one cell: the per-point formulas of field_at.
+
+    Locates the piece, runs one single-point Hermite interpolation and
+    evaluates every field with Python floats.  Returns None on a cusp
+    junction ray.
+    """
+    t = math.fmod(theta, TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    offsets = [p.offset for p in g.pieces]
+    piece = g.pieces[max(bisect_right(offsets, t) - 1, 0)]
+    arc = piece.arc
+    lam, P, B = arc.params.lam, arc.params.P, arc.params.B
+    tau = min(max(t - piece.offset, 0.0), arc.span)
+    if arc.endpoint_slope == math.inf and (
+            tau < 1e-12 or arc.span - tau < 1e-12):
+        return None
+    th, psi, dpsi = (np.ascontiguousarray(c) for c in arc.profile.T)
+    pv, dv = hermite_pair(np.array([tau]), th, psi, dpsi)
+    psi_u = max(float(pv[0]), 0.0)
+    dpsi_s = piece.sign * float(dv[0])
+    psi_s = piece.sign * psi_u
+    if psi_u > 0.0 or B == 0.0 or lam >= 2.0:
+        pw = power0(psi_u, (lam - 2.0) / lam) if B != 0.0 else 0.0
+        dd_s = piece.sign * (-lam * lam * psi_u
+                             + (lam - 1.0) / lam * B * pw)
+    else:
+        dd_s = math.copysign(math.inf, piece.sign * B)
+    rl = math.pow(r, lam - 1.0)
+    u_tau = lam * rl * psi_s
+    u_nu = -rl * dpsi_s
+    ct, st = math.cos(t), math.sin(t)
+    return FieldSample(
+        r=r, theta=theta, x=r * ct, y=r * st,
+        u_x=u_nu * ct - u_tau * st, u_y=u_nu * st + u_tau * ct,
+        u_tau=u_tau, u_nu=u_nu, psi=psi_s, stream=rl * r * psi_s,
+        vorticity=(rl / r) * (lam * lam * psi_s + dd_s)
+        if not math.isinf(dd_s) else dd_s,
+        pressure=rl * rl * P)
+
+
+def field_bits(s):
+    """Every field of a sample as float.hex: equality is bit identity."""
+    return tuple(float(getattr(s, f)).hex()
+                 for f in FieldSample.__dataclass_fields__)
+
+
+def ell5():
+    return elliptic_global(5.0, solve_elliptic(5.0, 3).P_star)
+
+
+def quad15():
+    B, _ = solve_hyperbolic_span(1.5, PSign.Minus, 0.5 * math.pi)
+    return stitch(1.5, -1.0, [(B, 1), (B, -1), (B, 1), (B, -1)])
+
+
+class TestFieldOracle:
+    """export_grid and field_at against the scalar per-cell oracle.
+
+    24 rays hit every junction of these solutions (multiples of pi/2,
+    2 pi/3 and the lam = 3 junction at pi), so cusp rays, vanishing
+    junction values and the infinite-vorticity rays of 1 < lam < 2 are
+    all compared.
+    """
+
+    GRID = GridSpec(0.37, 2.5, 25, 24)
+    EXTRA = [(0.8, -1.0), (1.3, 7.5), (2.0, TWO_PI), (0.5, -TWO_PI / 3.0)]
+
+    @pytest.mark.parametrize("build", [
+        cusp3, ell5, lam3, harmonic4, lambda: lam3((1, 1, 1, 1)), quad15,
+    ], ids=["cusp", "ell5", "ode3", "harmonic", "vortex_sheet", "quad15"])
+    def test_bit_identical_to_scalar_oracle(self, build):
+        g = build()
+        rows = export_grid(g, self.GRID)
+        assert len(rows) == self.GRID.n_r * self.GRID.n_theta
+        points = [(r, t) for r, t, _s in rows] + self.EXTRA
+        for k, (r, t) in enumerate(points):
+            want = field_reference(g, r, t)
+            if k < len(rows):
+                got = rows[k][2]
+                assert (got is None) == (want is None), (r, t)
+                if want is not None:
+                    assert field_bits(got) == field_bits(want), (r, t)
+            if want is None:
+                with pytest.raises(OnSingularRay):
+                    field_at(g, r, t)
+            else:
+                assert field_bits(field_at(g, r, t)) == field_bits(want)
+
+    def test_oracle_covers_singular_and_infinite_cells(self):
+        rows = export_grid(cusp3(), self.GRID)
+        assert sum(s is None for _r, _t, s in rows) == 3 * self.GRID.n_r
+        rows = export_grid(quad15(), self.GRID)
+        assert any(math.isinf(s.vorticity) for _r, _t, s in rows)

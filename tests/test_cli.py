@@ -7,6 +7,7 @@ failures carry normal tracebacks.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from homoeuler.cli import (
@@ -117,6 +118,18 @@ class TestConstruct:
         b_want = math.sqrt(32.0) * math.tan(t_last - 0.5 * math.pi)
         assert d["pieces"][-1]["B"] == pytest.approx(b_want, rel=1e-8)
 
+    def test_negative_exponent_pressure(self, capsys, tmp_path):
+        out_file = tmp_path / "h.json"
+        rc, _, _ = run(capsys, "construct", "--lambda", "2",
+                       "--pressure", "-1.5e-3", "--equal-arcs", "3",
+                       "--out", str(out_file))
+        assert rc == 0
+        assert json.loads(out_file.read_text())["params"]["P"] == -1.5e-3
+        rc, out, _ = run(capsys, "phase-portrait", "--lambda", "2",
+                         "--pressure", "-1e6", "--b-values", "1")
+        assert rc == 0
+        assert out.startswith("B,t,x,y\n")
+
     def test_specs_require_pressure(self, capsys):
         rc, _, err = run(capsys, "construct", "--lambda", "2",
                          "--specs", "1:+,1:-")
@@ -146,8 +159,25 @@ class TestRoundTrip:
     def test_seventeen_digit_floats_are_exact(self, cusp_text):
         g = parse_solution(cusp_text)
         h = parse_solution(solution_to_json(g))
-        assert h.pieces[0].arc.profile == g.pieces[0].arc.profile
-        assert h.pieces[0].arc.mesh_dtheta == g.pieces[0].arc.mesh_dtheta
+        assert np.array_equal(h.pieces[0].arc.profile,
+                              g.pieces[0].arc.profile)
+        assert np.array_equal(h.pieces[0].arc.mesh_dtheta,
+                              g.pieces[0].arc.mesh_dtheta)
+
+    @pytest.mark.parametrize("lam,n", [("5", "3"), ("13", "4")])
+    def test_elliptic_file_reserializes_byte_for_byte(self, capsys, tmp_path,
+                                                       lam, n):
+        # these profiles hold -0.0, written as "-0"
+        out_file = tmp_path / "e.json"
+        rc, _, _ = run(capsys, "construct", "--lambda", lam,
+                       "--elliptic-n", n, "--out", str(out_file))
+        assert rc == 0
+        text = out_file.read_text()
+        assert "-0," in text or "-0]" in text
+        again = solution_to_json(parse_solution(text))
+        # token lists: same check, but a failure reports the first
+        # differing token instead of diffing ~100 kB of text
+        assert again.split(", ") == text.split(", ")
 
     def test_schema_version_guard(self, cusp_text):
         d = json.loads(cusp_text)
@@ -182,6 +212,16 @@ class TestPeriodScan:
         assert lines[0] == "P,T,est_error"
         assert lines[-1] == "# monotonicity: strictly increasing"
         assert len(lines) == 8
+
+    def test_negative_exponent_values(self, capsys):
+        rc, out, _ = run(capsys, "period-scan", "--lambda", "3",
+                         "--region", "hyperbolic", "--p-min", "-1e6",
+                         "--p-max", "-1.5e-3", "--n-points", "3",
+                         "--format", "json")
+        assert rc == 0
+        ps = [row["P"] for row in json.loads(out)["rows"]]
+        assert ps[0] == pytest.approx(-1.5e-3, rel=1e-12)
+        assert ps[-1] == pytest.approx(-1e6, rel=1e-12)
 
     def test_json_format_rows(self, capsys):
         rc, out, _ = run(capsys, "period-scan", "--lambda", "2",
