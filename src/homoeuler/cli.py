@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from . import selfcheck
+from ._field import field_grid
 from .assemble import (
     GlobalSolution,
     GridSpec,
     LocalArc,
     Piece,
     SmoothnessKind,
-    _field_grid,
     elliptic_global,
     energy_flux,
     h1_seminorm,
@@ -194,7 +194,7 @@ def field_csv(g: GlobalSolution, grid: GridSpec) -> str:
     per-cell objects are built.
     """
     rs, thetas = grid.axes()
-    singular, cells = _field_grid(g, rs, thetas)
+    singular, cells = field_grid(g, rs, thetas)
     cols = [cells[name] for name in _FIELD_VALUES]
     rays = [(_fmt(t) + ",", on_ray)
             for t, on_ray in zip(thetas.tolist(), singular.tolist())]
