@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -94,27 +95,18 @@ def _emit(obj) -> str:
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
-    """Schema: {schema_version, params, smoothness, pieces, diagnostics}.
-
-    Beyond the minimal piece fields, endpoint_slope (null encodes the
-    infinite cusp slope) and mesh_dtheta are carried along so a reloaded
-    solution evaluates diagnostics with the builder's exact quadrature
-    weights rather than a differencing fallback.
-    """
+def _solution_record(g: GlobalSolution, diagnostics: bool) -> dict:
+    """The serialize_solution schema with each arc's columns left as arrays."""
     pieces = []
-    # pieces of an elliptic tiling share one arc; convert its arrays once
-    columns = {}
     for p in g.pieces:
         arc = p.arc
-        if id(arc) not in columns:
-            columns[id(arc)] = (arc.profile.tolist(), arc.mesh_dtheta.tolist())
-        profile, mesh = columns[id(arc)]
         slope = None if math.isinf(arc.endpoint_slope) else arc.endpoint_slope
         pieces.append({
             "B": arc.params.B,
@@ -122,8 +114,8 @@ def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
             "offset": p.offset,
             "span": arc.span,
             "endpoint_slope": slope,
-            "profile": profile,
-            "mesh_dtheta": mesh,
+            "profile": arc.profile,
+            "mesh_dtheta": arc.mesh_dtheta,
         })
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -141,8 +133,25 @@ def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
     return out
 
 
+def serialize_solution(g: GlobalSolution, diagnostics: bool = True) -> dict:
+    """Schema: {schema_version, params, smoothness, pieces, diagnostics}.
+
+    Beyond the minimal piece fields, endpoint_slope (null encodes the
+    infinite cusp slope) and mesh_dtheta are carried along so a reloaded
+    solution evaluates diagnostics with the builder's exact quadrature
+    weights rather than a differencing fallback.
+    """
+    out = _solution_record(g, diagnostics)
+    for pc in out["pieces"]:
+        pc["profile"] = pc["profile"].tolist()
+        pc["mesh_dtheta"] = pc["mesh_dtheta"].tolist()
+    return out
+
+
 def solution_to_json(g: GlobalSolution, diagnostics: bool = True) -> str:
-    return _emit(serialize_solution(g, diagnostics)) + "\n"
+    # _emit turns the arrays into floats one piece at a time, so the whole
+    # solution never exists as nested lists of Python floats
+    return _emit(_solution_record(g, diagnostics)) + "\n"
 
 
 def _json_int(text: str):
@@ -656,8 +665,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    # a parser is a web of reference cycles: building one per call left
+    # ~90 kB of garbage per command for the cyclic collector, so commands
+    # run in one process share a single parser
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
