@@ -14,6 +14,7 @@ from homoeuler.cli import (
     FIELD_COLUMNS,
     main,
     parse_solution,
+    serialize_solution,
     solution_to_json,
 )
 
@@ -155,6 +156,12 @@ class TestRoundTrip:
     def test_parse_serialize_identity(self, cusp_text):
         g = parse_solution(cusp_text)
         assert parse_solution(solution_to_json(g)) == g
+
+    def test_serialized_dict_matches_json_text(self, cusp_text):
+        g = parse_solution(cusp_text)
+        d = serialize_solution(g)
+        assert isinstance(d["pieces"][0]["profile"][0], list)
+        assert json.loads(solution_to_json(g)) == d
 
     def test_seventeen_digit_floats_are_exact(self, cusp_text):
         g = parse_solution(cusp_text)
