@@ -341,7 +341,7 @@ def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
         raise NumericalError(
             f"integrated span {orbit.measured_span!r} and quadrature span"
             f" {span!r} disagree beyond 1e-9")
-    ts, xs, ys = orbit.as_arrays()
+    ts, xs, ys = orbit.samples.T
     dds = _curvature(np.maximum(xs, 0.0), lam, B)
     # for lam > 2 the field is Holder at the axis and psi' is only C^1 at
     # the arch ends; cubic grading there restores spectral-free Simpson
@@ -480,7 +480,7 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
         raise NumericalError(
             f"integrated period {orbit.measured_span!r} and quadrature"
             f" period {span!r} disagree beyond 1e-9")
-    ts, xs, ys = orbit.as_arrays()
+    ts, xs, ys = orbit.samples.T
     dds = _curvature(xs, lam, B)
     m = n // 2
     t_half = np.clip(np.linspace(0.0, 0.5 * span, m + 1), ts[0], ts[-1])

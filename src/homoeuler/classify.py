@@ -375,16 +375,15 @@ def solve_hyperbolic_span(lam: float, p_sign: PSign, target_T: float, *,
         t_mid = math.pi / lam
         if target_T == t_mid:
             B_star = 0.0
-        elif target_T > t_mid:
-            B_star = _solve_span_positive_B(lam, P, target_T, tol)
         else:
-            B_star = _solve_span_negative_B(lam, P, target_T, tol)
+            B_star = _solve_span(lam, P, 1.0 if target_T > t_mid else -1.0,
+                                 target_T, tol)
     else:
         if p_sign is PSign.Minus:
             raise OutOfRange(
                 f"no hyperbolic solutions with P < 0 at lam = {lam!r} < 1")
         P = 1.0
-        B_star = _solve_span_positive_B(lam, P, target_T, tol)
+        B_star = _solve_span(lam, P, 1.0, target_T, tol)
 
     from .assemble import hyperbolic_arc
 
@@ -400,53 +399,29 @@ def _span_of_B(lam: float, P: float, B: float) -> float:
     return span_any(FlowParams(lam, P, B)).T
 
 
-def _solve_span_positive_B(lam, P, target, tol):
-    # T(B) increases with B on B > 0 (toward pi for lam > 1, from 0 toward
-    # pi for lam < 1); expand a geometric bracket around B = 1
-    lo, hi = 1.0, 1.0
-    f_lo = _span_of_B(lam, P, lo) - target
-    f_hi = f_lo
+def _solve_span(lam, P, sign, target, tol):
+    # T(B) increases with B on either side of B = 0: on B > 0 toward pi
+    # (from 0 when lam < 1), on B < 0 from 0 (B -> -inf) up to pi/lam
+    # (B -> 0-).  Expand a geometric bracket from B = sign by factors of 4,
+    # away from zero on the low side when B < 0 and toward it when B > 0
+    side = "B > 0" if sign > 0.0 else "B < 0"
+    down = 0.25 if sign > 0.0 else 4.0
+    lo = hi = sign
+    f_lo = f_hi = _span_of_B(lam, P, lo) - target
     for _ in range(400):
         if f_lo <= 0.0:
             break
-        lo /= 4.0
+        lo *= down
         f_lo = _span_of_B(lam, P, lo) - target
     else:
-        raise NumericalError("lower bracket expansion failed on B > 0")
+        raise NumericalError(f"lower bracket expansion failed on {side}")
     for _ in range(400):
         if f_hi >= 0.0:
             break
-        hi *= 4.0
+        hi /= down
         f_hi = _span_of_B(lam, P, hi) - target
     else:
-        raise NumericalError("upper bracket expansion failed on B > 0")
-    return _bisect_span(lam, P, lo, hi, f_lo, f_hi, target, tol)
-
-
-def _solve_span_negative_B(lam, P, target, tol):
-    # T(B) still increases with B on B < 0: spans run from 0 (B -> -inf)
-    # up to pi/lam (B -> 0-)
-    lo, hi = -1.0, -1.0
-    f_lo = _span_of_B(lam, P, lo) - target
-    f_hi = f_lo
-    for _ in range(400):
-        if f_lo <= 0.0:
-            break
-        lo *= 4.0
-        f_lo = _span_of_B(lam, P, lo) - target
-    else:
-        raise NumericalError("lower bracket expansion failed on B < 0")
-    for _ in range(400):
-        if f_hi >= 0.0:
-            break
-        hi /= 4.0
-        f_hi = _span_of_B(lam, P, hi) - target
-    else:
-        raise NumericalError("upper bracket expansion failed on B < 0")
-    return _bisect_span(lam, P, lo, hi, f_lo, f_hi, target, tol)
-
-
-def _bisect_span(lam, P, lo, hi, f_lo, f_hi, target, tol):
+        raise NumericalError(f"upper bracket expansion failed on {side}")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -44,7 +44,7 @@ from .classify import (
     solve_elliptic,
     solve_hyperbolic_span,
 )
-from .config import RunConfig
+from .config import MIN_POINTS_PER_ARC, RunConfig
 from .core import FlowParams, steady_state
 from .errors import DomainError, NumericalError, SpanMismatch
 from .orbits import (
@@ -425,11 +425,14 @@ def _parse_specs(text: str):
 
 def _make_config(args) -> RunConfig:
     overrides = {}
-    for name in ("quadrature_tol", "root_tol", "ode_tol",
-                 "points_per_arc", "max_arcs"):
+    for name in ("root_tol", "points_per_arc", "max_arcs"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
+    n = overrides.get("points_per_arc")
+    if n is not None and n < MIN_POINTS_PER_ARC:
+        raise UsageError(
+            f"--points-per-arc must be at least {MIN_POINTS_PER_ARC}, got {n}")
     if getattr(args, "config", None):
         return RunConfig.from_file(args.config, **overrides)
     return RunConfig(**overrides)
@@ -539,7 +542,7 @@ def _cmd_phase_portrait(args) -> int:
         else:
             start, stop = PhaseState(ic.x0, 0.0), ReturnToAxis()
         orbit = integrate_orbit(p, start, stop)
-        for t, x, y in zip(*orbit.as_arrays()):
+        for t, x, y in orbit.samples.tolist():
             w.writerow([_fmt(B), _fmt(t), _fmt(x), _fmt(y)])
     _write(buf.getvalue(), args.out)
     return 0
@@ -633,9 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="rmin:rmax:nr:ntheta")
     p.add_argument("--field-out", default=None)
     p.add_argument("--config", default=None, help="JSON RunConfig file")
-    p.add_argument("--quadrature-tol", type=float, default=None)
     p.add_argument("--root-tol", type=float, default=None)
-    p.add_argument("--ode-tol", type=float, default=None)
     p.add_argument("--points-per-arc", type=int, default=None)
     p.add_argument("--max-arcs", type=int, default=None)
     p.set_defaults(func=_cmd_construct)

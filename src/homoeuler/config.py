@@ -1,40 +1,39 @@
-"""Run configuration shared by the CLI and the acceptance suite."""
+"""Run configuration of the construct command."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
 __all__ = ["RunConfig"]
 
 
+# fewest profile samples an arc may carry
+MIN_POINTS_PER_ARC = 64
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, sampling density, output options, RNG seed.
+    """Root tolerance, sampling density, output path and arc cap.
 
-    Defaults match the documented contract: all tolerances 1e-10 and
-    512 points per arc.
+    Each field reaches a numerical call or the output: root_tol the elliptic
+    and span root solves, points_per_arc the arc builders, max_arcs the
+    stitcher, and output names the solution file.
     """
 
-    quadrature_tol: float = 1e-10
     root_tol: float = 1e-10
-    ode_tol: float = 1e-10
     points_per_arc: int = 512
-    format: str = "json"
     output: str | None = None  # None means standard output
-    seed: int = 0
     max_arcs: int = 64
 
     def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise DomainError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if self.points_per_arc < 64:
-            raise DomainError("points_per_arc must be at least 64")
-        for name in ("quadrature_tol", "root_tol", "ode_tol"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
+        if self.points_per_arc < MIN_POINTS_PER_ARC:
+            raise DomainError(
+                f"points_per_arc must be at least {MIN_POINTS_PER_ARC}")
+        if not self.root_tol > 0.0:
+            raise DomainError("root_tol must be positive")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":

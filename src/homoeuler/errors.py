@@ -68,7 +68,7 @@ class StepFailure(NumericalError):
 
 
 class SingularEndpoint(NumericalError):
-    """Trajectory entered x < x_min with lambda < 2 and B != 0.
+    """Trajectory entered x < X_MIN with lambda < 2 and B != 0.
 
     The power term of the phase system is singular at the axis there; the
     caller must use the quadrature path instead of the ODE integrator.

@@ -34,6 +34,8 @@ _SCAN_FACTOR = 10.0 ** (1.0 / 64.0)
 _SCAN_MAX_STEPS = 64 * 300
 
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
+# below this abscissa an orbit with lam < 2 and B != 0 counts as singular
+X_MIN = 1e-12
 
 
 class InterceptKind(enum.Enum):
@@ -75,19 +77,15 @@ class FixedTime:
 StopCondition = Union[ReturnToAxis, ReturnToStart, FixedTime]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
+    """An integrated orbit; samples is a read-only (n, 3) float64 array of
+    (t, x, y) rows, so orbit.samples.T unpacks the columns."""
+
     params: FlowParams
-    samples: tuple  # ((t, PhaseState), ...)
+    samples: np.ndarray
     closed: bool
     measured_span: float
-
-    def as_arrays(self):
-        """Samples unpacked as (t, x, y) float arrays."""
-        t = np.array([s[0] for s in self.samples])
-        x = np.array([s[1].x for s in self.samples])
-        y = np.array([s[1].y for s in self.samples])
-        return t, x, y
 
 
 def _radicand_funcs(p: FlowParams):
@@ -227,8 +225,7 @@ def find_intercepts(p: FlowParams) -> Intercepts:
 
 
 def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
-                x_min: float, max_step: float, guard: int, stop_kind: int,
-                n_stop: int):
+                max_step: float, guard: int, stop_kind: int, n_stop: int):
     # large-lam elliptic orbits live at x ~ (lam^-2)^(lam/2), far below any
     # fixed floor; flooring the scale there would void the error control
     x_scale = max(abs(x0), abs(y0) / p.lam)
@@ -243,7 +240,7 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
         y_buf = np.empty(cap)
         ev_buf = np.empty(8)
         out = _kernels.rk45_orbit(p.lam, p.B, x0, y0, t_max, rtol, atol_x,
-                                  atol_y, max_step, 1e-14, x_min, guard,
+                                  atol_y, max_step, 1e-14, X_MIN, guard,
                                   stop_kind, n_stop, t_buf, x_buf, y_buf,
                                   ev_buf)
         status, n = out[0], out[1]
@@ -255,7 +252,7 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
 
 
 def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
-                    rtol: float = 1e-10, x_min: float = 1e-12,
+                    rtol: float = 1e-10,
                     max_step: float = MAX_SAMPLE_STEP) -> Orbit:
     """Integrate the phase system from start until the stop condition.
 
@@ -269,19 +266,21 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
         ReturnToStart measures one full period of a closed orbit; a start off
         the x-axis is first advanced to its apex and the loop is sampled from
         there (the period does not depend on the starting point).
-    rtol, x_min, max_step : float, optional
-        Integrator knobs; defaults match the run configuration defaults.
+    rtol : float, optional
+        Relative tolerance of the step-size controller.
+    max_step : float, optional
+        Largest time step, and so the widest spacing of the samples.
 
     Returns
     -------
     Orbit
-        With samples spaced at most max_step apart and measured_span set to
-        the event (or fixed) time.
+        With (t, x, y) samples spaced at most max_step apart, x clamped to
+        x >= 0, and measured_span set to the event (or fixed) time.
 
     Raises
     ------
     SingularEndpoint
-        If the state enters x < x_min while lam < 2 and B != 0.
+        If the state enters x < X_MIN while lam < 2 and B != 0.
     StepFailure
         If the step-size controller underflows.
     EventNotFound
@@ -304,7 +303,7 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     stationary = max(abs(dx0), abs(dy0)) <= 1e-13 * field_scale
     if stationary:
         if isinstance(stop, FixedTime):
-            samples = ((0.0, start), (stop.t, start))
+            samples = _samples((0.0, stop.t), (start.x,) * 2, (start.y,) * 2)
             return Orbit(p, samples, False, stop.t)
         raise SteadyStateError(
             "start is a steady state; no return event will occur")
@@ -316,11 +315,11 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     span_factor = 1.0
     if isinstance(stop, FixedTime):
         out, ts, xs, ys = _run_kernel(p, start.x, start.y, stop.t, rtol,
-                                      x_min, max_step, guard, 0, 0)
+                                      max_step, guard, 0, 0)
         closed = False
     elif isinstance(stop, ReturnToAxis):
         out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol,
-                                      x_min, max_step, guard, 1, 1)
+                                      max_step, guard, 1, 1)
         closed = False
         if start.y == 0.0:
             # apex start covers half the arch; the span doubles by symmetry
@@ -330,11 +329,11 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
         if start.y != 0.0:
             # phase 1: ride to the apex, where y crosses zero
             out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol,
-                                          x_min, max_step, guard, 2, 1)
+                                          max_step, guard, 2, 1)
             _raise_for_status(out, p)
             x_a, y_a = xs[-1], 0.0
-        out, ts, xs, ys = _run_kernel(p, x_a, y_a, t_cap, rtol, x_min,
-                                      max_step, guard, 2, 2)
+        out, ts, xs, ys = _run_kernel(p, x_a, y_a, t_cap, rtol, max_step,
+                                      guard, 2, 2)
         closed = True
     else:
         raise TypeError(f"unsupported stop condition: {stop!r}")
@@ -346,15 +345,20 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
         raise DomainError(
             "orbit crossed into x < 0; use ReturnToAxis for arch segments")
     xs = np.maximum(xs, 0.0)
-    samples = tuple((float(t), PhaseState(float(x), float(y)))
-                    for t, x, y in zip(ts, xs, ys))
     span = span_factor * float(t_end)
 
     drift = _pressure_drift(p, xs, ys)
     if drift > 1e-9 * (1.0 + abs(p.P)):
         raise NumericalError(
             f"pressure drift {drift:.3e} exceeds conservation tolerance")
-    return Orbit(p, samples, closed, span)
+    return Orbit(p, _samples(ts, xs, ys), closed, span)
+
+
+def _samples(ts, xs, ys) -> np.ndarray:
+    # column_stack copies, so the kernel's sample buffers are not kept alive
+    out = np.column_stack((ts, xs, ys)).astype(np.float64, copy=False)
+    out.flags.writeable = False
+    return out
 
 
 def _pressure_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -376,36 +380,8 @@ def _raise_for_status(out, p: FlowParams) -> None:
         raise StepFailure(f"step size underflow at t={t!r}, x={x!r}")
     if status == 4:
         raise SingularEndpoint(
-            f"state entered x < x_min near the axis at t={t!r} (lam={p.lam!r}"
+            f"state entered x < X_MIN near the axis at t={t!r} (lam={p.lam!r}"
             " < 2 with B != 0); use the quadrature path")
     if status == 5:
         raise EventNotFound(f"stop condition not met by t={t!r}")
     raise NumericalError(f"integrator returned unknown status {status}")
-
-
-def reconstruct_profile(o: Orbit):
-    """Relabel orbit samples as a profile [(theta, psi, dpsi), ...].
-
-    theta = 0 at the arc's start.  An orbit run from its apex to the axis is
-    extended to the full arch by even reflection about the apex; a closed
-    orbit is already a full profile and is relabeled directly.
-    """
-    if len(o.samples) == 1 or o.measured_span == 0.0:
-        s = o.samples[0][1]
-        return [(0.0, s.x, s.y)]
-    ts, xs, ys = o.as_arrays()
-    steady = bool(np.all(xs == xs[0]) and np.all(ys == ys[0]))
-    axis_end = xs[-1] <= 1e-9 * max(xs.max(), 1e-300)
-    if not (o.closed or axis_end or steady):
-        raise DomainError(
-            "profile requires a closed orbit or a ReturnToAxis arc")
-    if o.closed or steady or ys[0] != 0.0 or not axis_end:
-        return [(float(t), float(x), float(y)) for t, x, y in zip(ts, xs, ys)]
-    # half arch apex -> axis; reflect about the apex
-    half = float(ts[-1])
-    out = []
-    for i in range(len(ts) - 1, 0, -1):
-        out.append((float(half - ts[i]), float(xs[i]), float(-ys[i])))
-    for i in range(len(ts)):
-        out.append((float(half + ts[i]), float(xs[i]), float(ys[i])))
-    return out

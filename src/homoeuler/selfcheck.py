@@ -75,8 +75,9 @@ def criterion_02():
 def criterion_03():
     """Separatrix limit: T(1e-8 P_max) = pi within 5e-3.
 
-    The approach to pi is logarithmic in P; at 1e-8 P_max the lam = 5 gap
-    is still ~0.12, so this check reports the honest distance.
+    The approach to pi is a power law with a small exponent,
+    pi - T ~ (P/P_max)^(1/(2(lam - 1))); at 1e-8 P_max the lam = 5 gap is
+    still ~0.12, so this check reports the honest distance.
     """
     gaps = {}
     for lam in (2.5, 5.0):
@@ -90,8 +91,10 @@ def criterion_03():
 def criterion_04():
     """Hyperbolic span limits at lam = 2 for both Bernoulli signs.
 
-    The B = 1, P = -1e-6 clause shares the logarithmic approach of the
-    separatrix limit; its honest gap at that pressure is ~5.66e-3.
+    The B = 1, P = -1e-6 clause approaches pi by the same power law, here
+    with exponent 1/2: the gap is exactly
+    pi/2 - arcsin((1 + 32|P|)^(-1/2)) ~ sqrt(32|P|), 5.66e-3 at that
+    pressure.
     """
     d_deep = abs(_span(2.0, -1e6, 1.0) - 0.5 * math.pi)
     d_sep = abs(math.pi - _span(2.0, -1e-6, 1.0))

@@ -70,7 +70,7 @@ class TestBernoulli:
     def test_constant_along_integrated_orbit(self):
         p = FlowParams(2.0, 1.5, 8.0)
         orbit = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
-        _t, xs, ys = orbit.as_arrays()
+        _t, xs, ys = orbit.samples.T
         vals = np.array([bernoulli(float(x), float(y), 2.0, 1.5)
                          for x, y in zip(xs, ys)])
         assert np.max(np.abs(vals - 8.0)) / 8.0 < 1e-9

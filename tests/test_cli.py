@@ -143,6 +143,57 @@ class TestConstruct:
         assert rc == 1
 
 
+CUSP_ARGS = ("construct", "--lambda", "0.6667", "--pressure", "1",
+             "--equal-arcs", "3")
+
+
+class TestConfig:
+    def cusp(self, capsys, tmp_path, name, *extra):
+        out_file = tmp_path / name
+        rc, _, err = run(capsys, *CUSP_ARGS, *extra, "--out", str(out_file))
+        assert rc == 0, err
+        return out_file.read_text()
+
+    def config(self, tmp_path, **keys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(keys))
+        return str(path)
+
+    def test_points_per_arc_below_minimum_is_usage(self, capsys):
+        rc, _, err = run(capsys, *CUSP_ARGS, "--points-per-arc", "32")
+        assert rc == 1
+        assert "--points-per-arc" in err
+        assert "64" in err
+
+    def test_file_is_honoured(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, points_per_arc=128, max_arcs=3)
+        from_file = self.cusp(capsys, tmp_path, "f.json", "--config", cfg)
+        from_flag = self.cusp(capsys, tmp_path, "g.json",
+                              "--points-per-arc", "128")
+        default = self.cusp(capsys, tmp_path, "d.json")
+        assert from_file == from_flag
+        assert from_file != default
+        cfg = self.config(tmp_path, max_arcs=2)
+        rc, _, err = run(capsys, *CUSP_ARGS, "--config", cfg)
+        assert rc == 2
+        assert "between 1 and 2 arcs" in err
+
+    def test_flag_overrides_file(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, points_per_arc=128, max_arcs=2)
+        both = self.cusp(capsys, tmp_path, "b.json", "--config", cfg,
+                         "--points-per-arc", "96", "--max-arcs", "3")
+        flags = self.cusp(capsys, tmp_path, "f.json",
+                          "--points-per-arc", "96")
+        assert both == flags
+
+    @pytest.mark.parametrize("key", ["quadrature_tol", "no_such_key"])
+    def test_unknown_key_is_domain_error(self, capsys, tmp_path, key):
+        cfg = self.config(tmp_path, **{key: 1e-10})
+        rc, _, err = run(capsys, *CUSP_ARGS, "--config", cfg)
+        assert rc == 2
+        assert key in err
+
+
 class TestRoundTrip:
     @pytest.fixture()
     def cusp_text(self, capsys, tmp_path):

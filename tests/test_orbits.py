@@ -1,4 +1,4 @@
-"""Turning points, orbit integration, and profile reconstruction."""
+"""Turning points and orbit integration."""
 
 import math
 
@@ -22,7 +22,6 @@ from homoeuler.orbits import (
     ReturnToStart,
     find_intercepts,
     integrate_orbit,
-    reconstruct_profile,
 )
 
 
@@ -132,7 +131,7 @@ class TestIntegrateOrbit:
         p = FlowParams(2.0, 2.0, 8.0)
         o = integrate_orbit(p, PhaseState(1.0, 0.0), FixedTime(1.0))
         assert o.measured_span == 1.0
-        _, xs, ys = o.as_arrays()
+        _, xs, ys = o.samples.T
         assert np.allclose(xs, 1.0, atol=1e-13)
         assert np.allclose(ys, 0.0, atol=1e-13)
 
@@ -145,7 +144,7 @@ class TestIntegrateOrbit:
         p = FlowParams(2.0, -1.0, 1.0)
         v = math.sqrt(2.0)  # |y| = sqrt(-2P) at the axis
         o = integrate_orbit(p, PhaseState(0.0, v), ReturnToAxis())
-        t, x, y = o.as_arrays()
+        t, x, y = o.samples.T
         assert x[0] <= 1e-12 and x[-1] <= 1e-12
         assert abs(abs(y[0]) - v) <= 1e-6
         assert abs(abs(y[-1]) - v) <= 1e-6
@@ -154,7 +153,7 @@ class TestIntegrateOrbit:
         p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
         o = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
-        t, x, y = o.as_arrays()
+        t, x, y = o.samples.T
         alpha = 2 - 2 / 3.0
         # B-term vanishes at x = 0 since alpha > 0
         bterm = 0.5 * np.where(x > 0, x, 0.0) ** alpha
@@ -182,48 +181,37 @@ class TestIntegrateOrbit:
         o = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart)
         assert o.closed
 
-
-class TestReconstructProfile:
-    def test_arch_shape_and_evenness(self):
-        p = FlowParams(2.0, -1.0, 1.0)
+    def test_samples_read_only_array(self):
+        p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
         o = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
-        prof = reconstruct_profile(o)
-        th = np.array([q[0] for q in prof])
-        ps = np.array([q[1] for q in prof])
-        T = o.measured_span
-        assert prof[0][1] == pytest.approx(0.0, abs=1e-10)
-        assert prof[-1][1] == pytest.approx(0.0, abs=1e-10)
-        apex = ps.max()
-        assert apex == pytest.approx(ic.x0, rel=1e-9)
-        # evenness about the apex
-        mirror = np.interp(T - th, th, ps)
-        assert np.abs(mirror - ps).max() <= 1e-8
+        s = o.samples
+        assert isinstance(s, np.ndarray)
+        assert s.dtype == np.float64
+        assert s.ndim == 2 and s.shape[1] == 3 and s.shape[0] > 2
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 1] = 1.0
+        assert np.all(s[:, 1] >= 0.0)
+        assert np.all(np.diff(s[:, 0]) > 0.0)
 
-    def test_harmonic_profile_closed_form(self):
+    def test_harmonic_arch_closed_form(self):
+        # B = 0 from the apex: x = a cos(lam t), y = -a lam sin(lam t)
         lam, a = 3.0, 0.9
         p = FlowParams(lam, -lam * lam * a * a / 2, 0.0)
         o = integrate_orbit(p, PhaseState(a, 0.0), ReturnToAxis())
-        prof = reconstruct_profile(o)
-        T = o.measured_span
-        amp = math.sqrt(-2 * p.P) / lam
-        for th, ps, dps in prof:
-            assert ps == pytest.approx(amp * math.cos(lam * (th - T / 2)),
-                                       abs=1e-7)
+        t, x, y = o.samples.T
+        assert t[0] == 0.0
+        assert t[-1] == pytest.approx(0.5 * o.measured_span, abs=1e-12)
+        assert np.abs(x - a * np.cos(lam * t)).max() <= 1e-7
+        assert np.abs(y + a * lam * np.sin(lam * t)).max() <= 1e-7
 
-    def test_closed_orbit_direct_relabel(self):
+    def test_closed_orbit_closed_form_lam2(self):
+        # psi = 1 + 0.5 cos(2 theta) from its apex, one full period
         p = FlowParams(2.0, 1.5, 8.0)
         o = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
-        prof = reconstruct_profile(o)
-        assert prof[0][0] == 0.0
-        assert prof[-1][0] == pytest.approx(o.measured_span)
-        # psi = 1 + 0.5 cos(2 theta) from the apex
-        for th, ps, dps in prof[:: len(prof) // 50]:
-            assert ps == pytest.approx(1 + 0.5 * math.cos(2 * th), abs=1e-8)
-            assert dps == pytest.approx(-math.sin(2 * th), abs=1e-8)
-
-    def test_steady_profile_constant(self):
-        p = FlowParams(2.0, 2.0, 8.0)
-        o = integrate_orbit(p, PhaseState(1.0, 0.0), FixedTime(2.0))
-        prof = reconstruct_profile(o)
-        assert all(ps == pytest.approx(1.0, abs=1e-12) for _, ps, _ in prof)
+        t, x, y = o.samples.T
+        assert t[0] == 0.0
+        assert t[-1] == pytest.approx(o.measured_span)
+        assert np.abs(x - (1 + 0.5 * np.cos(2 * t))).max() <= 1e-8
+        assert np.abs(y + np.sin(2 * t)).max() <= 1e-8
