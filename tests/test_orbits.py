@@ -215,3 +215,15 @@ class TestIntegrateOrbit:
         assert t[-1] == pytest.approx(o.measured_span)
         assert np.abs(x - (1 + 0.5 * np.cos(2 * t))).max() <= 1e-8
         assert np.abs(y + np.sin(2 * t)).max() <= 1e-8
+
+
+class TestReconstructProfile:
+    """The profile (theta, psi, psi') is read straight off orbit.samples."""
+
+    def test_steady_profile_constant(self):
+        p = FlowParams(2.0, 2.0, 8.0)
+        o = integrate_orbit(p, PhaseState(1.0, 0.0), FixedTime(2.0))
+        t, ps, dps = o.samples.T
+        assert t[0] == 0.0 and t[-1] == pytest.approx(2.0)
+        assert np.abs(ps - 1.0).max() <= 1e-12
+        assert np.abs(dps).max() <= 1e-12
