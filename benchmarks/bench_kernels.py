@@ -19,12 +19,17 @@ import time
 
 import numpy as np
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
 
 def _workloads():
     from homoeuler.assemble import elliptic_arc, hyperbolic_arc
+    from homoeuler.classify import solve_elliptic
     from homoeuler.core import FlowParams, steady_state
     from homoeuler.orbits import (
         PhaseState,
+        ReturnToAxis,
         ReturnToStart,
         find_intercepts,
         integrate_orbit,
@@ -46,6 +51,21 @@ def _workloads():
             ic = find_intercepts(p)
             integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart())
 
+    # orbits that end in stop events: apex-to-axis arches, and the lam = 13,
+    # n = 4 closed orbit whose period the census checks against 2 pi/4
+    event_runs = []
+    for lam in (3.0, 5.0):
+        p = FlowParams(lam, -1.0, 1.0)
+        event_runs.append((p, PhaseState(find_intercepts(p).x0, 0.0),
+                           ReturnToAxis()))
+    p = FlowParams(13.0, solve_elliptic(13.0, 4).P_star, 1.0)
+    event_runs.append((p, PhaseState(find_intercepts(p).x1, 0.0),
+                       ReturnToStart()))
+
+    def events():
+        for p, start, stop in event_runs:
+            integrate_orbit(p, start, stop)
+
     def arcs():
         hyperbolic_arc(3.0, -1.0, 4.0)
         hyperbolic_arc(2.0 / 3.0, 1.0, 3.5)
@@ -53,6 +73,7 @@ def _workloads():
 
     return [("span quadrature x21", spans),
             ("orbit integration x3", orbits),
+            ("orbit events x3", events),
             ("arc construction x3", arcs)]
 
 

@@ -18,7 +18,8 @@ integrands below are smooth on the open interval:
   q_alpha(xi) = (1-xi^alpha)/(1-xi), C = B x0^(alpha-2).
 
 The RK45 pair is the Dormand-Prince 5(4) method; events (axis and y=0
-crossings) are resolved by bisection on the step size to a 1e-12 time window.
+crossings) are located by a Newton iteration on the partial-step length,
+safeguarded by the sign bracket [0, h] (Henon 1982).
 """
 
 from __future__ import annotations
@@ -336,9 +337,10 @@ _dp_step = _jit(_dp_step)
 def _dp_substeps(x, y, h, lam, B):
     """Advance by h in 32 equal substeps.
 
-    Used only for event trial states: for lam > 2 the vector field is merely
-    Holder continuous at x = 0 and a single step across the axis loses the
-    Hamiltonian to ~1e-9; substeps keep the endpoint inside the 1e-9 budget.
+    Used only for event trial states, both the Newton iterates and the final
+    event state: for lam > 2 the vector field is merely Holder continuous at
+    x = 0 and a single step across the axis loses the Hamiltonian to ~1e-9;
+    substeps keep the endpoint inside the 1e-9 budget.
     """
     for _ in range(32):
         x, y, _ex, _ey = _dp_step(x, y, h / 32.0, lam, B)
@@ -354,8 +356,14 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
     """Integrate the phase system with event detection.
 
     stop_kind: 0 fixed time, 1 first x=0 crossing (axis), 2 n_stop-th y=0
-    crossing.  Crossing times are bisected to a 1e-12 window by re-taking
-    steps of shrinking size from the step start.
+    crossing.  A crossing inside an accepted step of length h is located
+    on tau -> g(_dp_substeps(x, y, tau)), g = x (axis) or y, by Newton steps
+    tau -= g/g' with g' from _phase_rhs, started from the secant guess.  The
+    sign of g keeps a bracket [lo, hi] in [0, h]; a step leaving it falls
+    back to the midpoint.  The search stops once a step is at most 1e-13,
+    the bracket at most 1e-12 wide or 64 states were tried, and takes the
+    last Newton iterate only if it lies in the bracket (otherwise the last
+    evaluated tau).
 
     Returns (status, n_samples, n_events, t_end, x_end, y_end):
     status 0 ok, 2 sample buffer full, 3 step underflow, 4 singular endpoint
@@ -393,19 +401,28 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
         crossed_axis = stop_kind == 1 and x > 0.0 and x5 <= 0.0
         crossed_y = stop_kind == 2 and (y != 0.0) and ((y < 0.0) != (y5 < 0.0) or y5 == 0.0)
         if crossed_axis or crossed_y:
-            g0_neg = (x if crossed_axis else y) < 0.0
+            g0 = x if crossed_axis else y
+            g1 = x5 if crossed_axis else y5
             lo = 0.0
             hi = h
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                xm, ym = _dp_substeps(x, y, mid, lam, B)
-                gm = xm if crossed_axis else ym
-                if gm != 0.0 and (gm < 0.0) == g0_neg:
-                    lo = mid
+            te = h * g0 / (g0 - g1)
+            for it in range(64):
+                xe, ye = _dp_substeps(x, y, te, lam, B)
+                ge = xe if crossed_axis else ye
+                if ge != 0.0 and (ge < 0.0) == (g0 < 0.0):
+                    lo = te
                 else:
-                    hi = mid
-            te = 0.5 * (lo + hi)
-            xe, ye = _dp_substeps(x, y, te, lam, B)
+                    hi = te
+                dx, dy = _phase_rhs(xe, ye, lam, B)
+                dg = dx if crossed_axis else dy
+                # without a slope -1 lies outside, so the midpoint is taken
+                tn = te - ge / dg if dg != 0.0 else -1.0
+                if abs(tn - te) <= 1e-13 or hi - lo <= 1e-12 or it == 63:
+                    if lo <= tn <= hi and tn != te:
+                        te = tn
+                        xe, ye = _dp_substeps(x, y, te, lam, B)
+                    break
+                te = tn if lo < tn < hi else 0.5 * (lo + hi)
             if crossed_axis:
                 if n >= t_buf.shape[0]:
                     return 2, n, nev, t, x, y

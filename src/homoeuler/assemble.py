@@ -34,6 +34,7 @@ from .classify import (
     solution_type,
     solve_hyperbolic_span,
 )
+from .config import check_arc_count
 from .core import FlowParams, PhaseState
 from .errors import (
     DomainError,
@@ -606,9 +607,7 @@ def stitch(lam: float, P: float,
     DomainError
         On malformed specs (empty, too many arcs, sign not +-1).
     """
-    if not 1 <= len(specs) <= max_arcs:
-        raise DomainError(
-            f"need between 1 and {max_arcs} arcs, got {len(specs)}")
+    check_arc_count(len(specs), max_arcs)
     for i, (_, s) in enumerate(specs):
         if s not in (1, -1):
             raise DomainError(f"sign of arc {i} must be +1 or -1, got {s!r}")

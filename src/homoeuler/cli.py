@@ -44,7 +44,7 @@ from .classify import (
     solve_elliptic,
     solve_hyperbolic_span,
 )
-from .config import MIN_POINTS_PER_ARC, RunConfig
+from .config import LIMITS, RunConfig, check_arc_count
 from .core import FlowParams, steady_state
 from .errors import DomainError, NumericalError, SpanMismatch
 from .orbits import (
@@ -425,14 +425,14 @@ def _parse_specs(text: str):
 
 def _make_config(args) -> RunConfig:
     overrides = {}
-    for name in ("root_tol", "points_per_arc", "max_arcs"):
+    for name, ok, limit in LIMITS:
         v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    n = overrides.get("points_per_arc")
-    if n is not None and n < MIN_POINTS_PER_ARC:
-        raise UsageError(
-            f"--points-per-arc must be at least {MIN_POINTS_PER_ARC}, got {n}")
+        if v is None:
+            continue
+        if not ok(v):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} {limit}, got {v!r}")
+        overrides[name] = v
     if getattr(args, "config", None):
         return RunConfig.from_file(args.config, **overrides)
     return RunConfig(**overrides)
@@ -451,6 +451,7 @@ def _build_solution(args, cfg: RunConfig) -> GlobalSolution:
         return elliptic_global(lam, P, 1.0, n_points=cfg.points_per_arc)
     if args.equal_arcs is not None:
         n = args.equal_arcs
+        check_arc_count(n, cfg.max_arcs)
         target = TWO_PI / n
         if not target < math.pi:
             raise SpanMismatch(

@@ -7,11 +7,26 @@ from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
-__all__ = ["RunConfig"]
+__all__ = ["RunConfig", "check_arc_count"]
 
 
 # fewest profile samples an arc may carry
 MIN_POINTS_PER_ARC = 64
+
+# (field, test, limit) for every bounded RunConfig field; the CLI checks its
+# flags against the same table so both name the same limit
+LIMITS = (
+    ("root_tol", lambda v: v > 0.0, "must be positive"),
+    ("points_per_arc", lambda v: v >= MIN_POINTS_PER_ARC,
+     f"must be at least {MIN_POINTS_PER_ARC}"),
+    ("max_arcs", lambda v: v >= 1, "must be at least 1"),
+)
+
+
+def check_arc_count(n: int, max_arcs: int) -> None:
+    """Refuse a solution of n arcs unless 1 <= n <= max_arcs."""
+    if not 1 <= n <= max_arcs:
+        raise DomainError(f"need between 1 and {max_arcs} arcs, got {n}")
 
 
 @dataclass(frozen=True)
@@ -29,11 +44,9 @@ class RunConfig:
     max_arcs: int = 64
 
     def __post_init__(self):
-        if self.points_per_arc < MIN_POINTS_PER_ARC:
-            raise DomainError(
-                f"points_per_arc must be at least {MIN_POINTS_PER_ARC}")
-        if not self.root_tol > 0.0:
-            raise DomainError("root_tol must be positive")
+        for name, ok, limit in LIMITS:
+            if not ok(getattr(self, name)):
+                raise DomainError(f"{name} {limit}")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":

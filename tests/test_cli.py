@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from homoeuler import cli
 from homoeuler.cli import (
     FIELD_COLUMNS,
     main,
@@ -164,6 +165,33 @@ class TestConfig:
         assert rc == 1
         assert "--points-per-arc" in err
         assert "64" in err
+
+    @pytest.mark.parametrize("flag,value,limit", [
+        ("--root-tol", "-1", "must be positive"),
+        ("--root-tol", "0", "must be positive"),
+        ("--max-arcs", "0", "must be at least 1"),
+    ])
+    def test_flag_out_of_range_is_usage(self, capsys, flag, value, limit):
+        rc, _, err = run(capsys, *CUSP_ARGS, flag, value)
+        assert rc == 1
+        assert f"{flag} {limit}" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_arcs", 0), ("root_tol", -1.0), ("points_per_arc", 32)])
+    def test_file_out_of_range_is_domain_error(self, capsys, tmp_path, key,
+                                               value):
+        cfg = self.config(tmp_path, **{key: value})
+        rc, _, err = run(capsys, *CUSP_ARGS, "--config", cfg)
+        assert rc == 2
+        assert key in err
+
+    def test_arc_count_refused_before_solve(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the span root solve ran")
+        monkeypatch.setattr(cli, "solve_hyperbolic_span", no_solve)
+        rc, _, err = run(capsys, *CUSP_ARGS, "--max-arcs", "2")
+        assert rc == 2
+        assert "between 1 and 2 arcs, got 3" in err
 
     def test_file_is_honoured(self, capsys, tmp_path):
         cfg = self.config(tmp_path, points_per_arc=128, max_arcs=3)

@@ -191,6 +191,57 @@ class TestRK45:
         # stops at the last state before the step that would cross the floor
         assert 0.0 <= x < 1e-8
 
+    def event_runs(self):
+        """(label, run output) for axis and y = 0 events at lam = 2, 3, 5."""
+        from scipy.optimize import brentq
+
+        def R(x):
+            return 1.4 - 9.0 * x * x + x ** (2 - 2 / 3.0)
+        apex3 = brentq(R, 1e-12, 5.0, xtol=1e-15)
+        x1_5 = elliptic_roots(5.0, 5e-8, 1.0)[1]
+        cases = (("arch lam3 B0", (3.0, 0.0, 0.0, 1.0, 10.0, 1, 1)),
+                 ("arch lam3 B1", (3.0, 1.0, apex3, 0.0, 10.0, 1, 1)),
+                 ("closed lam2", (2.0, 8.0, 1.5, 0.0, 10.0, 2, 2)),
+                 ("closed lam5", (5.0, 1.0, x1_5, 0.0, 10.0, 2, 2)))
+        for label, args in cases:
+            yield label, self.run(*args)
+
+    def test_events_located_to_rounding(self):
+        # B = 0 at lam = 3: x = sin(3 t)/3 returns to the axis at t = pi/3
+        (st, n, nev, t, x, y), *_ = self.run(3.0, 0.0, 0.0, 1.0, 10.0, 1, 1)
+        assert st == 0
+        assert abs(t - np.pi / 3.0) <= 1e-13
+        assert abs(x) <= 1e-15
+        # psi = 1 + 0.5 cos(2 theta) at lam = 2, B = 8 closes after pi
+        (st, n, nev, t, x, y), *_ = self.run(2.0, 8.0, 1.5, 0.0, 10.0, 2, 2)
+        assert st == 0 and nev == 2
+        assert abs(t - np.pi) <= 1e-12
+
+    def test_event_times_inside_their_steps(self):
+        for label, out in self.event_runs():
+            (st, n, nev, t, x, y), tb, xb, yb, ev = out
+            assert st == 0, label
+            ts = tb[:n]
+            assert np.all(np.diff(ts) > 0.0), label
+            assert ts[-1] == t, label
+            assert np.all((ev[:nev] > ts[0]) & (ev[:nev] <= t)), label
+
+    @pytest.mark.skipif(K.JIT_ENABLED,
+                        reason="compiled callers do not see the rebinding")
+    def test_event_search_work_bound(self, monkeypatch):
+        calls = [0]
+        substeps = K._dp_substeps
+
+        def counted(*args):
+            calls[0] += 1
+            return substeps(*args)
+        monkeypatch.setattr(K, "_dp_substeps", counted)
+        for label, out in self.event_runs():
+            (st, n, nev, t, x, y), *_ = out
+            events = nev if nev else 1   # the axis event is not in ev_buf
+            assert calls[0] <= 8 * events, label
+            calls[0] = 0
+
     def test_buffer_full_status(self):
         tb, xb, yb = np.empty(4), np.empty(4), np.empty(4)
         ev = np.empty(8)
