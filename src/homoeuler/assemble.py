@@ -28,12 +28,7 @@ from ._mesh import (
     quintic_pair,
     simpson_uniform,
 )
-from .classify import (
-    PSign,
-    SolutionType,
-    solution_type,
-    solve_hyperbolic_span,
-)
+from .classify import SolutionType, solution_type, solve_hyperbolic_span
 from .config import check_arc_count
 from .core import FlowParams, PhaseState
 from .errors import (
@@ -289,20 +284,14 @@ def _shear_arc(lam: float, B: float, n: int) -> LocalArc:
     w_h = 0.5 * span * graded_weights(m, grade)
     s = np.sin(th)
     psi_h = A * s ** lam
+    psi_h[-1] = A
     with np.errstate(divide="ignore"):
         dpsi_h = np.where(s > 0.0, A * lam * s ** (lam - 1.0) * np.cos(th),
                           end_slope if lam <= 1.0 else 0.0)
-    th_f = np.concatenate([th[:-1], [0.5 * span], (span - th[:-1])[::-1]])
-    psi_f = np.concatenate([psi_h[:-1], [A], psi_h[:-1][::-1]])
-    dpsi_f = np.concatenate([dpsi_h[:-1], [0.0], -dpsi_h[:-1][::-1]])
-    w_f = np.concatenate([w_h[:-1], [w_h[-1]], w_h[:-1][::-1]])
-    if lam < 1.0:
-        th_f, psi_f, dpsi_f, w_f = th_f[1:-1], psi_f[1:-1], dpsi_f[1:-1], \
-            w_f[1:-1]
-    arc = LocalArc(p, span, np.column_stack((th_f, psi_f, dpsi_f)), end_slope,
-                   solution_type(p), w_f)
-    _check_arc(arc)
-    return arc
+    # cusp arcs (lam < 1) omit the psi = 0 end nodes
+    k = 1 if lam < 1.0 else 0
+    return _mirrored_arc(p, span, th[k:], psi_h[k:], dpsi_h[k:], w_h[k:],
+                         end_slope)
 
 
 def _harmonic_arc(lam: float, P: float, n: int) -> LocalArc:
@@ -362,15 +351,8 @@ def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     v_h = np.maximum(v_h, 0.0)
     v_h[0] = 0.0
     d_h[0] = y0
-    th = np.concatenate([t_half[:-1], [0.5 * span],
-                         (span - t_half[:-1])[::-1]])
-    psi = np.concatenate([v_h[:-1], [v_h[-1]], v_h[:-1][::-1]])
-    dpsi = np.concatenate([d_h[:-1], [0.0], -d_h[:-1][::-1]])
-    w = span * graded_weights(n, grade)
-    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), y0,
-                   solution_type(p), w)
-    _check_arc(arc)
-    return arc
+    w_h = span * graded_weights(n, grade)[:m + 1]
+    return _mirrored_arc(p, span, t_half, v_h, d_h, w_h, y0)
 
 
 def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
@@ -416,7 +398,6 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     # scale the mesh onto the canonical span so junction offsets compose
     scale = 0.5 * span / T2
     th_half = th_half * scale
-    th_half[-1] = 0.5 * span
     if lam < 1.0:
         # drop the axis node: psi' is infinite there
         phi, bp, th_half = phi[1:], bp[1:], th_half[1:]
@@ -439,15 +420,9 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
         dpsi_half[0] = end_slope
     else:
         end_slope = math.inf
-    th = np.concatenate([th_half[:-1], [0.5 * span],
-                         (span - th_half[:-1])[::-1]])
-    psi = np.concatenate([x_half[:-1], [x0], x_half[:-1][::-1]])
-    dpsi = np.concatenate([dpsi_half[:-1], [0.0], -dpsi_half[:-1][::-1]])
-    w = np.concatenate([w_half[:-1], [w_half[-1]], w_half[:-1][::-1]])
-    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), end_slope,
-                   solution_type(p), w)
-    _check_arc(arc)
-    return arc
+    x_half[-1] = x0
+    return _mirrored_arc(p, span, th_half, x_half, dpsi_half, w_half,
+                         end_slope)
 
 
 def elliptic_arc(lam: float, P: float, B: float = 1.0,
@@ -488,15 +463,8 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
     v_h, d_h = quintic_pair(t_half, ts, xs, ys, dds)
     v_h[0] = ic.x1
     d_h[0] = 0.0
-    th = np.concatenate([t_half[:-1], [0.5 * span],
-                         (span - t_half[:-1])[::-1]])
-    psi = np.concatenate([v_h[:-1], [v_h[-1]], v_h[:-1][::-1]])
-    dpsi = np.concatenate([d_h[:-1], [0.0], -d_h[:-1][::-1]])
-    w = np.full(n + 1, span / n)
-    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), 0.0,
-                   solution_type(p), w)
-    _check_arc(arc)
-    return arc
+    return _mirrored_arc(p, span, t_half, v_h, d_h, np.full(m + 1, span / n),
+                         0.0)
 
 
 def _rotational_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
@@ -571,6 +539,26 @@ def bernoulli_drift(arc: LocalArc) -> float:
     return float(vals.max() - vals.min()) / scale
 
 
+def _mirrored_arc(p: FlowParams, span: float, th: np.ndarray,
+                  psi: np.ndarray, dpsi: np.ndarray, w: np.ndarray,
+                  end_slope: float) -> LocalArc:
+    """Reflect a half arc about its apex into a checked LocalArc.
+
+    The half runs from its first stored node to the apex (last entry).
+    The second half is its mirror image: theta -> span - theta, psi and the
+    mesh weights kept, psi' negated.  The apex sits at exactly span/2 with
+    psi' = 0, so every arc is bit-symmetric.
+    """
+    th = np.concatenate([th[:-1], [0.5 * span], (span - th[:-1])[::-1]])
+    psi = np.concatenate([psi, psi[:-1][::-1]])
+    dpsi = np.concatenate([dpsi[:-1], [0.0], -dpsi[:-1][::-1]])
+    w = np.concatenate([w, w[:-1][::-1]])
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), end_slope,
+                   solution_type(p), w)
+    _check_arc(arc)
+    return arc
+
+
 def _check_arc(arc: LocalArc) -> None:
     psi = arc.profile[:, 1]
     sym = float(np.max(np.abs(psi - psi[::-1])))
@@ -592,11 +580,12 @@ def stitch(lam: float, P: float,
            max_arcs: int = 64) -> GlobalSolution:
     """Glue hyperbolic arcs (B_i, sign_i) end to end around the circle.
 
-    Spans come from the span oracle per arc; they must sum to 2 pi within
-    1e-9.  With auto_repair, a failed tiling is retried once by re-solving
-    the last arc's B to absorb the gap (P stays fixed; only B may vary arc
-    to arc).  Smoothness is classified from the junction slopes, including
-    the wrap-around junction.
+    Each distinct B is built once, and pieces that repeat it share that
+    (immutable) arc.  Spans come from the span oracle per arc; they must
+    sum to 2 pi within 1e-9.  With auto_repair, a failed tiling is retried
+    once by re-solving the last arc's B to absorb the gap (P stays fixed;
+    only B may vary arc to arc).  Smoothness is classified from the
+    junction slopes, including the wrap-around junction.
 
     Raises
     ------
@@ -611,8 +600,9 @@ def stitch(lam: float, P: float,
     for i, (_, s) in enumerate(specs):
         if s not in (1, -1):
             raise DomainError(f"sign of arc {i} must be +1 or -1, got {s!r}")
-    arcs = [hyperbolic_arc(lam, P, B, n_points) for B, _ in specs]
-    signs = [s for _, s in specs]
+    built = {B: hyperbolic_arc(lam, P, B, n_points)
+             for B in dict.fromkeys(B for B, _ in specs)}
+    arcs = [built[B] for B, _ in specs]
     gap = TWO_PI - math.fsum(a.span for a in arcs)
     if abs(gap) > _SPAN_TOL:
         if not auto_repair:
@@ -625,7 +615,7 @@ def stitch(lam: float, P: float,
                 f"auto-repair left a gap of {gap:.3e}", gap=gap)
     pieces = []
     off = 0.0
-    for arc, s in zip(arcs, signs):
+    for arc, (_, s) in zip(arcs, specs):
         pieces.append(Piece(arc, s, off))
         off += arc.span
     return GlobalSolution(lam, P, tuple(pieces), _smoothness(pieces))
@@ -642,10 +632,7 @@ def _repair_last(lam: float, P: float, arcs: List[LocalArc],
         raise SpanMismatch(
             "P = 0 arcs all span pi; no B adjustment can close the gap",
             gap=TWO_PI - math.fsum(a.span for a in arcs))
-    sign = PSign.Minus if P < 0.0 else PSign.Plus
-    B_unit, _ = solve_hyperbolic_span(lam, sign, target)
-    # map the unit-|P| root back through the pressure rescaling
-    B_new = B_unit * math.pow(abs(P), 1.0 / lam)
+    B_new = solve_hyperbolic_span(lam, P, target)
     return arcs[:-1] + [hyperbolic_arc(lam, P, B_new, n_points)]
 
 

@@ -4,8 +4,9 @@ The sign rules: for lam > 1 a solution is elliptic exactly when P > 0, for
 lam < 1 exactly when B < 0, and B < 0 forces P < 0.  On top of the rules sit
 two root solvers, both leaning on the monotonicity of the span in its
 parameter: solve_elliptic finds the pressure whose closed-orbit period is
-2 pi / n, solve_hyperbolic_span finds the Bernoulli constant whose arch has a
-requested life-span.
+2 pi / n, solve_hyperbolic_span finds the Bernoulli constant whose arch at a
+given pressure has a requested life-span.  Neither builds an arc: the span
+root is gated on the span the solve itself evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._rootfind import brent
-from .core import FlowParams, PhaseState, power0, steady_state
+from .core import FlowParams, PhaseState, steady_state
 from .errors import (
     DomainError,
     InconsistentParams,
@@ -97,11 +98,6 @@ class EllipticRoot(NamedTuple):
     P_star: Optional[float]
     orbit: Orbit
     status: str
-
-
-class PSign(enum.Enum):
-    Plus = "Plus"
-    Minus = "Minus"
 
 
 def bernoulli(psi: float, dpsi: float, lam: float, P: float) -> float:
@@ -272,7 +268,7 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
     pm = steady_state(lam, 1.0).P_max
     lo = 1e-12 * pm
     hi = (1.0 - 1e-12) * pm
-    f_lo = _period(lam, lo) - target
+    f_lo = _span(lam, lo, 1.0) - target
     # the center endpoint is scored by its analytic limit 2 pi / sqrt(2 lam):
     # within 1e-12 of P_max the orbit collapses and the quadrature loses all
     # digits, while n < sqrt(2 lam) already fixes the sign there
@@ -287,7 +283,7 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
         p_star = T = None
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            T_mid = _period(lam, mid)
+            T_mid = _span(lam, mid, 1.0)
             if abs(T_mid - target) <= tol:
                 p_star, T = mid, T_mid
                 break
@@ -307,8 +303,8 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
     return EllipticRoot(p_star, orbit, "root")
 
 
-def _period(lam: float, P: float) -> float:
-    return span_any(FlowParams(lam, P, 1.0)).T
+def _span(lam: float, P: float, B: float) -> float:
+    return span_any(FlowParams(lam, P, B)).T
 
 
 def _elliptic_orbit(lam: float, P: float, T_hint: float) -> Orbit:
@@ -333,27 +329,25 @@ def solve_all_elliptic(lam: float, *, tol: float = 1e-10) -> EllipticCatalog:
     return EllipticCatalog(lam, cat.count, cat.n, tuple(entries))
 
 
-def solve_hyperbolic_span(lam: float, p_sign: PSign, target_T: float, *,
-                          tol: float = 1e-10):
-    """Find B whose arch life-span is target_T, at |P| = 1.
+def solve_hyperbolic_span(lam: float, P: float, target_T: float, *,
+                          tol: float = 1e-10) -> float:
+    """Find the B whose arch at pressure P has life-span target_T.
 
-    For lam > 1 the pressure sign must be Minus; target spans above pi/lam
+    For lam > 1 the pressure must be negative: target spans above pi/lam
     need B > 0, below need B < 0, and pi/lam itself is the exact B = 0
-    harmonic arch.  For 1/2 < lam < 1 the sign must be Plus and any target
-    in (0, pi) is reached with B > 0.  The span is monotone in B throughout,
-    so the root is found by bracket expansion plus Brent iteration to
-    |T(B) - target_T| <= tol, and the returned arc is re-verified against
-    the target within 1e-9.
-
-    Returns
-    -------
-    (B_star, arc) : (float, LocalArc)
+    harmonic arch.  For 1/2 < lam < 1 the pressure must be positive and any
+    target in (0, pi) is reached with B > 0.  The span is monotone in B
+    throughout, so the root is found at |P| = 1 by bracket expansion plus
+    Brent iteration to |T(B) - target_T| <= tol, and the span evaluated
+    there must lie within 1e-9 of the target.  Spans are invariant under
+    (P, B) -> (c^2 P, c^(2/lam) B): the unit root times |P|^(1/lam) is B.
 
     Raises
     ------
     OutOfRange
-        If the (lam, p_sign) region has no hyperbolic solutions or target_T
-        falls outside its admissible span interval (0, pi).
+        If (lam, sign of P) has no hyperbolic solutions, P = 0 (every arch
+        is a shear arch of span pi), or target_T falls outside the
+        admissible span interval (0, pi).
     """
     if lam <= 0.0:
         raise DomainError("lam must be positive")
@@ -363,43 +357,37 @@ def solve_hyperbolic_span(lam: float, p_sign: PSign, target_T: float, *,
     if lam <= 0.5:
         raise OutOfRange(
             f"no hyperbolic solutions for lam <= 1/2, got lam = {lam!r}")
+    if P == 0.0:
+        raise OutOfRange(
+            "P = 0 admits only shear arches, whose span is pi for every B;"
+            f" no B reaches span {target_T!r}")
     if not 0.0 < target_T < math.pi:
         raise OutOfRange(
             f"target span {target_T!r} outside the admissible (0, pi)")
 
     if lam > 1.0:
-        if p_sign is PSign.Plus:
+        if P > 0.0:
             raise OutOfRange(
                 f"no hyperbolic solutions with P > 0 at lam = {lam!r} > 1")
-        P = -1.0
         t_mid = math.pi / lam
         if target_T == t_mid:
-            B_star = 0.0
+            b_unit, span = 0.0, t_mid
         else:
-            B_star = _solve_span(lam, P, 1.0 if target_T > t_mid else -1.0,
-                                 target_T, tol)
+            b_unit, span = _solve_span(
+                lam, -1.0, 1.0 if target_T > t_mid else -1.0, target_T, tol)
     else:
-        if p_sign is PSign.Minus:
+        if P < 0.0:
             raise OutOfRange(
                 f"no hyperbolic solutions with P < 0 at lam = {lam!r} < 1")
-        P = 1.0
-        B_star = _solve_span(lam, P, 1.0, target_T, tol)
-
-    from .assemble import hyperbolic_arc
-
-    arc = hyperbolic_arc(lam, P, B_star)
-    if abs(arc.span - target_T) > 1e-9:
+        b_unit, span = _solve_span(lam, 1.0, 1.0, target_T, tol)
+    if abs(span - target_T) > 1e-9:
         raise NumericalError(
-            f"solved arc span {arc.span!r} misses target {target_T!r}"
-            " beyond 1e-9")
-    return B_star, arc
-
-
-def _span_of_B(lam: float, P: float, B: float) -> float:
-    return span_any(FlowParams(lam, P, B)).T
+            f"solved span {span!r} misses target {target_T!r} beyond 1e-9")
+    return abs(P) ** (1.0 / lam) * b_unit
 
 
 def _solve_span(lam, P, sign, target, tol):
+    """(B, T(B)) at the span root on the side of B given by sign."""
     # T(B) increases with B on either side of B = 0: on B > 0 toward pi
     # (from 0 when lam < 1), on B < 0 from 0 (B -> -inf) up to pi/lam
     # (B -> 0-).  Expand a geometric bracket from B = sign by factors of 4,
@@ -407,31 +395,32 @@ def _solve_span(lam, P, sign, target, tol):
     side = "B > 0" if sign > 0.0 else "B < 0"
     down = 0.25 if sign > 0.0 else 4.0
     lo = hi = sign
-    f_lo = f_hi = _span_of_B(lam, P, lo) - target
+    f_lo = f_hi = _span(lam, P, lo) - target
     for _ in range(400):
         if f_lo <= 0.0:
             break
         lo *= down
-        f_lo = _span_of_B(lam, P, lo) - target
+        f_lo = _span(lam, P, lo) - target
     else:
         raise NumericalError(f"lower bracket expansion failed on {side}")
     for _ in range(400):
         if f_hi >= 0.0:
             break
         hi /= down
-        f_hi = _span_of_B(lam, P, hi) - target
+        f_hi = _span(lam, P, hi) - target
     else:
         raise NumericalError(f"upper bracket expansion failed on {side}")
     if f_lo == 0.0:
-        return lo
+        return lo, target
     if f_hi == 0.0:
-        return hi
+        return hi, target
     if f_lo * f_hi > 0.0:
         raise NonMonotoneDetected(
             f"span bracket lost its sign change on [{lo!r}, {hi!r}]")
-    B = brent(lambda b: _span_of_B(lam, P, b) - target, lo, hi, f_lo, f_hi,
+    B = brent(lambda b: _span(lam, P, b) - target, lo, hi, f_lo, f_hi,
               xtol=1e-15 * max(abs(lo), abs(hi)))
-    if abs(_span_of_B(lam, P, B) - target) > tol:
+    span = _span(lam, P, B)
+    if abs(span - target) > tol:
         raise NumericalError(
             f"span root at B = {B!r} misses the target beyond {tol!r}")
-    return B
+    return B, span

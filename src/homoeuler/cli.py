@@ -37,7 +37,6 @@ from .assemble import (
 )
 from .classify import (
     CountKind,
-    PSign,
     count_elliptic,
     solution_type,
     solve_all_elliptic,
@@ -461,10 +460,7 @@ def _build_solution(args, cfg: RunConfig) -> GlobalSolution:
         P = args.pressure
         if P is None:
             P = -1.0 if lam > 1.0 else 1.0
-        sgn = PSign.Minus if P < 0.0 else PSign.Plus
-        b_unit, _ = solve_hyperbolic_span(lam, sgn, target, tol=cfg.root_tol)
-        # spans are invariant under (P, B) -> (c^2 P, c^(2/lam) B)
-        B = abs(P) ** (1.0 / lam) * b_unit
+        B = solve_hyperbolic_span(lam, P, target, tol=cfg.root_tol)
         signs = (_parse_signs(args.signs, n) if args.signs
                  else [1 if i % 2 == 0 else -1 for i in range(n)])
         specs = [(B, s) for s in signs]

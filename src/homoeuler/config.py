@@ -13,6 +13,15 @@ __all__ = ["RunConfig", "check_arc_count"]
 # fewest profile samples an arc may carry
 MIN_POINTS_PER_ARC = 64
 
+# (field, accepted types, kind) for every RunConfig field, checked before
+# LIMITS; bool is refused although it is an int
+TYPES = (
+    ("root_tol", (int, float), "a real number"),
+    ("points_per_arc", int, "an integer"),
+    ("output", (str, type(None)), "a string or null"),
+    ("max_arcs", int, "an integer"),
+)
+
 # (field, test, limit) for every bounded RunConfig field; the CLI checks its
 # flags against the same table so both name the same limit
 LIMITS = (
@@ -44,6 +53,10 @@ class RunConfig:
     max_arcs: int = 64
 
     def __post_init__(self):
+        for name, types, kind in TYPES:
+            v = getattr(self, name)
+            if not isinstance(v, types) or isinstance(v, bool):
+                raise DomainError(f"{name} must be {kind}, got {v!r}")
         for name, ok, limit in LIMITS:
             if not ok(getattr(self, name)):
                 raise DomainError(f"{name} {limit}")
@@ -51,8 +64,16 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":
         """Load a JSON config file holding any subset of the field names."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise DomainError(
+                f"cannot load config file {path!r}: {e}") from None
+        if not isinstance(data, dict):
+            raise DomainError(
+                f"config file {path!r} must hold a JSON object, got"
+                f" {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -7,6 +7,7 @@ Every check recomputes its own oracle values; none of them read fixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from .assemble import (
     weak_residuals,
 )
 from .classify import (
-    PSign,
     bernoulli,
     count_elliptic,
     solution_type,
@@ -209,10 +209,16 @@ def criterion_08():
                 f"profile weak residual {weak:.3e} (tol 1e-6)")
 
 
+@functools.lru_cache(maxsize=1)
+def _cusp3() -> GlobalSolution:
+    """The lam = 2/3 cusp solution: three arcs of span 2 pi/3 at P = 1."""
+    B = solve_hyperbolic_span(2.0 / 3.0, 1.0, TWO_PI / 3.0)
+    return stitch(2.0 / 3.0, 1.0, [(B, 1), (B, -1), (B, 1)])
+
+
 def criterion_09():
     """Stitched tilings: cusp three-arc and harmonic four-arc."""
-    B, _ = solve_hyperbolic_span(2.0 / 3.0, PSign.Plus, TWO_PI / 3.0)
-    cusp = stitch(2.0 / 3.0, 1.0, [(B, 1), (B, -1), (B, 1)])
+    cusp = _cusp3()
     harm = stitch(2.0, -0.5, [(0.0, 1), (0.0, -1), (0.0, 1), (0.0, -1)])
     msgs = []
     ok = True
@@ -250,8 +256,7 @@ def _corrupted_flux() -> float:
 
 def criterion_10():
     """Flux vanishes on the cusp solution; the warped control does not."""
-    B, _ = solve_hyperbolic_span(2.0 / 3.0, PSign.Plus, TWO_PI / 3.0)
-    g = stitch(2.0 / 3.0, 1.0, [(B, 1), (B, -1), (B, 1)])
+    g = _cusp3()
     scale = max(1.0, h1_seminorm(g) ** 1.5)
     scaled = abs(energy_flux(g)) / scale
     control = abs(_corrupted_flux())
@@ -289,7 +294,7 @@ def criterion_12():
     except DomainError:
         pass
     try:
-        solve_hyperbolic_span(3.0, PSign.Plus, 0.9 * math.pi)
+        solve_hyperbolic_span(3.0, 1.0, 0.9 * math.pi)
         failures.append("lam=3 span solve with P > 0 was accepted")
     except DomainError:
         pass
@@ -299,7 +304,7 @@ def criterion_12():
     except DomainError:
         pass
     try:
-        solve_hyperbolic_span(0.4, PSign.Plus, 0.5 * math.pi)
+        solve_hyperbolic_span(0.4, 1.0, 0.5 * math.pi)
         failures.append("lam=0.4 span solve was accepted")
     except DomainError:
         pass

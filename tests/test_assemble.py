@@ -29,7 +29,6 @@ from homoeuler.assemble import (
     weak_residuals,
 )
 from homoeuler.classify import (
-    PSign,
     solution_type,
     solve_elliptic,
     solve_hyperbolic_span,
@@ -186,6 +185,13 @@ class TestStitch:
         assert abs(sum(p.arc.span for p in g.pieces) - TWO_PI) <= 1e-9
         # sign distribution is free below lam = 1
         assert cusp3((1, 1, 1)).smoothness is SmoothnessKind.CuspEndpoints
+
+    def test_repeated_bernoulli_shares_one_arc(self):
+        g = lam3()
+        arcs = [p.arc for p in g.pieces]
+        assert arcs[0] is arcs[2] and arcs[1] is arcs[3]
+        assert arcs[0] is not arcs[1]
+        assert len({id(p.arc) for p in harmonic4().pieces}) == 1
 
     def test_arc_count_cap(self):
         with pytest.raises(DomainError):
@@ -431,7 +437,7 @@ def ell5():
 
 
 def quad15():
-    B, _ = solve_hyperbolic_span(1.5, PSign.Minus, 0.5 * math.pi)
+    B = solve_hyperbolic_span(1.5, -1.0, 0.5 * math.pi)
     return stitch(1.5, -1.0, [(B, 1), (B, -1), (B, 1), (B, -1)])
 
 

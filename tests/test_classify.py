@@ -1,5 +1,6 @@
 """Type rules, elliptic counting/solving, hyperbolic span solving."""
 
+import enum
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from homoeuler import DomainError, InconsistentParams, NoSolution, OutOfRange
 from homoeuler.assemble import elliptic_global, global_profile
 from homoeuler.classify import (
     CountKind,
-    PSign,
     SolutionTag,
     TypeBasis,
     bernoulli,
@@ -234,6 +234,18 @@ class TestSolveElliptic:
             solve_elliptic(-1.0, 3)
 
 
+class PSign(enum.Enum):
+    """Sign of the pressure a span solve is asked at; the value is P."""
+
+    Plus = 1.0
+    Minus = -1.0
+    Zero = 0.0
+
+
+def _span(lam, P, B):
+    return span_any(FlowParams(lam, P, B)).T
+
+
 class TestSolveHyperbolicSpan:
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.75, 0.9])
     def test_lam_two_closed_form(self, frac):
@@ -241,31 +253,42 @@ class TestSolveHyperbolicSpan:
         # T(B) = pi/2 + arcsin(B/sqrt(B^2 + 32)), so
         # B*(T) = sqrt(32) tan(T - pi/2)
         target = frac * math.pi
-        B, arc = solve_hyperbolic_span(2.0, PSign.Minus, target)
+        B = solve_hyperbolic_span(2.0, -1.0, target)
         assert B == pytest.approx(
             math.sqrt(32.0) * math.tan(target - 0.5 * math.pi), rel=1e-12)
-        assert arc.span == pytest.approx(target, abs=1e-9)
+        assert _span(2.0, -1.0, B) == pytest.approx(target, abs=1e-9)
 
     def test_harmonic_target_is_exact(self):
-        B, arc = solve_hyperbolic_span(2.0, PSign.Minus, 0.5 * math.pi)
+        B = solve_hyperbolic_span(2.0, -1.0, 0.5 * math.pi)
         assert B == 0.0
-        assert arc.span == pytest.approx(0.5 * math.pi, abs=1e-12)
-        B, _arc = solve_hyperbolic_span(1.5, PSign.Minus, TWO_PI / 3.0)
+        assert _span(2.0, -1.0, B) == pytest.approx(0.5 * math.pi, abs=1e-12)
+        B = solve_hyperbolic_span(1.5, -1.0, TWO_PI / 3.0)
         assert B == 0.0
 
     def test_below_one_route(self):
         target = TWO_PI / 3.0
-        B, arc = solve_hyperbolic_span(2.0 / 3.0, PSign.Plus, target)
+        B = solve_hyperbolic_span(2.0 / 3.0, 1.0, target)
         assert B == pytest.approx(3.500247331754384, rel=1e-9)
         assert B > 0.0
         # re-verify through the direct quadrature at lam < 1
-        T = span_any(FlowParams(2.0 / 3.0, 1.0, B)).T
-        assert T == pytest.approx(target, abs=1e-9)
-        assert arc.span == pytest.approx(target, abs=1e-9)
+        assert _span(2.0 / 3.0, 1.0, B) == pytest.approx(target, abs=1e-9)
+
+    @pytest.mark.parametrize("lam,P,target", [
+        (2.0, -3.7, 0.6 * math.pi),
+        (3.0, -0.25, 0.2 * math.pi),
+        (2.0 / 3.0, 2.5, TWO_PI / 3.0),
+        (1.5, -1e3, TWO_PI / 3.0),
+    ])
+    def test_pressure_rescales_unit_root(self, lam, P, target):
+        # spans are invariant under (P, B) -> (c^2 P, c^(2/lam) B)
+        unit = solve_hyperbolic_span(lam, math.copysign(1.0, P), target)
+        B = solve_hyperbolic_span(lam, P, target)
+        assert B == abs(P) ** (1.0 / lam) * unit
+        assert _span(lam, P, B) == pytest.approx(target, abs=1e-9)
 
     def test_span_increases_with_bernoulli(self):
-        b_small, _ = solve_hyperbolic_span(3.0, PSign.Minus, 0.4 * math.pi)
-        b_large, _ = solve_hyperbolic_span(3.0, PSign.Minus, 0.8 * math.pi)
+        b_small = solve_hyperbolic_span(3.0, -1.0, 0.4 * math.pi)
+        b_large = solve_hyperbolic_span(3.0, -1.0, 0.8 * math.pi)
         assert b_small < b_large
 
     @pytest.mark.parametrize("lam,sign,target", [
@@ -277,7 +300,9 @@ class TestSolveHyperbolicSpan:
         (2.0, PSign.Minus, 0.0),
         (2.0, PSign.Minus, math.pi),
         (2.0, PSign.Minus, 4.0),
+        (2.0 / 3.0, PSign.Zero, TWO_PI / 3.0),
+        (3.0, PSign.Zero, TWO_PI / 3.0),
     ])
     def test_out_of_range(self, lam, sign, target):
         with pytest.raises(OutOfRange):
-            solve_hyperbolic_span(lam, sign, target)
+            solve_hyperbolic_span(lam, sign.value, target)

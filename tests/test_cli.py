@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from homoeuler import cli
+from homoeuler import assemble, classify, cli
 from homoeuler.cli import (
     FIELD_COLUMNS,
     main,
@@ -98,6 +98,31 @@ class TestConstruct:
             assert p["span"] == pytest.approx(TWO_PI / 3.0, abs=1e-9)
             assert p["sign"] == 1
 
+    @pytest.mark.parametrize("lam", ["0.6667", "3"])
+    def test_zero_pressure_refused_before_solve(self, capsys, monkeypatch,
+                                                lam):
+        def no_solve(*args):
+            raise AssertionError("the span root solve ran")
+        monkeypatch.setattr(classify, "_solve_span", no_solve)
+        rc, _, err = run(capsys, "construct", "--lambda", lam,
+                         "--pressure", "0", "--equal-arcs", "3")
+        assert rc == 2
+        assert "P = 0" in err
+
+    def test_equal_arcs_build_one_arc(self, capsys, monkeypatch, tmp_path):
+        built = []
+        original = assemble.hyperbolic_arc
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(assemble, "hyperbolic_arc", counted)
+        rc, _, err = run(capsys, "construct", "--lambda", repr(2.0 / 3.0),
+                         "--pressure", "1", "--equal-arcs", "3",
+                         "--out", str(tmp_path / "c.json"))
+        assert rc == 0, err
+        assert len(built) == 1
+
     def test_pi_span_tiling_rejected(self, capsys, tmp_path):
         rc, _, err = run(capsys, "construct", "--lambda", "2",
                          "--pressure", "-1", "--equal-arcs", "2",
@@ -184,6 +209,35 @@ class TestConfig:
         rc, _, err = run(capsys, *CUSP_ARGS, "--config", cfg)
         assert rc == 2
         assert key in err
+
+    # file text (None: no file) and the message, which names the key or,
+    # for a fault of the whole file, the file
+    @pytest.mark.parametrize("text,message", [
+        ('{"points_per_arc": "128"}', "points_per_arc must be an integer"),
+        ('{"points_per_arc": 128.0}', "points_per_arc must be an integer"),
+        ('{"max_arcs": 2.5}', "max_arcs must be an integer"),
+        ('{"max_arcs": true}', "max_arcs must be an integer"),
+        ('{"root_tol": null}', "root_tol must be a real number"),
+        ('{"root_tol": "1e-10"}', "root_tol must be a real number"),
+        ('{"output": 5}', "output must be a string or null"),
+        ("3", "config file {path} must hold a JSON object"),
+        ('["root_tol"]', "config file {path} must hold a JSON object"),
+        ("{bad", "cannot load config file {path}: Expecting"),
+        (None, "cannot load config file {path}: [Errno 2]"),
+    ], ids=["points-str", "points-float", "max-arcs-float", "max-arcs-bool",
+            "tol-null", "tol-str", "output-int", "scalar", "list",
+            "bad-json", "missing"])
+    def test_bad_file_is_domain_error(self, capsys, tmp_path, monkeypatch,
+                                      text, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the span root solve ran")
+        monkeypatch.setattr(cli, "solve_hyperbolic_span", no_solve)
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        rc, _, err = run(capsys, *CUSP_ARGS, "--config", str(path))
+        assert rc == 2
+        assert message.format(path=repr(str(path))) in err
 
     def test_arc_count_refused_before_solve(self, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
