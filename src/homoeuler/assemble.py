@@ -43,6 +43,7 @@ from .orbits import (
     InterceptKind,
     ReturnToAxis,
     ReturnToStart,
+    StopCondition,
     find_intercepts,
     integrate_orbit,
 )
@@ -176,11 +177,11 @@ class GridSpec:
         Raises
         ------
         DomainError
-            If the grid is malformed (r_min <= 0, r_max <= r_min, sizes < 2).
+            Unless 0 < r_min < r_max < inf and both sizes are at least 2.
         """
-        if not 0.0 < self.r_min < self.r_max:
+        if not 0.0 < self.r_min < self.r_max < math.inf:
             raise DomainError(
-                f"need 0 < r_min < r_max, got [{self.r_min!r},"
+                f"need 0 < r_min < r_max < inf, got [{self.r_min!r},"
                 f" {self.r_max!r}]")
         if self.n_r < 2 or self.n_theta < 2:
             raise DomainError("grid needs at least 2 points per direction")
@@ -321,38 +322,45 @@ def _curvature(x: np.ndarray, lam: float, B: float) -> np.ndarray:
     return -lam * lam * x + ((lam - 1.0) / lam) * B * np.power(x, beta)
 
 
+def _orbit_samples(p: FlowParams, start: PhaseState, stop: StopCondition,
+                   span: float, t: np.ndarray):
+    """(t clipped to the run, psi, psi') on p's orbit from start, once the
+    integrated span matches the quadrature span within 1e-9."""
+    orbit = integrate_orbit(p, start, stop, rtol=_ARC_RTOL)
+    if abs(orbit.measured_span - span) > 1e-9 * (1.0 + span):
+        raise NumericalError(
+            f"integrated span {orbit.measured_span!r} and quadrature span"
+            f" {span!r} disagree beyond 1e-9 at (lam={p.lam!r}, P={p.P!r},"
+            f" B={p.B!r})")
+    ts, xs, ys = orbit.samples.T
+    t = np.clip(t, ts[0], ts[-1])
+    v, d = quintic_pair(t, ts, xs, ys, _curvature(xs, p.lam, p.B))
+    return t, v, d
+
+
 def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     p = FlowParams(lam, P, B)
     span = _arc_span(p)
     y0 = math.sqrt(-2.0 * P)
-    orbit = integrate_orbit(p, PhaseState(0.0, y0), ReturnToAxis(),
-                            rtol=_ARC_RTOL)
-    if abs(orbit.measured_span - span) > 1e-9 * (1.0 + span):
-        raise NumericalError(
-            f"integrated span {orbit.measured_span!r} and quadrature span"
-            f" {span!r} disagree beyond 1e-9")
-    ts, xs, ys = orbit.samples.T
-    dds = _curvature(np.maximum(xs, 0.0), lam, B)
     # for lam > 2 the field is Holder at the axis and psi' is only C^1 at
     # the arch ends; cubic grading there restores spectral-free Simpson
     # accuracy of the downstream weak-form integrals (lam = 2 is analytic)
     grade = 1 if lam == 2.0 else 3
-    frac = graded_fractions(n, grade)
+    t_all, v_all, d_all = _orbit_samples(p, PhaseState(0.0, y0),
+                                         ReturnToAxis(), span,
+                                         span * graded_fractions(n, grade))
     # honest symmetry check on the raw integration before canonicalizing
-    t_all = np.clip(span * frac, ts[0], ts[-1])
-    v_all, _ = quintic_pair(t_all, ts, xs, ys, dds)
     sym = float(np.max(np.abs(v_all - v_all[::-1])))
     if sym > 1e-7 * max(1.0, float(np.max(np.abs(v_all)))):
         raise NumericalError(
             f"arch symmetry defect {sym:.3e} exceeds 1e-7")
     m = n // 2
-    t_half = np.clip(span * frac[:m + 1], ts[0], ts[-1])
-    v_h, d_h = quintic_pair(t_half, ts, xs, ys, dds)
-    v_h = np.maximum(v_h, 0.0)
+    v_h = np.maximum(v_all[:m + 1], 0.0)
+    d_h = d_all[:m + 1]
     v_h[0] = 0.0
     d_h[0] = y0
     w_h = span * graded_weights(n, grade)[:m + 1]
-    return _mirrored_arc(p, span, t_half, v_h, d_h, w_h, y0)
+    return _mirrored_arc(p, span, t_all[:m + 1], v_h, d_h, w_h, y0)
 
 
 def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
@@ -444,34 +452,25 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
     p = FlowParams(lam, P, B)
     ic = find_intercepts(p)
     if ic.kind is InterceptKind.Center:
-        return _rotational_arc(lam, P, B, n)
+        return _rotational_arc(p, ic.x0, n)
     if ic.kind is not InterceptKind.EllipticPair:
         raise InadmissibleArc(
             f"(lam={lam!r}, P={P!r}, B={B!r}) has no closed orbit"
             f" ({ic.kind})")
     span = _arc_span(p)
-    orbit = integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart(),
-                            rtol=_ARC_RTOL)
-    if abs(orbit.measured_span - span) > 1e-9 * (1.0 + span):
-        raise NumericalError(
-            f"integrated period {orbit.measured_span!r} and quadrature"
-            f" period {span!r} disagree beyond 1e-9")
-    ts, xs, ys = orbit.samples.T
-    dds = _curvature(xs, lam, B)
     m = n // 2
-    t_half = np.clip(np.linspace(0.0, 0.5 * span, m + 1), ts[0], ts[-1])
-    v_h, d_h = quintic_pair(t_half, ts, xs, ys, dds)
+    t_half, v_h, d_h = _orbit_samples(p, PhaseState(ic.x1, 0.0),
+                                      ReturnToStart(), span,
+                                      np.linspace(0.0, 0.5 * span, m + 1))
     v_h[0] = ic.x1
     d_h[0] = 0.0
     return _mirrored_arc(p, span, t_half, v_h, d_h, np.full(m + 1, span / n),
                          0.0)
 
 
-def _rotational_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
-    p = FlowParams(lam, P, B)
-    ic = find_intercepts(p)
+def _rotational_arc(p: FlowParams, x_c: float, n: int) -> LocalArc:
     th = np.linspace(0.0, TWO_PI, n + 1)
-    psi = np.full(n + 1, ic.x0)
+    psi = np.full(n + 1, x_c)
     dpsi = np.zeros(n + 1)
     w = np.full(n + 1, TWO_PI / n)
     return LocalArc(p, TWO_PI, np.column_stack((th, psi, dpsi)), 0.0,

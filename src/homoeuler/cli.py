@@ -415,8 +415,8 @@ def _parse_specs(text: str):
         try:
             b_str, s_str = part.split(":")
             sign = {"+": 1, "-": -1}[s_str.strip()]
-            specs.append((float(b_str), sign))
-        except (ValueError, KeyError):
+            specs.append((_finite_float(b_str), sign))
+        except (ValueError, KeyError, argparse.ArgumentTypeError):
             raise UsageError(
                 f"bad --specs entry {part!r}; expected B:+ or B:-") from None
     return specs
@@ -523,8 +523,8 @@ def _cmd_export_field(args) -> int:
 
 def _cmd_phase_portrait(args) -> int:
     try:
-        bs = [float(b) for b in args.b_values.split(",")]
-    except ValueError:
+        bs = [_finite_float(b) for b in args.b_values.split(",")]
+    except argparse.ArgumentTypeError:
         raise UsageError(
             f"bad --b-values {args.b_values!r}; expected e.g. 0.5,1,2"
         ) from None
@@ -567,6 +567,16 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+        if math.isfinite(v):
+            return v
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
@@ -596,19 +606,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="solution census at one lambda")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("period-scan", help="life-span table over a P grid")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--region", choices=["elliptic", "hyperbolic"],
                    default="elliptic")
     p.add_argument("--b-sign", choices=["plus", "minus"], default="plus",
                    help="Bernoulli sign for hyperbolic scans")
-    p.add_argument("--p-min", type=float, default=None)
-    p.add_argument("--p-max", type=float, default=None)
+    p.add_argument("--p-min", type=_finite_float, default=None)
+    p.add_argument("--p-max", type=_finite_float, default=None)
     p.add_argument("--n-points", type=_positive_int, default=20)
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
@@ -616,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_period_scan)
 
     p = sub.add_parser("construct", help="build and serialize a 2 pi solution")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--pressure", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
+    p.add_argument("--pressure", type=_finite_float, default=None)
     how = p.add_mutually_exclusive_group(required=True)
     how.add_argument("--equal-arcs", type=_positive_int, default=None,
                      help="N identical arcs, solving B for span 2 pi/N")
@@ -633,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="rmin:rmax:nr:ntheta")
     p.add_argument("--field-out", default=None)
     p.add_argument("--config", default=None, help="JSON RunConfig file")
-    p.add_argument("--root-tol", type=float, default=None)
+    p.add_argument("--root-tol", type=_finite_float, default=None)
     p.add_argument("--points-per-arc", type=int, default=None)
     p.add_argument("--max-arcs", type=int, default=None)
     p.set_defaults(func=_cmd_construct)
@@ -643,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flux)
 
     p = sub.add_parser("phase-portrait", help="orbit samples as CSV")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--pressure", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
+    p.add_argument("--pressure", type=_finite_float, required=True)
     p.add_argument("--b-values", default="1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phase_portrait)

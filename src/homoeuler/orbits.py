@@ -36,6 +36,7 @@ _SCAN_MAX_STEPS = 64 * 300
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
 # below this abscissa an orbit with lam < 2 and B != 0 counts as singular
 X_MIN = 1e-12
+_H_MIN = 1e-14
 
 
 class InterceptKind(enum.Enum):
@@ -240,7 +241,7 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
         y_buf = np.empty(cap)
         ev_buf = np.empty(8)
         out = _kernels.rk45_orbit(p.lam, p.B, x0, y0, t_max, rtol, atol_x,
-                                  atol_y, max_step, 1e-14, X_MIN, guard,
+                                  atol_y, max_step, _H_MIN, X_MIN, guard,
                                   stop_kind, n_stop, t_buf, x_buf, y_buf,
                                   ev_buf)
         status, n = out[0], out[1]
@@ -248,7 +249,8 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
             return out, t_buf[:n], x_buf[:n], y_buf[:n]
         cap *= 2
         if cap > (1 << 22):
-            raise NumericalError("sample buffer exhausted; orbit too long")
+            raise NumericalError(f"sample buffer exhausted: the orbit of {p}"
+                                 f" needs over {cap // 2} samples")
 
 
 def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
@@ -348,9 +350,11 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     span = span_factor * float(t_end)
 
     drift = _pressure_drift(p, xs, ys)
-    if drift > 1e-9 * (1.0 + abs(p.P)):
+    bound = 1e-9 * (1.0 + abs(p.P))
+    if drift > bound:
         raise NumericalError(
-            f"pressure drift {drift:.3e} exceeds conservation tolerance")
+            f"pressure drift {drift:.3e} exceeds the conservation tolerance"
+            f" 1e-9 (1 + |P|) = {bound:.3e} for {p}")
     return Orbit(p, _samples(ts, xs, ys), closed, span)
 
 
@@ -377,11 +381,12 @@ def _raise_for_status(out, p: FlowParams) -> None:
     if status == 0:
         return
     if status == 3:
-        raise StepFailure(f"step size underflow at t={t!r}, x={x!r}")
+        raise StepFailure(f"step size fell below {_H_MIN!r} at t={t!r},"
+                          f" x={x!r} for {p}")
     if status == 4:
         raise SingularEndpoint(
-            f"state entered x < X_MIN near the axis at t={t!r} (lam={p.lam!r}"
-            " < 2 with B != 0); use the quadrature path")
+            f"state entered x < X_MIN = {X_MIN!r} near the axis at t={t!r}"
+            f" for {p} (lam < 2 with B != 0); use the quadrature path")
     if status == 5:
-        raise EventNotFound(f"stop condition not met by t={t!r}")
-    raise NumericalError(f"integrator returned unknown status {status}")
+        raise EventNotFound(f"stop condition not met by t_cap = {t!r} for {p}")
+    raise NumericalError(f"unknown integrator status {status} for {p}")

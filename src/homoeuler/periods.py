@@ -1,9 +1,10 @@
 """Life-spans and periods by singular quadrature, limit values, and the
 numerical monotonicity certificate.
 
-All integrals are evaluated after trigonometric substitutions that remove the
-inverse-square-root endpoint singularities, so the quadrature kernel only
-ever sees smooth integrands:
+One body, `_quadrature`, evaluates every span and period from (lam, P, B)
+and the turning points, after trigonometric substitutions that remove the
+inverse-square-root endpoint singularities, so the kernel only ever sees
+smooth integrands:
 
 * hyperbolic arch (single turning point x0):
   T/2 = int_0^1 dxi / sqrt(lam^2 (1 - xi^2) - C (1 - xi^alpha)),  xi = x/x0,
@@ -30,7 +31,7 @@ from .errors import (
     QuadratureFailure,
     SteadyStateError,
 )
-from .orbits import InterceptKind, find_intercepts
+from .orbits import InterceptKind, Intercepts, find_intercepts
 
 _MAX_PANELS = 1024
 _ACCEPT_ERR = 1e-9
@@ -41,12 +42,6 @@ class SpanMethod(enum.Enum):
     QuadratureElliptic = "QuadratureElliptic"
     Conjugacy = "Conjugacy"
     ClosedForm = "ClosedForm"
-
-
-class BSign(enum.Enum):
-    Plus = "Plus"
-    Minus = "Minus"
-    Zero = "Zero"
 
 
 @dataclass(frozen=True)
@@ -76,22 +71,40 @@ def _finish(two_v: float, two_e: float, method: SpanMethod) -> SpanResult:
     if two_e > _ACCEPT_ERR:
         raise QuadratureFailure(
             f"quadrature error estimate {two_e:.3e} misses the 1e-9 target")
-    return SpanResult(two_v, method, two_e)
+    return SpanResult(float(two_v), method, float(two_e))
 
 
-def span_hyperbolic(lam: float, P: float, b_sign: BSign,
+def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
+                tol: float) -> SpanResult:
+    """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
+    points ic: a full period over an elliptic pair, else the whole arch."""
+    alpha = 2.0 - 2.0 / lam
+    a2 = lam * lam
+    if ic.kind is InterceptKind.EllipticPair:
+        v, e, _st = _kernels.adaptive_gk(0, a2, B, alpha, -2.0 * P,
+                                         ic.x0, ic.x1, -0.5 * math.pi,
+                                         0.5 * math.pi, 0.5 * tol,
+                                         _MAX_PANELS)
+        return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
+    C = B * ic.x0 ** (-2.0 / lam) if B != 0.0 else 0.0
+    v, e, _st = _kernels.adaptive_gk(1, a2, C, alpha, 0.0, 0.0, 0.0,
+                                     0.0, 0.5 * math.pi, 0.5 * tol,
+                                     _MAX_PANELS)
+    return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+
+
+def span_hyperbolic(lam: float, P: float, B: float,
                     tol: float = 1e-10) -> SpanResult:
-    """Life-span of the hyperbolic arch at unit |B|.
+    """Life-span of the hyperbolic arch of (lam, P, B).
 
     Parameters
     ----------
     lam : float
         Exponent, lam > 1.
     P : float
-        Pressure constant after unit-B rescaling; P < 0.
-    b_sign : BSign
-        Plus or Minus selects B = +1 or B = -1; Zero returns the closed form
-        pi/lam exactly.
+        Pressure constant; P < 0.
+    B : float
+        Bernoulli constant; B = 0 returns the closed form pi/lam exactly.
     tol : float, optional
         Quadrature error target for the half-span integral.
 
@@ -110,23 +123,15 @@ def span_hyperbolic(lam: float, P: float, b_sign: BSign,
         raise DomainError(f"span_hyperbolic requires lam > 1, got {lam!r}")
     if P >= 0.0:
         raise DomainError(f"hyperbolic regime requires P < 0, got {P!r}")
-    if b_sign is BSign.Zero:
+    if B == 0.0:
         return SpanResult(math.pi / lam, SpanMethod.ClosedForm, 0.0)
-    B = 1.0 if b_sign is BSign.Plus else -1.0
     ic = find_intercepts(FlowParams(lam, P, B))
     if ic.kind is not InterceptKind.HyperbolicSingle:
         raise DomainError(f"expected a single turning point, got {ic.kind}")
-    x0 = ic.x0
-    alpha = 2.0 - 2.0 / lam
-    C = B * x0 ** (-2.0 / lam)
-    v, e, _st = _kernels.adaptive_gk(1, lam * lam, C, alpha, 0.0, 0.0, 0.0,
-                                     0.0, 0.5 * math.pi, 0.5 * tol,
-                                     _MAX_PANELS)
-    return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+    return _quadrature(lam, P, B, ic, tol)
 
 
-def period_elliptic(lam: float, P: float, B: float = 1.0,
-                    tol: float = 1e-10) -> SpanResult:
+def period_elliptic(lam: float, P: float, tol: float = 1e-10) -> SpanResult:
     """Full period of the closed orbit at unit B.
 
     Works in center-normalized coordinates X = x/x_s, where the radicand
@@ -137,14 +142,12 @@ def period_elliptic(lam: float, P: float, B: float = 1.0,
     Raises
     ------
     DomainError
-        If P is outside (0, P_max), lam <= 1, or B != 1.
+        If P is outside (0, P_max) or lam <= 1.
     QuadratureFailure
         If the error target is missed after max refinement.
     """
     if lam <= 1.0:
         raise DomainError(f"period_elliptic requires lam > 1, got {lam!r}")
-    if B != 1.0:
-        raise DomainError("period_elliptic expects unit B; rescale first")
     p_max = steady_state(lam, 1.0).P_max
     if not 0.0 < P < p_max:
         raise DomainError(
@@ -152,21 +155,17 @@ def period_elliptic(lam: float, P: float, B: float = 1.0,
     a2 = lam * lam
     ac = lam ** 3 / (lam - 1.0)
     alpha = 2.0 - 2.0 / lam
-    c0 = -(a2 / (lam - 1.0)) * (P / p_max)
-    # normalized parameters reproduce the same radicand; reuse the root scan
-    ic = find_intercepts(FlowParams(lam, -0.5 * c0, ac))
+    # the normalized triple has c0 = -2 P_n exactly (power-of-two scalings)
+    P_n = 0.5 * (a2 / (lam - 1.0)) * (P / p_max)
+    ic = find_intercepts(FlowParams(lam, P_n, ac))
     if ic.kind is InterceptKind.Center:
         raise SteadyStateError("parameters sit at the center; no orbit")
     if ic.kind is not InterceptKind.EllipticPair:
         raise DomainError(f"expected two turning points, got {ic.kind}")
-    x0, x1 = ic.x0, ic.x1
-    for xr in (x0, x1):
+    for xr in (ic.x0, ic.x1):
         dval = -2.0 * a2 * xr + ac * alpha * xr ** (alpha - 1.0)
         _check_simple_zero(dval, a2 * max(xr, 1.0), f"X={xr!r}")
-    v, e, _st = _kernels.adaptive_gk(0, a2, ac, alpha, c0, x0, x1,
-                                     -0.5 * math.pi, 0.5 * math.pi,
-                                     0.5 * tol, _MAX_PANELS)
-    return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
+    return _quadrature(lam, P_n, ac, ic, tol)
 
 
 def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
@@ -194,14 +193,13 @@ def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
         inner = span_any(q, tol=0.5 * tol / max(lam_t, 1.0))
         return SpanResult(lam_t * inner.T, SpanMethod.Conjugacy,
                           lam_t * inner.est_error)
-    if p.B == 0.0:
-        if p.P < 0.0:
-            return SpanResult(math.pi / lam, SpanMethod.ClosedForm, 0.0)
+    if p.B == 0.0 and p.P >= 0.0:
         raise NoSolution("B = 0 with P >= 0 admits no arch")
-    p2, _scale = rescale_to_unit_B(p)
+    # B = 0 arches are harmonic; span_hyperbolic returns their closed form
+    p2 = rescale_to_unit_B(p)[0] if p.B != 0.0 else p
+    if p2.P < 0.0:
+        return span_hyperbolic(lam, p2.P, p2.B, tol)
     if p2.B > 0.0:
-        if p2.P < 0.0:
-            return span_hyperbolic(lam, p2.P, BSign.Plus, tol)
         if p2.P == 0.0:
             # separatrix: the parallel shear arch with span pi
             return SpanResult(math.pi, SpanMethod.ClosedForm, 0.0)
@@ -209,8 +207,6 @@ def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
         if abs(p2.P - p_max) <= 1e-12 * p_max:
             raise SteadyStateError("parameters at the center (P = P_max)")
         return period_elliptic(lam, p2.P, tol=tol)
-    if p2.P < 0.0:
-        return span_hyperbolic(lam, p2.P, BSign.Minus, tol)
     raise InconsistentParams(
         f"B < 0 with P >= 0 has an empty level set (lam={lam!r})")
 
@@ -228,19 +224,7 @@ def span_quadrature(lam: float, P: float, B: float,
         raise SteadyStateError("parameters sit at the center; no orbit")
     if ic.kind is InterceptKind.Empty:
         raise DomainError("empty level set; no span defined")
-    alpha = 2.0 - 2.0 / lam
-    a2 = lam * lam
-    if ic.kind is InterceptKind.EllipticPair:
-        v, e, _st = _kernels.adaptive_gk(0, a2, B, alpha, -2.0 * P,
-                                         ic.x0, ic.x1, -0.5 * math.pi,
-                                         0.5 * math.pi, 0.5 * tol,
-                                         _MAX_PANELS)
-        return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
-    C = B * ic.x0 ** (-2.0 / lam) if B != 0.0 else 0.0
-    v, e, _st = _kernels.adaptive_gk(1, a2, C, alpha, 0.0, 0.0, 0.0,
-                                     0.0, 0.5 * math.pi, 0.5 * tol,
-                                     _MAX_PANELS)
-    return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+    return _quadrature(lam, P, B, ic, tol)
 
 
 def limit_values(lam: float) -> LimitValues:

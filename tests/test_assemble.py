@@ -1,12 +1,13 @@
 """Arc building, stitching, flux/energy diagnostics, field evaluation."""
 
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from homoeuler import DomainError
+from homoeuler import DomainError, assemble
 from homoeuler._mesh import hermite_pair, simpson_uniform
 from homoeuler.assemble import (
     FieldSample,
@@ -33,9 +34,15 @@ from homoeuler.classify import (
     solve_elliptic,
     solve_hyperbolic_span,
 )
-from homoeuler.core import FlowParams, power0
-from homoeuler.errors import InadmissibleArc, OnSingularRay, SpanMismatch
+from homoeuler.core import FlowParams, power0, steady_state
+from homoeuler.errors import (
+    InadmissibleArc,
+    NumericalError,
+    OnSingularRay,
+    SpanMismatch,
+)
 from homoeuler.families import ode_residual, point_vortex
+from homoeuler.periods import span_any
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +137,19 @@ class TestLocalArc:
             hyperbolic_arc(3.0, 1.0, 1.0)
         with pytest.raises(InadmissibleArc):
             hyperbolic_arc(0.4, 1.0, 2.0)
+
+    @pytest.mark.parametrize("builder,args", [
+        (hyperbolic_arc, (3.0, -1.0, 4.0)),
+        (elliptic_arc, (5.0, 0.5 * steady_state(5.0, 1.0).P_max, 1.0)),
+    ])
+    def test_integrated_span_gate(self, monkeypatch, builder, args):
+        # a quadrature span 1e-8 off the orbit's must trip the 1e-9 gate
+        shifted = span_any(FlowParams(*args)).T + 1e-8
+        monkeypatch.setattr(assemble, "_arc_span", lambda p: shifted)
+        with pytest.raises(NumericalError, match=(
+                r"integrated span \d\.\d+ and quadrature span "
+                + re.escape(repr(shifted)))):
+            builder(*args)
 
 
 class TestStitch:
@@ -382,6 +402,8 @@ class TestExportGrid:
             export_grid(g, GridSpec(1.0, 0.5, 2, 2))
         with pytest.raises(DomainError):
             export_grid(g, GridSpec(0.5, 1.0, 1, 2))
+        with pytest.raises(DomainError):
+            export_grid(g, GridSpec(0.5, math.inf, 2, 2))
 
 
 def field_reference(g, r, theta):

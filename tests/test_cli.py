@@ -471,6 +471,30 @@ class TestExitCodes:
         assert rc == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["classify", "--lambda", "nan"], "--lambda"),
+        (["classify", "--lambda", "inf"], "--lambda"),
+        (["period-scan", "--lambda", "3", "--p-max", "inf"], "--p-max"),
+        (["construct", "--lambda", "0.6667", "--pressure", "nan",
+          "--equal-arcs", "3"], "--pressure"),
+        (["construct", "--lambda", "3", "--equal-arcs", "3",
+          "--root-tol", "inf"], "--root-tol"),
+        (["construct", "--lambda", "3", "--pressure", "-1",
+          "--specs=1:+,nan:-"], "--specs"),
+        (["phase-portrait", "--lambda", "2", "--pressure=-inf"],
+         "--pressure"),
+        (["phase-portrait", "--lambda", "2", "--pressure", "-1",
+          "--b-values", "1,inf"], "--b-values"),
+    ])
+    def test_non_finite_number_is_usage(self, capsys, monkeypatch, argv,
+                                        flag):
+        def no_solve(*args):
+            raise AssertionError("the span root solve ran")
+        monkeypatch.setattr(classify, "_solve_span", no_solve)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert flag in err
+
 
 class TestSelfcheckList:
     def test_lists_twelve(self, capsys):

@@ -1,6 +1,7 @@
 """Turning points and orbit integration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,7 +164,9 @@ class TestIntegrateOrbit:
     def test_singular_axis_refused_below_lam2(self):
         p = FlowParams(1.5, -0.5, 1.0)
         ic = find_intercepts(p)
-        with pytest.raises(SingularEndpoint):
+        with pytest.raises(SingularEndpoint, match=re.escape(
+                "x < X_MIN = 1e-12 near the axis") + r".* for FlowParams\(lam=1\.5,"
+                r" P=-0\.5, B=1\.0\)"):
             integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
 
     def test_off_level_set_start_rejected(self):

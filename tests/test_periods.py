@@ -23,7 +23,6 @@ from homoeuler.orbits import (
     integrate_orbit,
 )
 from homoeuler.periods import (
-    BSign,
     SpanMethod,
     chicone_W,
     limit_values,
@@ -44,52 +43,55 @@ FROZEN = {
 }
 
 
-def lam2_hyperbolic_exact(P, b_sign):
-    """Closed form at lam = 2: the radicand is a quadratic in x."""
+def lam2_hyperbolic_exact(P, B):
+    """Closed form at lam = 2 and B = +-1: the radicand is a quadratic in x."""
     a = math.asin(1.0 / math.sqrt(1.0 - 32.0 * P))
-    if b_sign is BSign.Plus:
-        return math.pi / 2 + a
-    return math.pi / 2 - a
+    return math.pi / 2 + math.copysign(a, B)
 
 
 class TestSpanHyperbolic:
     def test_zero_B_closed_form(self):
-        r = span_hyperbolic(2.0, -1.0, BSign.Zero)
+        r = span_hyperbolic(2.0, -1.0, 0.0)
         assert r.T == math.pi / 2
         assert r.method is SpanMethod.ClosedForm
         assert r.est_error == 0.0
 
     @pytest.mark.parametrize("P", [-1e-4, -0.1, -1.0, -50.0, -1e4])
     def test_lam2_plus_matches_quadratic_closed_form(self, P):
-        r = span_hyperbolic(2.0, P, BSign.Plus)
-        assert r.T == pytest.approx(lam2_hyperbolic_exact(P, BSign.Plus),
+        r = span_hyperbolic(2.0, P, 1.0)
+        assert r.T == pytest.approx(lam2_hyperbolic_exact(P, 1.0),
                                     abs=1e-10)
         assert r.est_error <= 1e-9
 
     @pytest.mark.parametrize("P", [-1e-4, -0.1, -1.0, -50.0])
     def test_lam2_minus_matches_quadratic_closed_form(self, P):
-        r = span_hyperbolic(2.0, P, BSign.Minus)
-        assert r.T == pytest.approx(lam2_hyperbolic_exact(P, BSign.Minus),
+        r = span_hyperbolic(2.0, P, -1.0)
+        assert r.T == pytest.approx(lam2_hyperbolic_exact(P, -1.0),
                                     abs=1e-10)
 
     def test_frozen_values_lam3(self):
-        assert span_hyperbolic(3.0, -0.7, BSign.Plus).T == pytest.approx(
+        assert span_hyperbolic(3.0, -0.7, 1.0).T == pytest.approx(
             FROZEN[(3.0, -0.7, 1.0)], abs=1e-10)
-        assert span_hyperbolic(3.0, -0.7, BSign.Minus).T == pytest.approx(
+        assert span_hyperbolic(3.0, -0.7, -1.0).T == pytest.approx(
             FROZEN[(3.0, -0.7, -1.0)], abs=1e-10)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):
-            span_hyperbolic(0.9, -1.0, BSign.Plus)
+            span_hyperbolic(0.9, -1.0, 1.0)
         with pytest.raises(DomainError):
-            span_hyperbolic(2.0, 0.5, BSign.Plus)
+            span_hyperbolic(2.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("lam,P", [(2.0, -1.0), (3.0, -0.7), (5.0, -1e3)])
+    @pytest.mark.parametrize("B", [1.0, -1.0])
+    def test_bit_equal_to_span_quadrature(self, lam, P, B):
+        assert span_hyperbolic(lam, P, B) == span_quadrature(lam, P, B)
 
     def test_brackets_limit_values(self):
         lv = limit_values(3.0)
         for P in (-1e-3, -1.0, -1e3):
-            T = span_hyperbolic(3.0, P, BSign.Plus).T
+            T = span_hyperbolic(3.0, P, 1.0).T
             assert lv.T_infinity < T < lv.T_separatrix
-            Tm = span_hyperbolic(3.0, P, BSign.Minus).T
+            Tm = span_hyperbolic(3.0, P, -1.0).T
             assert 0.0 < Tm < lv.T_infinity
 
 
@@ -129,8 +131,6 @@ class TestPeriodElliptic:
             period_elliptic(2.0, 0.05)
         with pytest.raises(DomainError):
             period_elliptic(2.0, -0.01)
-        with pytest.raises(DomainError):
-            period_elliptic(2.0, 0.01, B=2.0)
 
     def test_est_error_bound(self):
         pm = steady_state(3.0, 1.0).P_max
@@ -174,6 +174,18 @@ class TestSpanAny:
     def test_no_solution_B_zero(self):
         with pytest.raises(NoSolution):
             span_any(FlowParams(3.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("p,method", [
+        (FlowParams(3.0, -0.7, 1.0), SpanMethod.QuadratureHyperbolic),
+        (FlowParams(3.0, 0.0004, 2.5), SpanMethod.QuadratureElliptic),
+        (FlowParams(2 / 3, 1.0, 2.0), SpanMethod.Conjugacy),
+        (FlowParams(3.0, -1.0, 0.0), SpanMethod.ClosedForm),
+    ])
+    def test_results_are_python_floats(self, p, method):
+        r = span_any(p)
+        assert r.method is method
+        assert type(r.T) is float
+        assert type(r.est_error) is float
 
 
 class TestConjugacyIdentity:
@@ -233,7 +245,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("lam", [2.0, 3.0])
     def test_hyperbolic_plus_decreases_from_pi(self, lam):
         Ps = -np.geomspace(1e-6, 1e6, 20)
-        Ts = [span_hyperbolic(lam, float(P), BSign.Plus).T for P in Ps]
+        Ts = [span_hyperbolic(lam, float(P), 1.0).T for P in Ps]
         assert all(a > b for a, b in zip(Ts, Ts[1:]))
         assert Ts[0] < math.pi
         assert Ts[-1] > math.pi / lam
@@ -241,7 +253,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("lam", [2.0, 3.0])
     def test_hyperbolic_minus_increases_from_zero(self, lam):
         Ps = -np.geomspace(1e-6, 1e6, 20)
-        Ts = [span_hyperbolic(lam, float(P), BSign.Minus).T for P in Ps]
+        Ts = [span_hyperbolic(lam, float(P), -1.0).T for P in Ps]
         assert all(a < b for a, b in zip(Ts, Ts[1:]))
         assert Ts[-1] < math.pi / lam
 
