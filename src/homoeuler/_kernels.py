@@ -2,8 +2,13 @@
 
 These are the hot loops.  When numba is importable and the environment
 variable HOMOEULER_DISABLE_JIT is not set, every kernel is compiled with
-@njit(cache=True); otherwise the identical pure-Python definitions run as-is
-(numerically the same path, just slower).  Nothing here may call scipy.
+@njit(cache=True); otherwise the identical pure-Python definitions run as-is.
+They are scalar code on Python floats (math.*, tuple rule constants, an
+unrolled Dormand-Prince step), since NumPy scalar indexing and ufuncs on
+single floats cost several times the arithmetic.  Every result is
+bit-identical to the array-and-loop form, except that a _dp_step trial stage
+whose x**beta overflows raises OverflowError instead of going on with inf.
+Nothing here may call scipy.
 
 Quadrature integrand kinds
 --------------------------
@@ -52,8 +57,9 @@ else:
         return func
 
 
-# 15-point Kronrod extension of the 7-point Gauss rule (positive half).
-_XGK = np.array([
+# 15-point Kronrod extension of the 7-point Gauss rule (positive half), as
+# tuples of Python floats: indexing a NumPy array yields a slower np.float64.
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -62,8 +68,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -72,13 +78,13 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 
 def _q_alpha(u: float, alpha: float) -> float:
@@ -93,8 +99,13 @@ def _q_alpha(u: float, alpha: float) -> float:
                 return 1.0 / u
             if alpha == 0.0:
                 return 0.0
-            return -np.inf
-        return (1.0 - xi ** alpha) / u
+            return -math.inf
+        try:
+            p = xi ** alpha
+        except Exception:  # numba matches no narrower class
+            # overflow: a Python float raises, NumPy and numba give inf
+            p = math.inf
+        return (1.0 - p) / u
     if u <= 0.0:
         return alpha
     return -math.expm1(alpha * math.log1p(-u)) / u
@@ -113,7 +124,7 @@ def _radicand(x: float, a2: float, ac: float, alpha: float, c: float) -> float:
         return c
     if alpha == 0.0:
         return c + ac
-    return -np.inf if ac < 0.0 else np.inf
+    return -math.inf if ac < 0.0 else math.inf
 
 
 _radicand = _jit(_radicand)
@@ -121,9 +132,9 @@ _radicand = _jit(_radicand)
 
 def _integrand_ell(phi, a2, ac, alpha, c, x0, x1):
     rho = 0.5 * (x1 - x0)
-    z = 0.5 * (0.5 * np.pi - phi)
-    sz = np.sin(z)
-    cz = np.cos(z)
+    z = 0.5 * (0.5 * math.pi - phi)
+    sz = math.sin(z)
+    cz = math.cos(z)
     d1 = 2.0 * rho * sz * sz       # x1 - x, exact near phi = +pi/2
     d0 = 2.0 * rho * cz * cz       # x - x0, exact near phi = -pi/2
     near = 1.0e-3
@@ -133,35 +144,38 @@ def _integrand_ell(phi, a2, ac, alpha, c, x0, x1):
         r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x0 ** (alpha - 2.0)
         r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x0 ** (alpha - 3.0)
         r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x0 ** (alpha - 4.0)
-        s = r1 + d0 * (0.5 * r2 + d0 * (r3 / 6.0 + d0 * r4 / 24.0))
-        g = s / d1
+        num = r1 + d0 * (0.5 * r2 + d0 * (r3 / 6.0 + d0 * r4 / 24.0))
+        den = d1
     elif d1 < near * min(rho, x1):
         r1 = -2.0 * a2 * x1 + ac * alpha * x1 ** (alpha - 1.0)
         r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x1 ** (alpha - 2.0)
         r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x1 ** (alpha - 3.0)
         r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x1 ** (alpha - 4.0)
-        s = -r1 + d1 * (0.5 * r2 + d1 * (-r3 / 6.0 + d1 * r4 / 24.0))
-        g = s / d0
+        num = -r1 + d1 * (0.5 * r2 + d1 * (-r3 / 6.0 + d1 * r4 / 24.0))
+        den = d0
     else:
-        x = x0 + d0
-        g = _radicand(x, a2, ac, alpha, c) / (d0 * d1)
+        num = _radicand(x0 + d0, a2, ac, alpha, c)
+        den = d0 * d1
+    # den = 0 when the turning points coincide (find_intercepts can return
+    # x0 == x1); num / 0 raises, so take the IEEE +-inf, or nan for 0/0
+    g = num / den if den != 0.0 else num * math.copysign(math.inf, den)
     if g <= 0.0:
-        return np.inf
-    return 1.0 / np.sqrt(g)
+        return math.inf
+    return 1.0 / math.sqrt(g)
 
 
 _integrand_ell = _jit(_integrand_ell)
 
 
 def _integrand_hyp(phi, lam2, cc, alpha):
-    z = 0.5 * (0.5 * np.pi - phi)
-    sz = np.sin(z)
+    z = 0.5 * (0.5 * math.pi - phi)
+    sz = math.sin(z)
     u = 2.0 * sz * sz              # 1 - sin(phi), exact near phi = pi/2
     q = _q_alpha(u, alpha)
     d = lam2 * (2.0 - u) - cc * q
     if not d > 0.0:
-        return np.inf
-    return np.sqrt(2.0 - u) / np.sqrt(d)
+        return math.inf
+    return math.sqrt(2.0 - u) / math.sqrt(d)
 
 
 _integrand_hyp = _jit(_integrand_hyp)
@@ -272,7 +286,6 @@ cumulative_theta = _jit(cumulative_theta)
 
 
 # Dormand-Prince 5(4) coefficients.
-_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -287,6 +300,14 @@ _DP_E = np.array([
     71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
     -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 ])
+# the same numbers as Python floats for the unrolled _dp_step: _Aij = A[i, j]
+_A10 = float(_DP_A[1, 0])
+_A20, _A21 = _DP_A[2, :2].tolist()
+_A30, _A31, _A32 = _DP_A[3, :3].tolist()
+_A40, _A41, _A42, _A43 = _DP_A[4, :4].tolist()
+_A50, _A51, _A52, _A53, _A54 = _DP_A[5, :5].tolist()
+_A60, _A61, _A62, _A63, _A64, _A65 = _DP_A[6].tolist()
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = _DP_E.tolist()
 
 
 def _phase_rhs(x, y, lam, B):
@@ -307,27 +328,43 @@ _phase_rhs = _jit(_phase_rhs)
 
 
 def _dp_step(x, y, h, lam, B):
-    """One Dormand-Prince step; returns (x5, y5, err_x, err_y)."""
-    kx = np.empty(7)
-    ky = np.empty(7)
-    kx[0], ky[0] = _phase_rhs(x, y, lam, B)
-    for i in range(1, 7):
-        ax = 0.0
-        ay = 0.0
-        for j in range(i):
-            ax += _DP_A[i, j] * kx[j]
-            ay += _DP_A[i, j] * ky[j]
-        kx[i], ky[i] = _phase_rhs(x + h * ax, y + h * ay, lam, B)
-    x5 = x
-    y5 = y
-    for i in range(6):
-        x5 += h * _DP_A[6, i] * kx[i]
-        y5 += h * _DP_A[6, i] * ky[i]
-    ex = 0.0
-    ey = 0.0
-    for i in range(7):
-        ex += _DP_E[i] * kx[i]
-        ey += _DP_E[i] * ky[i]
+    """One Dormand-Prince step; returns (x5, y5, err_x, err_y).
+
+    The seven stages are unrolled, but every sum keeps the order of the loop
+    form on purpose, so the result is bit-identical to it: a stage increment
+    is 0.0 + A[i,0] k0 + A[i,1] k1 + ... (zero entries of A and E included),
+    x5 is x + h A[6,0] k0 + h A[6,1] k1 + ..., and the error 0.0 + E0 k0 + ...
+    """
+    k0x, k0y = _phase_rhs(x, y, lam, B)
+    k1x, k1y = _phase_rhs(x + h * (0.0 + _A10 * k0x),
+                          y + h * (0.0 + _A10 * k0y), lam, B)
+    k2x, k2y = _phase_rhs(x + h * (0.0 + _A20 * k0x + _A21 * k1x),
+                          y + h * (0.0 + _A20 * k0y + _A21 * k1y), lam, B)
+    k3x, k3y = _phase_rhs(
+        x + h * (0.0 + _A30 * k0x + _A31 * k1x + _A32 * k2x),
+        y + h * (0.0 + _A30 * k0y + _A31 * k1y + _A32 * k2y), lam, B)
+    k4x, k4y = _phase_rhs(
+        x + h * (0.0 + _A40 * k0x + _A41 * k1x + _A42 * k2x + _A43 * k3x),
+        y + h * (0.0 + _A40 * k0y + _A41 * k1y + _A42 * k2y + _A43 * k3y),
+        lam, B)
+    k5x, k5y = _phase_rhs(
+        x + h * (0.0 + _A50 * k0x + _A51 * k1x + _A52 * k2x + _A53 * k3x
+                 + _A54 * k4x),
+        y + h * (0.0 + _A50 * k0y + _A51 * k1y + _A52 * k2y + _A53 * k3y
+                 + _A54 * k4y), lam, B)
+    k6x, k6y = _phase_rhs(
+        x + h * (0.0 + _A60 * k0x + _A61 * k1x + _A62 * k2x + _A63 * k3x
+                 + _A64 * k4x + _A65 * k5x),
+        y + h * (0.0 + _A60 * k0y + _A61 * k1y + _A62 * k2y + _A63 * k3y
+                 + _A64 * k4y + _A65 * k5y), lam, B)
+    x5 = (x + h * _A60 * k0x + h * _A61 * k1x + h * _A62 * k2x
+          + h * _A63 * k3x + h * _A64 * k4x + h * _A65 * k5x)
+    y5 = (y + h * _A60 * k0y + h * _A61 * k1y + h * _A62 * k2y
+          + h * _A63 * k3y + h * _A64 * k4y + h * _A65 * k5y)
+    ex = (0.0 + _E0 * k0x + _E1 * k1x + _E2 * k2x + _E3 * k3x + _E4 * k4x
+          + _E5 * k5x + _E6 * k6x)
+    ey = (0.0 + _E0 * k0y + _E1 * k1y + _E2 * k2y + _E3 * k3y + _E4 * k4y
+          + _E5 * k5y + _E6 * k6y)
     return x5, y5, h * ex, h * ey
 
 

@@ -137,13 +137,19 @@ def steady_state(lam: float, B: float) -> SteadyStateInfo:
     Raises
     ------
     DomainError
-        If lam <= 1 (no interior center) or B <= 0.
+        If lam <= 1 (no interior center), B <= 0, or lam^3 overflows a
+        double (lam above about 5.6e102).
     """
     if not lam > 1.0:
         raise DomainError("steady state requires lam > 1")
     if not B > 0.0:
         raise DomainError("steady state requires B > 0")
-    base = (lam - 1.0) / (lam ** 3)
+    try:
+        lam3 = lam ** 3
+    except OverflowError:
+        raise DomainError(f"steady state of lam={lam!r}: lam**3 overflows"
+                          " a double") from None
+    base = (lam - 1.0) / lam3
     x_s = math.pow(B * base, 0.5 * lam)
     # P_max = lam^2/(2 (lam-1)) * x_s^2, stable for x_s far below 1.
     p_max = lam * lam / (2.0 * (lam - 1.0)) * x_s * x_s

@@ -471,6 +471,19 @@ class TestExitCodes:
         assert rc == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--lambda", "1e103", "--json"],
+        ["period-scan", "--lambda", "1e103", "--region", "elliptic",
+         "--n-points", "3"],
+        ["construct", "--lambda", "1e103", "--elliptic-n", "3"],
+    ])
+    def test_huge_lambda_is_domain_error(self, capsys, argv):
+        # lam**3 in the steady state overflows; that used to be a traceback
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert "domain error" in err
+        assert "lam=1e+103" in err and "overflows" in err
+
     @pytest.mark.parametrize("argv,flag", [
         (["classify", "--lambda", "nan"], "--lambda"),
         (["classify", "--lambda", "inf"], "--lambda"),

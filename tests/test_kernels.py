@@ -30,15 +30,200 @@ def elliptic_roots(lam, P, B):
 
 
 class TestRuleConstants:
+    # the rule constants are tuples of Python floats; slices are read as arrays
     def test_weights_sum_to_interval_length(self):
         # both rules must integrate the constant 1 over [-1, 1] exactly
-        assert 2 * K._WGK[:7].sum() + K._WGK[7] == pytest.approx(2.0, abs=1e-15)
-        assert 2 * K._WG[:3].sum() + K._WG[3] == pytest.approx(2.0, abs=1e-15)
+        assert 2 * np.asarray(K._WGK[:7]).sum() + K._WGK[7] == pytest.approx(2.0, abs=1e-15)
+        assert 2 * np.asarray(K._WG[:3]).sum() + K._WG[3] == pytest.approx(2.0, abs=1e-15)
 
     def test_gauss_nodes_are_legendre_roots(self):
         roots = np.sort(np.polynomial.legendre.legroots([0] * 7 + [1]))
-        mine = np.sort(np.concatenate([-K._XGK[1:7:2], [0.0], K._XGK[1:7:2]]))
+        gauss = np.asarray(K._XGK[1:7:2])
+        mine = np.sort(np.concatenate([-gauss, [0.0], gauss]))
         assert np.allclose(mine, roots, atol=1e-14)
+
+
+# Test-only copies of the array-and-loop kernels on NumPy scalars (np.sin,
+# np.sqrt, rule constants in arrays, the Dormand-Prince stages in a loop).
+# The scalar kernels must reproduce them bit for bit, including the inf and
+# nan that NumPy gives where a Python float would raise.
+_XGK_ARR, _WGK_ARR, _WG_ARR = (np.array(c) for c in (K._XGK, K._WGK, K._WG))
+
+
+def loop_dp_step(x, y, h, lam, B):
+    kx = np.empty(7)
+    ky = np.empty(7)
+    kx[0], ky[0] = K._phase_rhs(x, y, lam, B)
+    for i in range(1, 7):
+        ax = 0.0
+        ay = 0.0
+        for j in range(i):
+            ax += K._DP_A[i, j] * kx[j]
+            ay += K._DP_A[i, j] * ky[j]
+        kx[i], ky[i] = K._phase_rhs(x + h * ax, y + h * ay, lam, B)
+    x5 = x
+    y5 = y
+    for i in range(6):
+        x5 += h * K._DP_A[6, i] * kx[i]
+        y5 += h * K._DP_A[6, i] * ky[i]
+    ex = 0.0
+    ey = 0.0
+    for i in range(7):
+        ex += K._DP_E[i] * kx[i]
+        ey += K._DP_E[i] * ky[i]
+    return x5, y5, h * ex, h * ey
+
+
+def np_integrand_ell(phi, a2, ac, alpha, c, x0, x1):
+    rho = 0.5 * (x1 - x0)
+    z = 0.5 * (0.5 * np.pi - phi)
+    sz = np.sin(z)
+    cz = np.cos(z)
+    d1 = 2.0 * rho * sz * sz
+    d0 = 2.0 * rho * cz * cz
+    if d0 < 1.0e-3 * min(rho, x0):
+        r1 = -2.0 * a2 * x0 + ac * alpha * x0 ** (alpha - 1.0)
+        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x0 ** (alpha - 2.0)
+        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x0 ** (alpha - 3.0)
+        r4 = (ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
+              * x0 ** (alpha - 4.0))
+        g = (r1 + d0 * (0.5 * r2 + d0 * (r3 / 6.0 + d0 * r4 / 24.0))) / d1
+    elif d1 < 1.0e-3 * min(rho, x1):
+        r1 = -2.0 * a2 * x1 + ac * alpha * x1 ** (alpha - 1.0)
+        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x1 ** (alpha - 2.0)
+        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x1 ** (alpha - 3.0)
+        r4 = (ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
+              * x1 ** (alpha - 4.0))
+        g = (-r1 + d1 * (0.5 * r2 + d1 * (-r3 / 6.0 + d1 * r4 / 24.0))) / d0
+    else:
+        g = K._radicand(x0 + d0, a2, ac, alpha, c) / (d0 * d1)
+    if g <= 0.0:
+        return np.inf
+    return 1.0 / np.sqrt(g)
+
+
+def np_integrand_hyp(phi, lam2, cc, alpha):
+    sz = np.sin(0.5 * (0.5 * np.pi - phi))
+    u = 2.0 * sz * sz
+    d = lam2 * (2.0 - u) - cc * K._q_alpha(u, alpha)
+    if not d > 0.0:
+        return np.inf
+    return np.sqrt(2.0 - u) / np.sqrt(d)
+
+
+def loop_gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b):
+    def f(phi):
+        if kind == 0:
+            return np_integrand_ell(phi, p0, p1, p2, p3, p4, p5)
+        return np_integrand_hyp(phi, p0, p1, p2)
+    c = 0.5 * (a + b)
+    hw = 0.5 * (b - a)
+    fc = f(c)
+    resk = _WGK_ARR[7] * fc
+    resg = _WG_ARR[3] * fc
+    for j in range(7):
+        dx = hw * _XGK_ARR[j]
+        f1 = f(c - dx)
+        f2 = f(c + dx)
+        resk += _WGK_ARR[j] * (f1 + f2)
+        if j % 2 == 1:
+            resg += _WG_ARR[(j - 1) // 2] * (f1 + f2)
+    return resk * hw, abs(resk - resg) * hw
+
+
+def hexes(values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracles' inf/nan
+class TestScalarKernelOracle:
+    """The scalar kernels against the loop-form oracles above."""
+
+    def test_dp_step(self):
+        rng = np.random.default_rng(8)
+        reached_axis = 0
+        for lam in (1.5, 2.0, 3.0, 13.0):
+            for B in (0.0, 0.8, -1.3):
+                # a few fixed states, then random ones: a reordered sum
+                # differs from the loop only in some last bits
+                states = [(x, y, h) for x in (0.0, 1e-3, 0.4, 1.2)
+                          for y in (0.0, -0.0, -1.0) for h in (1e-3, 0.7)]
+                states += zip(rng.uniform(0.0, 1.5, 60).tolist(),
+                              rng.uniform(-2.0, 2.0, 60).tolist(),
+                              rng.uniform(1e-3, 0.5, 60).tolist())
+                for x, y, h in states:
+                    got = K._dp_step(x, y, h, lam, B)
+                    want = loop_dp_step(x, y, h, lam, B)
+                    assert hexes(got) == hexes(want), (x, y, h, lam, B)
+                    reached_axis += x + h * K._A10 * y <= 0.0 < x
+        assert reached_axis > 0
+
+    @staticmethod
+    def ell_params():
+        rng = np.random.default_rng(5)
+        for lam, P in ((1.5, 0.01), (3.0, 5e-4), (5.0, 5e-8), (8.0, 2e-15)):
+            x0, x1 = elliptic_roots(lam, P, 1.0)
+            args = (lam * lam, 1.0, 2.0 - 2.0 / lam, -2.0 * P, x0, x1)
+            eps = rng.uniform(0.0, 0.02, 20)
+            phis = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 40),
+                                   -np.pi / 2 + eps, np.pi / 2 - eps,
+                                   [-np.pi / 2, np.pi / 2, 0.0]])
+            yield args, [float(p) for p in phis]
+
+    def test_integrand_ell(self):
+        branches = set()
+        for args, phis in self.ell_params():
+            x0, x1 = args[4], args[5]
+            rho = 0.5 * (x1 - x0)
+            for phi in phis:
+                z = 0.5 * (0.5 * np.pi - phi)
+                if 2.0 * rho * np.cos(z) ** 2 < 1e-3 * min(rho, x0):
+                    branches.add("near x0")
+                elif 2.0 * rho * np.sin(z) ** 2 < 1e-3 * min(rho, x1):
+                    branches.add("near x1")
+                else:
+                    branches.add("interior")
+                got = K._integrand_ell(phi, *args)
+                assert got.hex() == float(np_integrand_ell(phi, *args)).hex()
+        assert branches == {"near x0", "near x1", "interior"}
+        # coinciding turning points, as find_intercepts returns at lam = 30,
+        # P = (1 - 1e-6) P_max: every panel node divides by zero
+        args = (900.0, 1.0, 2.0 - 2.0 / 30.0, 0.0, 2.9e-45, 2.9e-45)
+        for phi in (-np.pi / 2, -0.3, 0.0, 0.9, np.pi / 2):
+            got = K._integrand_ell(phi, *args)
+            assert got.hex() == float(np_integrand_ell(phi, *args)).hex()
+
+    def test_integrand_hyp(self):
+        rng = np.random.default_rng(6)
+        # alpha = -38 (lam = 0.05) overflows xi**alpha as xi = sin(phi) -> 0
+        for lam2, cc, alpha in ((4.0, 1.2, 1.0), (9.0, -0.7, 4.0 / 3.0),
+                                (0.64, 2.0, -0.5), (0.0025, 1.0, -38.0)):
+            phis = np.concatenate([
+                rng.uniform(0.0, np.pi / 6, 20),            # u >= 1/2
+                np.pi / 2 - rng.uniform(0.0, 1e-3, 20),     # u near 0
+                rng.uniform(0.0, np.pi / 2, 20), [0.0, np.pi / 2, 1e-12]])
+            for phi in phis:
+                phi = float(phi)
+                got = K._integrand_hyp(phi, lam2, cc, alpha)
+                want = np_integrand_hyp(phi, lam2, cc, alpha)
+                assert got.hex() == float(want).hex(), (phi, lam2, cc, alpha)
+
+    def test_gk_panel(self):
+        rng = np.random.default_rng(9)
+        for args, _phis in self.ell_params():
+            cuts = np.sort(rng.uniform(-np.pi / 2, np.pi / 2, 6))
+            edges = [-np.pi / 2, *cuts, np.pi / 2]
+            for a, b in zip(edges[:-1], edges[1:]):
+                got = K._gk_panel(0, *args, float(a), float(b))
+                assert hexes(got) == hexes(loop_gk_panel(0, *args, a, b))
+        for lam2, cc, alpha in ((4.0, 1.2, 1.0), (0.64, 2.0, -0.5),
+                                (0.0025, 1.0, -38.0)):
+            args = (lam2, cc, alpha, 0.0, 0.0, 0.0)
+            cuts = np.sort(rng.uniform(0.0, np.pi / 2, 6))
+            edges = [0.0, *cuts, np.pi / 2]
+            for a, b in zip(edges[:-1], edges[1:]):
+                got = K._gk_panel(1, *args, float(a), float(b))
+                assert hexes(got) == hexes(loop_gk_panel(1, *args, a, b))
 
 
 class TestQAlpha:

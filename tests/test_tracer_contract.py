@@ -37,3 +37,44 @@ def test_kernel_counter_resolves(name):
 
 def test_jit_flag_exists():
     assert isinstance(_kernels.JIT_ENABLED, bool)
+
+
+@pytest.mark.skipif(_kernels.JIT_ENABLED,
+                    reason="compiled callers do not see the rebinding")
+def test_kernel_counters_see_every_call(monkeypatch):
+    # the tracer counts kernel calls by rebinding these module globals; a
+    # caller that inlined them, or kept its own reference, would be missed
+    from homoeuler.core import FlowParams
+    from homoeuler.orbits import (PhaseState, ReturnToAxis, find_intercepts,
+                                  integrate_orbit)
+    from homoeuler.periods import span_quadrature
+
+    counts = dict.fromkeys(TRACER.KERNEL_COUNTERS, 0)
+    counts["main_dp_steps"] = 0
+    depth = [0]
+
+    def counting(name):
+        inner = getattr(_kernels, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "_dp_step" and not depth[0]:
+                counts["main_dp_steps"] += 1
+            depth[0] += name == "_dp_substeps"
+            try:
+                return inner(*args)
+            finally:
+                depth[0] -= name == "_dp_substeps"
+        return wrapper
+
+    for name in TRACER.KERNEL_COUNTERS:
+        monkeypatch.setattr(_kernels, name, counting(name))
+    p = FlowParams(3.0, -1.0, 1.0)
+    orbit = integrate_orbit(p, PhaseState(find_intercepts(p).x0, 0.0),
+                            ReturnToAxis())
+    # every accepted step leaves a sample; the axis event adds the last one
+    assert counts["main_dp_steps"] >= len(orbit.samples) - 1
+    assert counts["_dp_substeps"] > 0
+    span_quadrature(3.0, -1.0, 1.0)
+    # adaptive_gk evaluates one panel, then two per bisection
+    assert counts["_gk_panel"] > 1 and counts["_gk_panel"] % 2 == 1
