@@ -34,7 +34,7 @@ def _workloads():
         find_intercepts,
         integrate_orbit,
     )
-    from homoeuler.periods import span_quadrature
+    from homoeuler.periods import period_elliptic, span_quadrature
 
     def spans():
         for lam in (2.5, 3.0, 5.0):
@@ -43,6 +43,22 @@ def _workloads():
                 span_quadrature(lam, float(f) * pm, 1.0)
             for P in (-0.5, -2.0):
                 span_quadrature(lam, P, 1.0)
+
+    # B < 0 arches: find_intercepts scans up from 8 decades below the apex
+    arches = [FlowParams(lam, P, -1.0) for lam in (1.5, 2.0, 3.0, 5.0)
+              for P in (-1e-3, -0.5, -2.0, -10.0, -1e3)]
+
+    def turning_points():
+        for p in arches:
+            find_intercepts(p)
+
+    # next to the centre each period runs out of its 1024-panel budget
+    near_centre = [(lam, (1.0 - 1e-6) * steady_state(lam, 1.0).P_max)
+                   for lam in (3.0, 5.0, 8.0)]
+
+    def near_centre_periods():
+        for lam, P in near_centre:
+            period_elliptic(lam, P)
 
     def orbits():
         for lam in (2.0, 3.0, 5.0):
@@ -72,6 +88,8 @@ def _workloads():
         elliptic_arc(2.0, 1.5, 8.0)
 
     return [("span quadrature x21", spans),
+            ("turning points x20", turning_points),
+            ("near-centre period x3", near_centre_periods),
             ("orbit integration x3", orbits),
             ("orbit events x3", events),
             ("arc construction x3", arcs)]

@@ -210,28 +210,109 @@ def _gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b):
 _gk_panel = _jit(_gk_panel)
 
 
+def _sum(xs):
+    """0.0 + xs[0] + xs[1] + ..., in order."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+_sum = _jit(_sum)
+
+
+def _sift_down(heap, ee):
+    """Move heap[0] down the panel heap: larger error first, ties to the
+    lower panel index."""
+    n = len(heap)
+    pos = 0
+    i = heap[0]
+    ei = ee[i]
+    c = 1
+    while c < n:
+        ic = heap[c]
+        ec = ee[ic]
+        if c + 1 < n:
+            ir = heap[c + 1]
+            er = ee[ir]
+            if er > ec or (er == ec and ir < ic):
+                c += 1
+                ic = ir
+                ec = er
+        if not (ec > ei or (ec == ei and ic < i)):
+            break
+        heap[pos] = ic
+        pos = c
+        c = 2 * pos + 1
+    heap[pos] = i
+
+
+_sift_down = _jit(_sift_down)
+
+
+def _sift_up(heap, ee, pos):
+    """Move heap[pos] up the panel heap (same order as _sift_down)."""
+    i = heap[pos]
+    ei = ee[i]
+    while pos > 0:
+        up = (pos - 1) // 2
+        iu = heap[up]
+        eu = ee[iu]
+        if not (ei > eu or (ei == eu and i < iu)):
+            break
+        heap[pos] = iu
+        pos = up
+    heap[pos] = i
+
+
+_sift_up = _jit(_sift_up)
+
+
+# 2^-52 >= u/(1 - u): one rounding moves a result by at most this fraction
+# of the rounded value (u = 2^-53, round to nearest)
+_ROUND = 2.0 ** -52
+
+
 def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
     """Globally adaptive Gauss-Kronrod on [a, b], worst-panel-first bisection.
 
-    Returns (value, error_estimate, status); status 0 when the estimate met
-    tol, 1 when the panel budget ran out first (estimate still honest).
+    Each pass bisects the panel with the largest error estimate, the lowest
+    index among equal ones; a binary heap of panel indices yields it in
+    O(log n).  The left half keeps the panel's index, the right half is
+    appended.  The loop goes on while S > tol, where S is the in-order sum
+    0.0 + e[0] + ... + e[n-1] of the panels' estimates, and stops at the
+    panel budget or at a panel narrower than the machine spacing.  S itself
+    is not formed each pass: a running total t is updated by - e_old + e1
+    + e2, and a bound d on its distance from the exact sum grows by 2^-52
+    of each rounded update.  S lies within d + n 2^-52 (|t| + d) of t (the
+    error of recursive summation of n terms of one sign), so when t is
+    twice that far from tol, t > tol and S > tol agree; otherwise, or when t
+    is not finite, S is summed directly and t restarts from it.  The
+    decisions, and so the panels, are those of a loop that sums S every
+    pass, nan and inf estimates included.
+
+    Returns (value, error_estimate, status): the in-order sums of the panel
+    values and estimates, status 0 when the estimate met tol and 1 when the
+    panel budget ran out first (estimate still honest).
     """
-    aa = np.empty(max_panels)
-    bb = np.empty(max_panels)
-    vv = np.empty(max_panels)
-    ee = np.empty(max_panels)
     v, e = _gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b)
-    aa[0] = a
-    bb[0] = b
-    vv[0] = v
-    ee[0] = e
+    aa = [a]
+    bb = [b]
+    vv = [v]
+    ee = [e]
+    heap = [0]
     n = 1
-    total_e = e
-    while total_e > tol and n < max_panels:
-        iw = 0
-        for i in range(1, n):
-            if ee[i] > ee[iw]:
-                iw = i
+    total = e
+    drift = 0.0
+    while n < max_panels:
+        # the 1e-300 covers bound terms that underflow
+        gap = 2.0 * (drift + n * _ROUND * (abs(total) + drift)) + 1e-300
+        if not (math.isfinite(total) and abs(total - tol) > gap):
+            total = _sum(ee)
+            drift = n * _ROUND * abs(total)
+        if not total > tol:
+            break
+        iw = heap[0]
         am = aa[iw]
         bm = bb[iw]
         mid = 0.5 * (am + bm)
@@ -239,23 +320,25 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
             break  # panel narrower than machine spacing
         v1, e1 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, am, mid)
         v2, e2 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, mid, bm)
-        aa[iw] = am
+        t1 = total - ee[iw]
+        t2 = t1 + e1
+        total = t2 + e2
+        drift += _ROUND * (abs(t1) + abs(t2) + abs(total))
         bb[iw] = mid
         vv[iw] = v1
         ee[iw] = e1
-        aa[n] = mid
-        bb[n] = bm
-        vv[n] = v2
-        ee[n] = e2
+        aa.append(mid)
+        bb.append(bm)
+        vv.append(v2)
+        ee.append(e2)
+        _sift_down(heap, ee)
+        heap.append(n)
+        _sift_up(heap, ee, n)
         n += 1
-        total_e = 0.0
-        for i in range(n):
-            total_e += ee[i]
-    total_v = 0.0
-    for i in range(n):
-        total_v += vv[i]
+    # with no bisection the first estimate is returned as is (-0.0 included)
+    total_e = _sum(ee) if n > 1 else e
     status = 0 if total_e <= tol else 1
-    return total_v, total_e, status
+    return _sum(vv), total_e, status
 
 
 adaptive_gk = _jit(adaptive_gk)

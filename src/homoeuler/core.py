@@ -176,12 +176,26 @@ def rescale_to_unit_B(p: FlowParams) -> tuple[FlowParams, float]:
     """Rescale so that |B| = 1; life-spans are unchanged.
 
     Returns (lam, P/|B|^lam, sign B) and the state scale |B|^(lam/2).
+
+    Raises
+    ------
+    DomainError
+        If B = 0, or |B|^lam overflows or underflows a double.
     """
     if p.B == 0.0:
         raise DomainError("rescale_to_unit_B requires B != 0")
     a = abs(p.B)
+    try:
+        b_lam = math.pow(a, p.lam)
+    except OverflowError:
+        b_lam = math.inf
+    if b_lam == 0.0 or b_lam == math.inf:
+        flow = "underflows" if b_lam == 0.0 else "overflows"
+        raise DomainError(
+            f"unit-B rescaling of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
+            f" |B|**lam {flow} a double")
     return (
-        FlowParams(p.lam, p.P / math.pow(a, p.lam), math.copysign(1.0, p.B)),
+        FlowParams(p.lam, p.P / b_lam, math.copysign(1.0, p.B)),
         math.pow(a, 0.5 * p.lam),
     )
 

@@ -110,26 +110,80 @@ def _radicand_funcs(p: FlowParams):
     return R, dR, lam2, alpha
 
 
-def _march_up(R, start: float):
-    a, fa = start, R(start)
-    for _ in range(_SCAN_MAX_STEPS):
-        b = a * _SCAN_FACTOR
+def _probe(R, x: float):
+    # R(x), or None where R raises (a power out of range)
+    try:
+        return R(x)
+    except ArithmeticError:
+        return None
+
+
+def _scan(R, start: float, up: bool):
+    """First grid point g_k, 1 <= k <= _SCAN_MAX_STEPS, with R(g_k) <= 0.
+
+    g_0 = start and g_k = g_{k-1} * _SCAN_FACTOR (up) or g_{k-1} /
+    _SCAN_FACTOR (down), so every g_k is the point a step-by-step scan
+    reaches.  R is evaluated at g_1, g_2, g_4, ... until it is not positive
+    there, then the index is bisected.  That finds the step-by-step scan's
+    bracket as long as R stays positive up to its first non-positive grid
+    value, which holds for the strictly monotone radicand of every scan
+    find_intercepts starts.  A probe that raises or gives nan also ends the
+    gallop; if the bisection ends on one, the raise is repeated, and after a
+    nan the scan goes on step by step, as the step-by-step scan does.
+
+    Returns (g_{k-1}, g_k, R(g_{k-1}), R(g_k)), or None without a sign
+    change.
+    """
+    grid = [start]
+    f_lo = R(start)
+    lo = 0
+    hi = 1
+    while True:
+        g = grid[-1]
+        for _ in range(hi + 1 - len(grid)):
+            g = g * _SCAN_FACTOR if up else g / _SCAN_FACTOR
+            grid.append(g)
+        f_hi = _probe(R, g)
+        if f_hi is None or not f_hi > 0.0:
+            break
+        if hi == _SCAN_MAX_STEPS:
+            return None
+        lo, f_lo = hi, f_hi
+        hi = min(2 * hi, _SCAN_MAX_STEPS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f = _probe(R, grid[mid])
+        if f is None or not f > 0.0:
+            hi, f_hi = mid, f
+        else:
+            lo, f_lo = mid, f
+    if f_hi is None:
+        f_hi = R(grid[hi])  # raises as the step-by-step scan does
+    if f_hi <= 0.0:
+        return grid[lo], grid[hi], f_lo, f_hi
+    a, fa = grid[hi], f_hi
+    for _ in range(hi, _SCAN_MAX_STEPS):
+        b = a * _SCAN_FACTOR if up else a / _SCAN_FACTOR
         fb = R(b)
         if fb <= 0.0:
             return a, b, fa, fb
         a, fa = b, fb
-    raise NoBracket(f"no sign change found scanning up from {start!r}")
+    return None
+
+
+def _march_up(R, start: float):
+    out = _scan(R, start, True)
+    if out is None:
+        raise NoBracket(f"no sign change found scanning up from {start!r}")
+    return out
 
 
 def _march_down(R, start: float):
-    b, fb = start, R(start)
-    for _ in range(_SCAN_MAX_STEPS):
-        a = b / _SCAN_FACTOR
-        fa = R(a)
-        if fa <= 0.0:
-            return a, b, fa, fb
-        b, fb = a, fa
-    raise NoBracket(f"no sign change found scanning down from {start!r}")
+    out = _scan(R, start, False)
+    if out is None:
+        raise NoBracket(f"no sign change found scanning down from {start!r}")
+    b, a, fb, fa = out
+    return a, b, fa, fb
 
 
 def _refine_root(R, dR, a, b, fa, fb, lam2, alpha, B, P) -> float:
@@ -148,7 +202,13 @@ def find_intercepts(p: FlowParams) -> Intercepts:
 
     Roots are bracketed on a geometric grid (64 points per decade) around the
     natural radicand scales, then refined by Brent iteration and a safeguarded
-    Newton polish to 1e-13.
+    Newton polish to 1e-13.  The grid is searched by galloping: the radicand
+    is evaluated 1, 2, 4, ... grid steps from the start until its sign
+    changes, then the step index is bisected.  The grid points are the ones
+    a step-by-step scan walks through, each one factor from the last, so
+    the bracket, and the root refined from it, are the same bit for bit;
+    the radicand is strictly monotone along every scan, so the first sign
+    change is found in O(log k) evaluations instead of k.
 
     Parameters
     ----------
@@ -164,11 +224,21 @@ def find_intercepts(p: FlowParams) -> Intercepts:
     Raises
     ------
     DomainError
-        If P exceeds P_max in the focusing regime (lam > 1, B > 0).
+        If P exceeds P_max in the focusing regime (lam > 1, B > 0), or a
+        power of the radicand overflows a double.
     NoBracket
         If scanning cannot bracket a root that the sign analysis promises;
         signals inconsistent parameters.
     """
+    try:
+        return _intercepts(p)
+    except OverflowError:
+        raise DomainError(
+            f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}: a power"
+            " in the radicand overflows a double") from None
+
+
+def _intercepts(p: FlowParams) -> Intercepts:
     lam, P, B = p.lam, p.P, p.B
     R, dR, lam2, alpha = _radicand_funcs(p)
 

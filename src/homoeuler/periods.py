@@ -67,7 +67,14 @@ def _check_simple_zero(dR_val: float, scale: float, where: str) -> None:
             " degenerate boundary")
 
 
-def _finish(two_v: float, two_e: float, method: SpanMethod) -> SpanResult:
+def _finish(lam: float, two_v: float, two_e: float,
+            method: SpanMethod) -> SpanResult:
+    # a nan estimate passes the target test, and coinciding turning points
+    # give T = 0; neither is a span
+    if not (0.0 < two_v < math.inf and math.isfinite(two_e)):
+        raise QuadratureFailure(
+            f"quadrature at lam={lam!r} gave T={two_v!r} with error estimate"
+            f" {two_e!r}, which is not a span")
     if two_e > _ACCEPT_ERR:
         raise QuadratureFailure(
             f"quadrature error estimate {two_e:.3e} misses the 1e-9 target")
@@ -85,12 +92,12 @@ def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
                                          ic.x0, ic.x1, -0.5 * math.pi,
                                          0.5 * math.pi, 0.5 * tol,
                                          _MAX_PANELS)
-        return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
+        return _finish(lam, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
     C = B * ic.x0 ** (-2.0 / lam) if B != 0.0 else 0.0
     v, e, _st = _kernels.adaptive_gk(1, a2, C, alpha, 0.0, 0.0, 0.0,
                                      0.0, 0.5 * math.pi, 0.5 * tol,
                                      _MAX_PANELS)
-    return _finish(2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+    return _finish(lam, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
 
 
 def span_hyperbolic(lam: float, P: float, B: float,

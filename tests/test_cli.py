@@ -484,6 +484,29 @@ class TestExitCodes:
         assert "domain error" in err
         assert "lam=1e+103" in err and "overflows" in err
 
+    @pytest.mark.parametrize("argv,params,flow", [
+        # (alpha B/(2 lam^2))^(lam/2), the centre abscissa, overflows
+        (["phase-portrait", "--lambda", "200", "--pressure=-1",
+          "--b-values", "1e300"], "lam=200.0, P=-1.0, B=1e+300", "overflows"),
+        # lam = 0.02 is conjugated to lam = 50, B = -2P/lam^4 = 1.25e306, and
+        # |B|^50 overflows in the unit-B rescaling; at tiny |P| it underflows
+        (["period-scan", "--lambda", "0.02", "--region", "hyperbolic",
+          "--b-sign", "plus", "--p-min=-1e300", "--p-max=-1e299",
+          "--n-points", "3"], "lam=50.0, P=-3125000.0, B=1.25e+306",
+         "overflows"),
+        (["period-scan", "--lambda", "0.02", "--region", "hyperbolic",
+          "--b-sign", "plus", "--p-min=-1e-299", "--p-max=-1e-300",
+          "--n-points", "3"], "lam=50.0, P=-3125000.0, B=1.25e-293",
+         "underflows"),
+    ])
+    def test_out_of_range_power_is_domain_error(self, capsys, argv, params,
+                                                flow):
+        # these used to end in an OverflowError or ZeroDivisionError traceback
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert "domain error" in err
+        assert params in err and f"{flow} a double" in err
+
     @pytest.mark.parametrize("argv,flag", [
         (["classify", "--lambda", "nan"], "--lambda"),
         (["classify", "--lambda", "inf"], "--lambda"),

@@ -1,5 +1,6 @@
 """Quadrature and integrator kernels checked against scipy and closed forms."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from homoeuler import _kernels as K
+from homoeuler.core import FlowParams
+from homoeuler.orbits import find_intercepts
 
 
 def raw_halfspan(lam, P, B, lo, hi):
@@ -224,6 +227,180 @@ class TestScalarKernelOracle:
             for a, b in zip(edges[:-1], edges[1:]):
                 got = K._gk_panel(1, *args, float(a), float(b))
                 assert hexes(got) == hexes(loop_gk_panel(1, *args, a, b))
+
+
+def linear_adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
+    """Test-only copy of adaptive_gk with the linear worst-panel scan and the
+    in-order total summed after every bisection."""
+    aa = np.empty(max_panels)
+    bb = np.empty(max_panels)
+    vv = np.empty(max_panels)
+    ee = np.empty(max_panels)
+    v, e = K._gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b)
+    aa[0] = a
+    bb[0] = b
+    vv[0] = v
+    ee[0] = e
+    n = 1
+    total_e = e
+    while total_e > tol and n < max_panels:
+        iw = 0
+        for i in range(1, n):
+            if ee[i] > ee[iw]:
+                iw = i
+        am = aa[iw]
+        bm = bb[iw]
+        mid = 0.5 * (am + bm)
+        if mid <= am or mid >= bm:
+            break
+        v1, e1 = K._gk_panel(kind, p0, p1, p2, p3, p4, p5, am, mid)
+        v2, e2 = K._gk_panel(kind, p0, p1, p2, p3, p4, p5, mid, bm)
+        aa[iw] = am
+        bb[iw] = mid
+        vv[iw] = v1
+        ee[iw] = e1
+        aa[n] = mid
+        bb[n] = bm
+        vv[n] = v2
+        ee[n] = e2
+        n += 1
+        total_e = 0.0
+        for i in range(n):
+            total_e += ee[i]
+    total_v = 0.0
+    for i in range(n):
+        total_v += vv[i]
+    status = 0 if total_e <= tol else 1
+    return total_v, total_e, status
+
+
+def gk_outcome(fn, *args):
+    v, e, status = fn(*args)
+    return float(v).hex(), float(e).hex(), status
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's inf/nan
+class TestPanelSelectionOracle:
+    """adaptive_gk's heap and running total against the linear scan above,
+    by float.hex of value and estimate, and the status."""
+
+    @staticmethod
+    def sweep(rng):
+        # yields (args, whether to run the 1024-panel budget): elliptic
+        # periods in period_elliptic's centre-normalised coordinates from
+        # P/P_max = 0.3 to 1 - 1e-6, and hyperbolic arches with C of both signs
+        for lam in (1.5, 3.0, 5.0, 13.0):
+            ac = lam ** 3 / (lam - 1.0)
+            for frac in (0.3, 1.0 - 1e-4, 1.0 - 1e-6):
+                P = 0.5 * lam * lam / (lam - 1.0) * frac
+                ic = find_intercepts(FlowParams(lam, P, ac))
+                yield (0, lam * lam, ac, 2.0 - 2.0 / lam, -2.0 * P,
+                       ic.x0, ic.x1, -np.pi / 2, np.pi / 2), lam > 4.0 and frac > 0.99999
+        for lam, cc in ((0.7, 1.3), (1.5, -0.8), (2.0, 2.5), (5.0, 4.0)):
+            cc *= rng.uniform(0.9, 1.1)
+            yield (1, lam * lam, cc, 2.0 - 2.0 / lam, 0.0, 0.0, 0.0,
+                   0.0, np.pi / 2), lam in (0.7, 5.0)
+
+    def test_seeded_sweep_with_budget_hits(self):
+        rng = np.random.default_rng(17)
+        hits = {}
+        for args, full in self.sweep(rng):
+            runs = [(max_panels, tol)
+                    for max_panels in (1, 2, 3, int(rng.integers(4, 200)))
+                    for tol in (1e-12, 10.0 ** rng.uniform(-15.0, -6.0))]
+            if full:
+                # the whole budget: 2047 panels (the oracle's O(n^2) scan
+                # makes this the slow part, so only some rows run it)
+                runs.append((1024, 0.0))
+            for max_panels, tol in runs:
+                want = gk_outcome(linear_adaptive_gk, *args, tol, max_panels)
+                got = gk_outcome(K.adaptive_gk, *args, tol, max_panels)
+                assert got == want, (args, tol, max_panels)
+                if want[2] == 1:
+                    hits[args[0], max_panels] = True
+        for kind in (0, 1):
+            for max_panels in (1, 2, 3, 1024):
+                assert hits.get((kind, max_panels)), (kind, max_panels)
+
+    @staticmethod
+    def synthetic(monkeypatch, panel):
+        monkeypatch.setattr(K, "_gk_panel", panel)
+
+    @pytest.mark.skipif(K.JIT_ENABLED,
+                        reason="compiled callers do not see the rebinding")
+    def test_equal_estimates_go_to_the_lower_index(self, monkeypatch):
+        # the estimate depends on the panel width only, so every level of
+        # the bisection is a tie; the linear scan takes the first of them
+        def panel(kind, p0, p1, p2, p3, p4, p5, a, b):
+            return (b - a) * math.cos(a), 2.0 ** round(1.5 * math.log2(b - a))
+        self.synthetic(monkeypatch, panel)
+        for tol in (0.0, 1e-3, 0.3):
+            for max_panels in (2, 3, 50, 1024):
+                args = (0, 0, 0, 0, 0, 0, 0, 0.0, 1.0, tol, max_panels)
+                assert (gk_outcome(K.adaptive_gk, *args)
+                        == gk_outcome(linear_adaptive_gk, *args))
+
+    @pytest.mark.skipif(K.JIT_ENABLED,
+                        reason="compiled callers do not see the rebinding")
+    @pytest.mark.parametrize("bad", ["nan", "inf", "inf until narrow"])
+    def test_nan_and_inf_estimates(self, monkeypatch, bad):
+        # a nan estimate stops the loop at once (nan > tol is false); an inf
+        # one keeps it going, for good or until its panel is bisected away
+        def panel(kind, p0, p1, p2, p3, p4, p5, a, b):
+            e = (b - a) ** 3 * (1.0 + abs(math.sin(40.0 * a)))
+            if a <= 0.3141 < b:
+                if bad == "nan" and b - a < 0.01:
+                    e = math.nan
+                elif bad == "inf" or b - a > 0.01:
+                    e = math.inf
+            return (b - a) * math.cos(a), e
+        self.synthetic(monkeypatch, panel)
+        for tol in (1e-9, 1e-5, math.inf):
+            for max_panels in (1, 3, 1024):
+                args = (0, 0, 0, 0, 0, 0, 0, 0.0, 1.0, tol, max_panels)
+                assert (gk_outcome(K.adaptive_gk, *args)
+                        == gk_outcome(linear_adaptive_gk, *args))
+
+    @pytest.mark.skipif(K.JIT_ENABLED,
+                        reason="compiled callers do not see the rebinding")
+    def test_stopping_test_at_the_rounding_level(self, monkeypatch):
+        # estimates of wildly different sizes make the running total drift
+        # from the in-order sum; with tol set to the in-order sum after k
+        # bisections (or one ulp either side) only that sum decides when the
+        # loop stops
+        def panel(kind, p0, p1, p2, p3, p4, p5, a, b):
+            w = b - a
+            return w, w ** 3 * 10.0 ** (8.0 * math.sin(1e3 * a + 1.0) ** 2)
+        self.synthetic(monkeypatch, panel)
+        args = (0, 0, 0, 0, 0, 0, 0, 0.0, 1.0)
+        for k in range(1, 120):
+            # the in-order sum after k bisections, as the budget leaves it
+            s_k = linear_adaptive_gk(*args, 0.0, k + 1)[1]
+            for tol in (s_k, math.nextafter(s_k, 0.0),
+                        math.nextafter(s_k, math.inf)):
+                assert (gk_outcome(K.adaptive_gk, *args, tol, 1024)
+                        == gk_outcome(linear_adaptive_gk, *args, tol, 1024))
+
+    @pytest.mark.skipif(K.JIT_ENABLED,
+                        reason="compiled callers do not see the rebinding")
+    def test_unrefined_estimate_keeps_its_sign(self, monkeypatch):
+        # with no bisection the first panel's estimate is returned as is,
+        # -0.0 included (0.0 + -0.0 would be +0.0)
+        self.synthetic(monkeypatch, lambda *args: (1.0, -0.0))
+        args = (0, 0, 0, 0, 0, 0, 0, 1.0, 0.0, 1e-10, 16)
+        assert gk_outcome(K.adaptive_gk, *args) == ("0x1.0000000000000p+0",
+                                                   "-0x0.0p+0", 0)
+        assert gk_outcome(linear_adaptive_gk, *args) == gk_outcome(
+            K.adaptive_gk, *args)
+
+    def test_inf_integrand(self):
+        # lam = 0.01, B = 0 (span_quadrature(0.01, -1, 0)): C q_alpha is
+        # 0 * (-inf), so the integrand is inf at the nodes near phi = 0
+        args = (1, 1e-4, 0.0, -198.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2)
+        for max_panels in (1, 2, 1024):
+            want = gk_outcome(linear_adaptive_gk, *args, 1e-10, max_panels)
+            assert want[1] in ("inf", "nan")
+            assert gk_outcome(K.adaptive_gk, *args, 1e-10, max_panels) == want
 
 
 class TestQAlpha:

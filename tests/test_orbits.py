@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from homoeuler import (
     DomainError,
     FlowParams,
+    NoBracket,
     PhaseState,
     SingularEndpoint,
     SteadyStateError,
     steady_state,
 )
+from homoeuler import orbits
 from homoeuler.orbits import (
     FixedTime,
     InterceptKind,
@@ -103,6 +105,121 @@ class TestFindIntercepts:
         assert ic.kind is InterceptKind.HyperbolicSingle
         scale = max(lam * lam * ic.x0 ** 2, 2 * abs(P), 1.0)
         assert abs(radicand_residual(p, ic.x0)) <= 1e-12 * scale
+
+
+# Test-only copies of the step-by-step turning-point scans: one radicand
+# evaluation per grid point.  The galloping scans must give the same bracket
+# bit for bit, and the same exception where these raise.
+def step_march_up(R, start):
+    a, fa = start, R(start)
+    for _ in range(orbits._SCAN_MAX_STEPS):
+        b = a * orbits._SCAN_FACTOR
+        fb = R(b)
+        if fb <= 0.0:
+            return a, b, fa, fb
+        a, fa = b, fb
+    raise NoBracket(f"no sign change found scanning up from {start!r}")
+
+
+def step_march_down(R, start):
+    b, fb = start, R(start)
+    for _ in range(orbits._SCAN_MAX_STEPS):
+        a = b / orbits._SCAN_FACTOR
+        fa = R(a)
+        if fa <= 0.0:
+            return a, b, fa, fb
+        b, fb = a, fa
+    raise NoBracket(f"no sign change found scanning down from {start!r}")
+
+
+def outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the type and text must match too
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return tuple(float(v).hex() for v in out)
+    return out.kind, float(out.x0).hex(), out.x1 and float(out.x1).hex()
+
+
+class TestGallopingScanOracle:
+    @staticmethod
+    def params():
+        rng = np.random.default_rng(23)
+        for lam in (1.2, 1.5, 2.0, 3.0, 5.0, 13.0, 30.0):
+            for B in (1.0, float(10.0 ** rng.uniform(-3.0, 3.0))):
+                # alpha B > 0: elliptic pairs (up-scan from the centre and
+                # down-scan to the inner root) from mid-range to next to the
+                # centre, and hyperbolic arches
+                p_max = steady_state(lam, B).P_max
+                for frac in (0.5, 1e-8, 1.0 - 1e-6, 1.0 - 1e-12, -1.0, -1e6):
+                    yield FlowParams(lam, frac * p_max, B)
+            # alpha B < 0: the up-scan from 8 decades below the root
+            yield FlowParams(lam, -float(10.0 ** rng.uniform(-6.0, 6.0)),
+                             -float(10.0 ** rng.uniform(-3.0, 3.0)))
+        for lam, P, B in ((0.7, 1.0, -1.0), (0.7, -1.0, 2.0), (1.0, -1.0, 0.5),
+                          (0.4, -3.0, -0.2), (3.0, -2.0, 0.0)):
+            yield FlowParams(lam, P, B)
+        # no sign change within the scan's 300 decades, and a scan whose
+        # radicand is nan (-inf + inf) at every grid point
+        yield FlowParams(1.2, 1.1528751225399146e-168, 1.0)
+        yield FlowParams(1.5, 1.7735943027886556, 8.942593947789929e+262)
+
+    def test_scans_match_step_by_step(self, monkeypatch):
+        scans = []
+        marches = {"up": orbits._march_up, "down": orbits._march_down}
+        for way, march in marches.items():
+            def record(R, start, way=way, march=march):
+                scans.append((way, R, start))
+                return march(R, start)
+            monkeypatch.setattr(orbits, f"_march_{way}", record)
+        for p in self.params():
+            outcome(find_intercepts, p)
+        steps = {"up": step_march_up, "down": step_march_down}
+        kinds = set()
+        for way, R, start in scans:
+            want = outcome(steps[way], R, start)
+            assert outcome(marches[way], R, start) == want, (way, start)
+            kinds.add((way, want[0] == "NoBracket"))
+        assert kinds == {("up", False), ("down", False), ("up", True),
+                         ("down", True)}
+
+    def test_intercepts_match_step_by_step(self, monkeypatch):
+        got = [outcome(find_intercepts, p) for p in self.params()]
+        monkeypatch.setattr(orbits, "_march_up", step_march_up)
+        monkeypatch.setattr(orbits, "_march_down", step_march_down)
+        assert got == [outcome(find_intercepts, p) for p in self.params()]
+
+    @pytest.mark.parametrize("way", ["up", "down"])
+    def test_synthetic_radicands(self, way):
+        march = {"up": orbits._march_up, "down": orbits._march_down}[way]
+        step = {"up": step_march_up, "down": step_march_down}[way]
+        # 20 and 40 decades from the start, in the direction of the scan
+        near, far = (1e20, 1e40) if way == "up" else (1e-20, 1e-40)
+
+        def past(x, edge):
+            return x > edge if way == "up" else x < edge
+
+        def overflow(x):
+            # positive until a power of a large (up) or tiny (down) x
+            # overflows
+            return 1.0 + 0.0 * (x ** 8.0 if way == "up" else x ** -8.0)
+
+        def nan_gap(x):
+            # nan over 20 decades of the grid, then negative: the step scan
+            # goes on through the nan
+            if not past(x, near):
+                return 1.0
+            return -1.0 if past(x, far) else math.nan
+
+        for R, expect in ((lambda x: 1.0, "NoBracket"),
+                          (overflow, "OverflowError"),
+                          (nan_gap, (-1.0).hex()),
+                          (lambda x: -1.0 if past(x, far) else 1.0,
+                           (-1.0).hex())):
+            want = outcome(step, R, 1.0)
+            assert expect in want
+            assert outcome(march, R, 1.0) == want
 
 
 class TestIntegrateOrbit:

@@ -12,6 +12,7 @@ from homoeuler import (
     InconsistentParams,
     NoSolution,
     PhaseState,
+    QuadratureFailure,
     SteadyStateError,
     conjugate,
     steady_state,
@@ -207,6 +208,24 @@ class TestConjugacyIdentity:
         T_direct = span_quadrature(p.lam, p.P, p.B).T
         T_routed = span_quadrature(q.lam, q.P, q.B).T
         assert T_direct == pytest.approx(q.lam * T_routed, abs=1e-7)
+
+
+class TestSpanQuadratureRefusals:
+    """Direct quadratures whose result is not a span raise, naming lam and
+    the bad value, where they used to return it."""
+
+    def test_nan_estimate(self):
+        # lam = 0.01, B = 0: the integrand is inf near phi = 0
+        with pytest.raises(QuadratureFailure,
+                           match=r"lam=0\.01 gave T=inf with error estimate nan"):
+            span_quadrature(0.01, -1.0, 0.0)
+
+    def test_coinciding_turning_points(self):
+        # lam = 30 next to the centre: find_intercepts returns x0 == x1
+        P = (1.0 - 1e-6) * steady_state(30.0, 1.0).P_max
+        with pytest.raises(QuadratureFailure,
+                           match=r"lam=30\.0 gave T=0\.0 with error estimate"):
+            span_quadrature(30.0, P, 1.0)
 
 
 class TestDualOracle:

@@ -78,3 +78,10 @@ def test_kernel_counters_see_every_call(monkeypatch):
     span_quadrature(3.0, -1.0, 1.0)
     # adaptive_gk evaluates one panel, then two per bisection
     assert counts["_gk_panel"] > 1 and counts["_gk_panel"] % 2 == 1
+    # a call that runs out of panels bisects max_panels - 1 times
+    counts["_gk_panel"] = 0
+    max_panels = 16
+    _v, _e, status = _kernels.adaptive_gk(1, 9.0, 1.0, 4.0 / 3.0, 0.0, 0.0,
+                                          0.0, 0.0, 1.5, 0.0, max_panels)
+    assert status == 1
+    assert counts["_gk_panel"] == 2 * max_panels - 1
