@@ -221,51 +221,38 @@ def _sum(xs):
 _sum = _jit(_sum)
 
 
-def _sift_down(heap, ee):
-    """Move heap[0] down the panel heap: larger error first, ties to the
-    lower panel index."""
+def _first(i, j, ee):
+    """Whether panel i is bisected before panel j: the larger error estimate
+    first, the lower index on ties."""
+    return ee[i] > ee[j] or (ee[i] == ee[j] and i < j)
+
+
+_first = _jit(_first)
+
+
+def _sift(heap, ee, pos):
+    """Move heap[pos] up or down to its place in the panel heap."""
     n = len(heap)
-    pos = 0
-    i = heap[0]
-    ei = ee[i]
-    c = 1
-    while c < n:
-        ic = heap[c]
-        ec = ee[ic]
-        if c + 1 < n:
-            ir = heap[c + 1]
-            er = ee[ir]
-            if er > ec or (er == ec and ir < ic):
-                c += 1
-                ic = ir
-                ec = er
-        if not (ec > ei or (ec == ei and ic < i)):
-            break
-        heap[pos] = ic
-        pos = c
-        c = 2 * pos + 1
-    heap[pos] = i
-
-
-_sift_down = _jit(_sift_down)
-
-
-def _sift_up(heap, ee, pos):
-    """Move heap[pos] up the panel heap (same order as _sift_down)."""
     i = heap[pos]
-    ei = ee[i]
     while pos > 0:
         up = (pos - 1) // 2
-        iu = heap[up]
-        eu = ee[iu]
-        if not (ei > eu or (ei == eu and i < iu)):
+        if not _first(i, heap[up], ee):
             break
-        heap[pos] = iu
+        heap[pos] = heap[up]
         pos = up
+    c = 2 * pos + 1
+    while c < n:
+        if c + 1 < n and _first(heap[c + 1], heap[c], ee):
+            c += 1
+        if not _first(heap[c], i, ee):
+            break
+        heap[pos] = heap[c]
+        pos = c
+        c = 2 * c + 1
     heap[pos] = i
 
 
-_sift_up = _jit(_sift_up)
+_sift = _jit(_sift)
 
 
 # 2^-52 >= u/(1 - u): one rounding moves a result by at most this fraction
@@ -286,18 +273,19 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
     + e2, and a bound d on its distance from the exact sum grows by 2^-52
     of each rounded update.  S lies within d + n 2^-52 (|t| + d) of t (the
     error of recursive summation of n terms of one sign), so when t is
-    twice that far from tol, t > tol and S > tol agree; otherwise, or when t
-    is not finite, S is summed directly and t restarts from it.  The
-    decisions, and so the panels, are those of a loop that sums S every
-    pass, nan and inf estimates included.
+    farther than 3 d + 2 n 2^-52 |t| (at least twice that) from tol, t > tol
+    and S > tol agree; otherwise S is summed directly and t restarts from
+    it.  A nan or infinite t always takes the second way: the test is false
+    for a nan, and d is infinite with t.  The decisions, and so the panels,
+    are those of a loop that sums S every pass, nan and inf estimates
+    included.
 
     Returns (value, error_estimate, status): the in-order sums of the panel
     values and estimates, status 0 when the estimate met tol and 1 when the
     panel budget ran out first (estimate still honest).
     """
     v, e = _gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b)
-    aa = [a]
-    bb = [b]
+    ab = [(a, b)]
     vv = [v]
     ee = [e]
     heap = [0]
@@ -306,39 +294,38 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
     drift = 0.0
     while n < max_panels:
         # the 1e-300 covers bound terms that underflow
-        gap = 2.0 * (drift + n * _ROUND * (abs(total) + drift)) + 1e-300
-        if not (math.isfinite(total) and abs(total - tol) > gap):
+        gap = 3.0 * drift + 2.0 * n * _ROUND * abs(total) + 1e-300
+        if not abs(total - tol) > gap:
             total = _sum(ee)
             drift = n * _ROUND * abs(total)
         if not total > tol:
             break
         iw = heap[0]
-        am = aa[iw]
-        bm = bb[iw]
+        am, bm = ab[iw]
         mid = 0.5 * (am + bm)
         if mid <= am or mid >= bm:
             break  # panel narrower than machine spacing
         v1, e1 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, am, mid)
         v2, e2 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, mid, bm)
+        # a split panel has am < bm, so the estimates |K - G| hw of its
+        # halves are >= 0 (or nan), and t1 + e1 lies between t1 and the new
+        # total
         t1 = total - ee[iw]
-        t2 = t1 + e1
-        total = t2 + e2
-        drift += _ROUND * (abs(t1) + abs(t2) + abs(total))
-        bb[iw] = mid
+        total = t1 + e1 + e2
+        drift += 2.0 * _ROUND * (abs(t1) + abs(total))
+        ab[iw] = (am, mid)
         vv[iw] = v1
         ee[iw] = e1
-        aa.append(mid)
-        bb.append(bm)
+        ab.append((mid, bm))
         vv.append(v2)
         ee.append(e2)
-        _sift_down(heap, ee)
+        _sift(heap, ee, 0)
         heap.append(n)
-        _sift_up(heap, ee, n)
+        _sift(heap, ee, n)
         n += 1
     # with no bisection the first estimate is returned as is (-0.0 included)
     total_e = _sum(ee) if n > 1 else e
-    status = 0 if total_e <= tol else 1
-    return _sum(vv), total_e, status
+    return _sum(vv), total_e, 0 if total_e <= tol else 1
 
 
 adaptive_gk = _jit(adaptive_gk)

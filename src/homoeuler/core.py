@@ -188,12 +188,13 @@ def rescale_to_unit_B(p: FlowParams) -> tuple[FlowParams, float]:
     try:
         b_lam = math.pow(a, p.lam)
     except OverflowError:
-        b_lam = math.inf
-    if b_lam == 0.0 or b_lam == math.inf:
-        flow = "underflows" if b_lam == 0.0 else "overflows"
         raise DomainError(
             f"unit-B rescaling of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
-            f" |B|**lam {flow} a double")
+            " |B|**lam overflows a double") from None
+    if b_lam == 0.0:
+        raise DomainError(
+            f"unit-B rescaling of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
+            " |B|**lam underflows a double")
     return (
         FlowParams(p.lam, p.P / b_lam, math.copysign(1.0, p.B)),
         math.pow(a, 0.5 * p.lam),

@@ -119,56 +119,55 @@ def _probe(R, x: float):
 
 
 def _scan(R, start: float, up: bool):
-    """First grid point g_k, 1 <= k <= _SCAN_MAX_STEPS, with R(g_k) <= 0.
+    """First grid point g_k, 1 <= k <= _SCAN_MAX_STEPS, where R raises or
+    R(g_k) <= 0.
 
     g_0 = start and g_k = g_{k-1} * _SCAN_FACTOR (up) or g_{k-1} /
     _SCAN_FACTOR (down), so every g_k is the point a step-by-step scan
-    reaches.  R is evaluated at g_1, g_2, g_4, ... until it is not positive
-    there, then the index is bisected.  That finds the step-by-step scan's
-    bracket as long as R stays positive up to its first non-positive grid
-    value, which holds for the strictly monotone radicand of every scan
-    find_intercepts starts.  A probe that raises or gives nan also ends the
-    gallop; if the bisection ends on one, the raise is repeated, and after a
-    nan the scan goes on step by step, as the step-by-step scan does.
+    reaches.  From the last point known not to stop the scan, R is evaluated
+    1, 2, 4, ... grid steps on until it raises, is nan or is not positive,
+    then the index is bisected.  That finds the step-by-step scan's bracket
+    as long as R stays positive up to there, which holds for the strictly
+    monotone radicand of every scan find_intercepts starts.  A raise at the
+    point found is repeated.  A nan there does not stop the step-by-step
+    scan, so the gallop starts again from it: in floating point the radicand
+    turns nan (inf - inf) where both of its powers overflow, which can come
+    after its sign change or before a power raises.
 
     Returns (g_{k-1}, g_k, R(g_{k-1}), R(g_k)), or None without a sign
     change.
     """
     grid = [start]
-    f_lo = R(start)
-    lo = 0
-    hi = 1
+    lo, f_lo = 0, R(start)
     while True:
-        g = grid[-1]
-        for _ in range(hi + 1 - len(grid)):
-            g = g * _SCAN_FACTOR if up else g / _SCAN_FACTOR
-            grid.append(g)
-        f_hi = _probe(R, g)
-        if f_hi is None or not f_hi > 0.0:
-            break
+        stride = 1
+        while True:
+            hi = min(lo + stride, _SCAN_MAX_STEPS)
+            g = grid[-1]
+            for _ in range(hi + 1 - len(grid)):
+                g = g * _SCAN_FACTOR if up else g / _SCAN_FACTOR
+                grid.append(g)
+            f_hi = _probe(R, g)
+            if f_hi is None or not f_hi > 0.0:
+                break
+            if hi == _SCAN_MAX_STEPS:
+                return None
+            lo, f_lo = hi, f_hi
+            stride *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            f = _probe(R, grid[mid])
+            if f is None or not f > 0.0:
+                hi, f_hi = mid, f
+            else:
+                lo, f_lo = mid, f
+        if f_hi is None:
+            f_hi = R(grid[hi])  # raises as the step-by-step scan does
+        if f_hi <= 0.0:
+            return grid[lo], grid[hi], f_lo, f_hi
         if hi == _SCAN_MAX_STEPS:
             return None
         lo, f_lo = hi, f_hi
-        hi = min(2 * hi, _SCAN_MAX_STEPS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        f = _probe(R, grid[mid])
-        if f is None or not f > 0.0:
-            hi, f_hi = mid, f
-        else:
-            lo, f_lo = mid, f
-    if f_hi is None:
-        f_hi = R(grid[hi])  # raises as the step-by-step scan does
-    if f_hi <= 0.0:
-        return grid[lo], grid[hi], f_lo, f_hi
-    a, fa = grid[hi], f_hi
-    for _ in range(hi, _SCAN_MAX_STEPS):
-        b = a * _SCAN_FACTOR if up else a / _SCAN_FACTOR
-        fb = R(b)
-        if fb <= 0.0:
-            return a, b, fa, fb
-        a, fa = b, fb
-    return None
 
 
 def _march_up(R, start: float):

@@ -164,6 +164,11 @@ class TestGallopingScanOracle:
         # radicand is nan (-inf + inf) at every grid point
         yield FlowParams(1.2, 1.1528751225399146e-168, 1.0)
         yield FlowParams(1.5, 1.7735943027886556, 8.942593947789929e+262)
+        # radicands that turn nan (inf - inf) past their sign change, and
+        # before a power overflows
+        yield FlowParams(1.8330589507873012, -3.3574442582157416e+306,
+                         2.1131570852463014e+168)
+        yield FlowParams(2.62181196233299, 1.0, 9.61855365421427e+141)
 
     def test_scans_match_step_by_step(self, monkeypatch):
         scans = []
@@ -212,9 +217,26 @@ class TestGallopingScanOracle:
                 return 1.0
             return -1.0 if past(x, far) else math.nan
 
+        def sign_then_nan(x):
+            # negative for a grid point or two past 20 decades, then nan
+            if not past(x, near):
+                return 1.0
+            return -1.0 if not past(x, near ** 1.001) else math.nan
+
+        def nan_then_raise(x):
+            # nan from 20 decades on, a power overflows from 40 decades on,
+            # and nan again from 60 decades, as at an infinite grid point
+            if past(x, far ** 1.5):
+                return math.nan
+            if past(x, far):
+                raise OverflowError("power out of range")
+            return 1.0 if not past(x, near) else math.nan
+
         for R, expect in ((lambda x: 1.0, "NoBracket"),
                           (overflow, "OverflowError"),
                           (nan_gap, (-1.0).hex()),
+                          (sign_then_nan, (-1.0).hex()),
+                          (nan_then_raise, "OverflowError"),
                           (lambda x: -1.0 if past(x, far) else 1.0,
                            (-1.0).hex())):
             want = outcome(step, R, 1.0)
