@@ -1,19 +1,15 @@
-"""Timing comparison of the compiled kernels against the pure-Python path.
+"""Kernel-level timings: quadrature, turning points, orbits and arcs.
 
-Run directly for the current interpreter's mode, or with --compare to spawn
-one subprocess per mode (HOMOEULER_DISABLE_JIT unset / set to 1) and print a
-side-by-side table.  First-call compilation is excluded by a warmup pass, so
-the numbers reflect steady-state kernel speed.
+Each workload runs once as a warmup, then --reps times; the best time is
+printed, in seconds.
 
-    python3 benchmarks/bench_kernels.py --compare
+    python3 benchmarks/bench_kernels.py --reps 5
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import subprocess
 import sys
 import time
 
@@ -96,7 +92,7 @@ def _workloads():
 
 
 def _best_of(fn, reps: int) -> float:
-    fn()  # warmup: triggers compilation in the jitted mode
+    fn()  # warmup pass, not timed
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -105,61 +101,13 @@ def _best_of(fn, reps: int) -> float:
     return best
 
 
-def run_current(reps: int) -> dict:
-    from homoeuler._kernels import JIT_ENABLED
-
-    results = {name: _best_of(fn, reps) for name, fn in _workloads()}
-    return {"jit": JIT_ENABLED, "results": results}
-
-
-def run_compare(reps: int) -> int:
-    rows = {}
-    modes = {}
-    for label, disable in (("jit", ""), ("python", "1")):
-        env = dict(os.environ)
-        if disable:
-            env["HOMOEULER_DISABLE_JIT"] = disable
-        else:
-            env.pop("HOMOEULER_DISABLE_JIT", None)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__),
-             "--reps", str(reps), "--json"],
-            env=env, capture_output=True, text=True, check=True)
-        data = json.loads(proc.stdout)
-        modes[label] = data["jit"]
-        for name, secs in data["results"].items():
-            rows.setdefault(name, {})[label] = secs
-    if modes["jit"] == modes["python"]:
-        print("warning: both subprocesses ran the same mode "
-              "(is numba installed?)", file=sys.stderr)
-    print(f"{'workload':<24} {'jit (s)':>12} {'python (s)':>12} {'speedup':>9}")
-    for name, r in rows.items():
-        ratio = r["python"] / r["jit"] if r["jit"] > 0.0 else float("inf")
-        print(f"{name:<24} {r['jit']:>12.6f} {r['python']:>12.6f} "
-              f"{ratio:>8.1f}x")
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=5,
                     help="timed repetitions per workload (best is kept)")
-    ap.add_argument("--json", action="store_true",
-                    help="machine-readable output for the current mode only")
-    ap.add_argument("--compare", action="store_true",
-                    help="run both modes in subprocesses and tabulate")
     args = ap.parse_args(argv)
-    if args.compare:
-        return run_compare(args.reps)
-    data = run_current(args.reps)
-    if args.json:
-        json.dump(data, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        mode = "numba jit" if data["jit"] else "pure python"
-        print(f"mode: {mode}")
-        for name, secs in data["results"].items():
-            print(f"{name:<24} {secs:.6f} s")
+    for name, fn in _workloads():
+        print(f"{name:<24} {_best_of(fn, args.reps):.6f} s")
     return 0
 
 

@@ -1,24 +1,28 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature and an embedded RK45.
 
-These are the hot loops.  When numba is importable and the environment
-variable HOMOEULER_DISABLE_JIT is not set, every kernel is compiled with
-@njit(cache=True); otherwise the identical pure-Python definitions run as-is.
-They are scalar code on Python floats (math.*, tuple rule constants, an
-unrolled Dormand-Prince step), since NumPy scalar indexing and ufuncs on
-single floats cost several times the arithmetic.  Every result is
-bit-identical to the array-and-loop form, except that a _dp_step trial stage
-whose x**beta overflows raises OverflowError instead of going on with inf.
+These are the hot loops, written as scalar code on Python floats (math.*,
+tuple rule constants, an unrolled Dormand-Prince step), since NumPy scalar
+indexing and ufuncs on single floats cost several times the arithmetic.
+Every result is bit-identical to the array-and-loop form kept as an oracle
+in tests/test_kernels.py, except that a _dp_step trial stage whose x**beta
+overflows raises OverflowError instead of going on with inf.  The callers
+here look _gk_panel, _dp_step and _dp_substeps up as module globals, so a
+rebinding (the perfbench tracer counts calls that way) sees every call.
 Nothing here may call scipy.
 
-Quadrature integrand kinds
---------------------------
-The span integrals are regularized by trigonometric substitutions so that the
-integrands below are smooth on the open interval:
+Quadrature integrands
+---------------------
+The quadrature takes the integrand as a callable f(phi); callers bind the
+other parameters with functools.partial.  The span integrals are regularized
+by trigonometric substitutions so that the integrands are smooth on the open
+interval:
 
-* kind 0 (elliptic): T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(m + rho sin phi))
+* _integrand_ell(a2, ac, alpha, c, x0, x1, phi):
+  T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(m + rho sin phi))
   where R(x) = c - a2 x^2 + ac x^alpha has simple roots x0 < x1,
   m = (x0+x1)/2, rho = (x1-x0)/2, and g = R/((x-x0)(x1-x)) > 0.
-* kind 1 (hyperbolic): T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
+* _integrand_hyp(lam2, C, alpha, phi):
+  T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
   xi = sin phi, D(xi) = lam2 (1+xi) - C q_alpha(xi),
   q_alpha(xi) = (1-xi^alpha)/(1-xi), C = B x0^(alpha-2).
 
@@ -30,31 +34,13 @@ safeguarded by the sign bracket [0, h] (Henon 1982).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env-flag fallback
-    _HAVE_NUMBA = False
-
-
-def _jit_disabled_by_env() -> bool:
-    v = os.environ.get("HOMOEULER_DISABLE_JIT", "").strip().lower()
-    return v in ("1", "true", "yes", "on")
-
-
-JIT_ENABLED = _HAVE_NUMBA and not _jit_disabled_by_env()
-
-if JIT_ENABLED:
-    def _jit(func):
-        return _njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
+# Always False: the kernels run as plain Python.  Kept only because the
+# benchmark harness reads it (perfbench/run.py records it as provenance, and
+# perfbench/tracer.py sets kernels_counted from it).
+JIT_ENABLED = False
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half), as
@@ -102,16 +88,13 @@ def _q_alpha(u: float, alpha: float) -> float:
             return -math.inf
         try:
             p = xi ** alpha
-        except Exception:  # numba matches no narrower class
-            # overflow: a Python float raises, NumPy and numba give inf
+        except OverflowError:
+            # 0 < xi <= 1/2 and alpha << 0; NumPy would give inf
             p = math.inf
         return (1.0 - p) / u
     if u <= 0.0:
         return alpha
     return -math.expm1(alpha * math.log1p(-u)) / u
-
-
-_q_alpha = _jit(_q_alpha)
 
 
 def _radicand(x: float, a2: float, ac: float, alpha: float, c: float) -> float:
@@ -127,10 +110,7 @@ def _radicand(x: float, a2: float, ac: float, alpha: float, c: float) -> float:
     return -math.inf if ac < 0.0 else math.inf
 
 
-_radicand = _jit(_radicand)
-
-
-def _integrand_ell(phi, a2, ac, alpha, c, x0, x1):
+def _integrand_ell(a2, ac, alpha, c, x0, x1, phi):
     rho = 0.5 * (x1 - x0)
     z = 0.5 * (0.5 * math.pi - phi)
     sz = math.sin(z)
@@ -164,10 +144,7 @@ def _integrand_ell(phi, a2, ac, alpha, c, x0, x1):
     return 1.0 / math.sqrt(g)
 
 
-_integrand_ell = _jit(_integrand_ell)
-
-
-def _integrand_hyp(phi, lam2, cc, alpha):
+def _integrand_hyp(lam2, cc, alpha, phi):
     z = 0.5 * (0.5 * math.pi - phi)
     sz = math.sin(z)
     u = 2.0 * sz * sz              # 1 - sin(phi), exact near phi = pi/2
@@ -178,56 +155,38 @@ def _integrand_hyp(phi, lam2, cc, alpha):
     return math.sqrt(2.0 - u) / math.sqrt(d)
 
 
-_integrand_hyp = _jit(_integrand_hyp)
-
-
-def _f_eval(kind, phi, p0, p1, p2, p3, p4, p5):
-    if kind == 0:
-        return _integrand_ell(phi, p0, p1, p2, p3, p4, p5)
-    return _integrand_hyp(phi, p0, p1, p2)
-
-
-_f_eval = _jit(_f_eval)
-
-
-def _gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b):
-    """One G7/K15 panel on [a, b]: returns (kronrod, |kronrod - gauss|)."""
+def _gk_panel(f, a, b):
+    """One G7/K15 panel of f on [a, b]: returns (kronrod, |kronrod - gauss|)."""
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    fc = _f_eval(kind, c, p0, p1, p2, p3, p4, p5)
+    fc = f(c)
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     for j in range(7):
         dx = hw * _XGK[j]
-        f1 = _f_eval(kind, c - dx, p0, p1, p2, p3, p4, p5)
-        f2 = _f_eval(kind, c + dx, p0, p1, p2, p3, p4, p5)
+        f1 = f(c - dx)
+        f2 = f(c + dx)
         resk += _WGK[j] * (f1 + f2)
         if j % 2 == 1:
             resg += _WG[(j - 1) // 2] * (f1 + f2)
     return resk * hw, abs(resk - resg) * hw
 
 
-_gk_panel = _jit(_gk_panel)
-
-
 def _sum(xs):
-    """0.0 + xs[0] + xs[1] + ..., in order."""
+    """0.0 + xs[0] + xs[1] + ..., in order.
+
+    Not the builtin sum, which sums floats with compensated summation from
+    Python 3.12 on and so would change the last bits."""
     total = 0.0
     for x in xs:
         total += x
     return total
 
 
-_sum = _jit(_sum)
-
-
 def _first(i, j, ee):
     """Whether panel i is bisected before panel j: the larger error estimate
     first, the lower index on ties."""
     return ee[i] > ee[j] or (ee[i] == ee[j] and i < j)
-
-
-_first = _jit(_first)
 
 
 def _sift(heap, ee, pos):
@@ -252,16 +211,14 @@ def _sift(heap, ee, pos):
     heap[pos] = i
 
 
-_sift = _jit(_sift)
-
-
 # 2^-52 >= u/(1 - u): one rounding moves a result by at most this fraction
 # of the rounded value (u = 2^-53, round to nearest)
 _ROUND = 2.0 ** -52
 
 
-def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
-    """Globally adaptive Gauss-Kronrod on [a, b], worst-panel-first bisection.
+def adaptive_gk(f, a, b, tol, max_panels):
+    """Globally adaptive Gauss-Kronrod of f on [a, b], worst-panel-first
+    bisection.
 
     Each pass bisects the panel with the largest error estimate, the lowest
     index among equal ones; a binary heap of panel indices yields it in
@@ -284,7 +241,7 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
     values and estimates, status 0 when the estimate met tol and 1 when the
     panel budget ran out first (estimate still honest).
     """
-    v, e = _gk_panel(kind, p0, p1, p2, p3, p4, p5, a, b)
+    v, e = _gk_panel(f, a, b)
     ab = [(a, b)]
     vv = [v]
     ee = [e]
@@ -305,8 +262,8 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
         mid = 0.5 * (am + bm)
         if mid <= am or mid >= bm:
             break  # panel narrower than machine spacing
-        v1, e1 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, am, mid)
-        v2, e2 = _gk_panel(kind, p0, p1, p2, p3, p4, p5, mid, bm)
+        v1, e1 = _gk_panel(f, am, mid)
+        v2, e2 = _gk_panel(f, mid, bm)
         # a split panel has am < bm, so the estimates |K - G| hw of its
         # halves are >= 0 (or nan), and t1 + e1 lies between t1 and the new
         # total
@@ -328,11 +285,8 @@ def adaptive_gk(kind, p0, p1, p2, p3, p4, p5, a, b, tol, max_panels):
     return _sum(vv), total_e, 0 if total_e <= tol else 1
 
 
-adaptive_gk = _jit(adaptive_gk)
-
-
-def cumulative_theta(kind, p0, p1, p2, p3, p4, p5, phis, tol, max_panels):
-    """theta(phis[k]) = int_{phis[0]}^{phis[k]} integrand dphi, panel by panel.
+def cumulative_theta(f, phis, tol, max_panels):
+    """theta(phis[k]) = int_{phis[0]}^{phis[k]} f(phi) dphi, panel by panel.
 
     phis must be increasing; each inter-node panel is refined adaptively.
     Returns (thetas, worst_status).
@@ -343,16 +297,12 @@ def cumulative_theta(kind, p0, p1, p2, p3, p4, p5, phis, tol, max_panels):
     acc = 0.0
     worst = 0
     for k in range(1, n):
-        v, _e, st = adaptive_gk(kind, p0, p1, p2, p3, p4, p5,
-                                phis[k - 1], phis[k], tol, max_panels)
+        v, _e, st = adaptive_gk(f, phis[k - 1], phis[k], tol, max_panels)
         acc += v
         out[k] = acc
         if st > worst:
             worst = st
     return out, worst
-
-
-cumulative_theta = _jit(cumulative_theta)
 
 
 # Dormand-Prince 5(4) coefficients.
@@ -392,9 +342,6 @@ def _phase_rhs(x, y, lam, B):
     else:
         pw = 0.0
     return y, -lam * lam * x + (lam - 1.0) / lam * B * pw
-
-
-_phase_rhs = _jit(_phase_rhs)
 
 
 def _dp_step(x, y, h, lam, B):
@@ -438,9 +385,6 @@ def _dp_step(x, y, h, lam, B):
     return x5, y5, h * ex, h * ey
 
 
-_dp_step = _jit(_dp_step)
-
-
 def _dp_substeps(x, y, h, lam, B):
     """Advance by h in 32 equal substeps.
 
@@ -452,9 +396,6 @@ def _dp_substeps(x, y, h, lam, B):
     for _ in range(32):
         x, y, _ex, _ey = _dp_step(x, y, h / 32.0, lam, B)
     return x, y
-
-
-_dp_substeps = _jit(_dp_substeps)
 
 
 def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
@@ -572,6 +513,3 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
     if stop_kind == 0:
         return 0, n, nev, t, x, y
     return 5, n, nev, t, x, y
-
-
-rk45_orbit = _jit(rk45_orbit)

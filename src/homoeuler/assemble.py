@@ -12,6 +12,7 @@ vorticity and pressure fields.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -393,11 +394,13 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     grade = arc_grading(lam)
     phi = 0.5 * math.pi * graded_fractions(m, grade)
     bp = 0.5 * math.pi * graded_weights(m, grade)
-    th_half, worst = _kernels.cumulative_theta(
-        1, lam * lam, C, alpha, 0.0, 0.0, 0.0, phi, _PANEL_TOL, _MAX_PANELS)
+    f = functools.partial(_kernels._integrand_hyp, lam * lam, C, alpha)
+    th_half, worst = _kernels.cumulative_theta(f, phi, _PANEL_TOL,
+                                               _MAX_PANELS)
     if worst != 0:
         raise QuadratureFailure(
-            "theta accumulation ran out of panels on the arc mesh")
+            f"theta accumulation at lam={lam!r}, P={P!r}, B={B!r} ran out"
+            f" of its {_MAX_PANELS} panels on the arc mesh")
     T2 = th_half[-1]
     if abs(2.0 * T2 - span) > 1e-9 * (1.0 + span):
         raise NumericalError(

@@ -293,13 +293,14 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
                 hi = mid
         if p_star is None:
             raise NonMonotoneDetected(
-                "pressure bisection exhausted 200 iterations without"
-                f" reaching |T - 2 pi/{n}| <= {tol!r}")
+                f"pressure bisection at lam = {lam!r}, n = {n} exhausted 200"
+                f" iterations without reaching |T - 2 pi/{n}| <= {tol!r}")
     orbit = _elliptic_orbit(lam, p_star, T)
     if abs(orbit.measured_span - T) > 1e-7:
         raise NumericalError(
-            f"quadrature period {T!r} and integrated period"
-            f" {orbit.measured_span!r} disagree beyond 1e-7")
+            f"at lam = {lam!r}, n = {n}, P* = {p_star!r}: quadrature period"
+            f" {T!r} and integrated period {orbit.measured_span!r} disagree"
+            " beyond 1e-7")
     return EllipticRoot(p_star, orbit, "root")
 
 
@@ -392,7 +393,8 @@ def _solve_span(lam, P, sign, target, tol):
     # (from 0 when lam < 1), on B < 0 from 0 (B -> -inf) up to pi/lam
     # (B -> 0-).  Expand a geometric bracket from B = sign by factors of 4,
     # away from zero on the low side when B < 0 and toward it when B > 0
-    side = "B > 0" if sign > 0.0 else "B < 0"
+    side = (f"B {'>' if sign > 0.0 else '<'} 0 at lam = {lam!r}, P = {P!r},"
+            f" target span {target!r}")
     down = 0.25 if sign > 0.0 else 4.0
     lo = hi = sign
     f_lo = f_hi = _span(lam, P, lo) - target
@@ -416,11 +418,12 @@ def _solve_span(lam, P, sign, target, tol):
         return hi, target
     if f_lo * f_hi > 0.0:
         raise NonMonotoneDetected(
-            f"span bracket lost its sign change on [{lo!r}, {hi!r}]")
+            f"span bracket lost its sign change on [{lo!r}, {hi!r}] ({side})")
     B = brent(lambda b: _span(lam, P, b) - target, lo, hi, f_lo, f_hi,
               xtol=1e-15 * max(abs(lo), abs(hi)))
     span = _span(lam, P, B)
     if abs(span - target) > tol:
         raise NumericalError(
-            f"span root at B = {B!r} misses the target beyond {tol!r}")
+            f"span root at B = {B!r} misses the target beyond {tol!r}"
+            f" ({side})")
     return B, span

@@ -228,13 +228,19 @@ def find_intercepts(p: FlowParams) -> Intercepts:
     NoBracket
         If scanning cannot bracket a root that the sign analysis promises;
         signals inconsistent parameters.
+    NumericalError
+        If a refined turning point misses its residual tolerance.
+
+    Each of these errors names (lam, P, B).
     """
     try:
         return _intercepts(p)
     except OverflowError:
-        raise DomainError(
-            f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}: a power"
-            " in the radicand overflows a double") from None
+        exc = DomainError("a power in the radicand overflows a double")
+    except (NoBracket, NumericalError) as e:
+        exc = e
+    raise type(exc)(f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
+                    f" {exc}") from None
 
 
 def _intercepts(p: FlowParams) -> Intercepts:

@@ -19,6 +19,7 @@ the span; lam = 1 is the parallel shear closed form pi.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,37 +68,43 @@ def _check_simple_zero(dR_val: float, scale: float, where: str) -> None:
             " degenerate boundary")
 
 
-def _finish(lam: float, two_v: float, two_e: float,
+def _finish(given: tuple, two_v: float, two_e: float,
             method: SpanMethod) -> SpanResult:
+    lam, P, B = given
     # a nan estimate passes the target test, and coinciding turning points
     # give T = 0; neither is a span
     if not (0.0 < two_v < math.inf and math.isfinite(two_e)):
         raise QuadratureFailure(
             f"quadrature at lam={lam!r} gave T={two_v!r} with error estimate"
-            f" {two_e!r}, which is not a span")
+            f" {two_e!r} (P={P!r}, B={B!r}), which is not a span")
     if two_e > _ACCEPT_ERR:
         raise QuadratureFailure(
-            f"quadrature error estimate {two_e:.3e} misses the 1e-9 target")
+            f"quadrature at lam={lam!r}, P={P!r}, B={B!r}: error estimate"
+            f" {two_e:.3e} misses the 1e-9 target")
     return SpanResult(float(two_v), method, float(two_e))
 
 
 def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
-                tol: float) -> SpanResult:
+                tol: float, given: tuple | None = None) -> SpanResult:
     """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
-    points ic: a full period over an elliptic pair, else the whole arch."""
+    points ic: a full period over an elliptic pair, else the whole arch.
+
+    A failure names given, the (lam, P, B) the caller was asked for, which
+    defaults to the triple integrated here."""
+    given = given or (lam, P, B)
     alpha = 2.0 - 2.0 / lam
     a2 = lam * lam
     if ic.kind is InterceptKind.EllipticPair:
-        v, e, _st = _kernels.adaptive_gk(0, a2, B, alpha, -2.0 * P,
-                                         ic.x0, ic.x1, -0.5 * math.pi,
-                                         0.5 * math.pi, 0.5 * tol,
-                                         _MAX_PANELS)
-        return _finish(lam, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
+        f = functools.partial(_kernels._integrand_ell, a2, B, alpha,
+                              -2.0 * P, ic.x0, ic.x1)
+        v, e, _st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
+                                         0.5 * tol, _MAX_PANELS)
+        return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
     C = B * ic.x0 ** (-2.0 / lam) if B != 0.0 else 0.0
-    v, e, _st = _kernels.adaptive_gk(1, a2, C, alpha, 0.0, 0.0, 0.0,
-                                     0.0, 0.5 * math.pi, 0.5 * tol,
+    f = functools.partial(_kernels._integrand_hyp, a2, C, alpha)
+    v, e, _st = _kernels.adaptive_gk(f, 0.0, 0.5 * math.pi, 0.5 * tol,
                                      _MAX_PANELS)
-    return _finish(lam, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+    return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
 
 
 def span_hyperbolic(lam: float, P: float, B: float,
@@ -172,7 +179,7 @@ def period_elliptic(lam: float, P: float, tol: float = 1e-10) -> SpanResult:
     for xr in (ic.x0, ic.x1):
         dval = -2.0 * a2 * xr + ac * alpha * xr ** (alpha - 1.0)
         _check_simple_zero(dval, a2 * max(xr, 1.0), f"X={xr!r}")
-    return _quadrature(lam, P_n, ac, ic, tol)
+    return _quadrature(lam, P_n, ac, ic, tol, given=(lam, P, 1.0))
 
 
 def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:

@@ -39,6 +39,7 @@ from homoeuler.errors import (
     InadmissibleArc,
     NumericalError,
     OnSingularRay,
+    QuadratureFailure,
     SpanMismatch,
 )
 from homoeuler.families import ode_residual, point_vortex
@@ -150,6 +151,17 @@ class TestLocalArc:
                 r"integrated span \d\.\d+ and quadrature span "
                 + re.escape(repr(shifted)))):
             builder(*args)
+
+    def test_theta_budget_names_the_arc(self, monkeypatch):
+        # a theta mesh that runs out of panels names the arc it was for
+        def out_of_panels(f, phis, tol, max_panels):
+            return np.zeros(len(phis)), 1
+        monkeypatch.setattr(assemble._kernels, "cumulative_theta",
+                            out_of_panels)
+        with pytest.raises(QuadratureFailure, match=re.escape(
+                "theta accumulation at lam=1.5, P=-1.0, B=1.0 ran out of its"
+                " 4096 panels on the arc mesh")):
+            hyperbolic_arc(1.5, -1.0, 1.0)
 
 
 class TestStitch:

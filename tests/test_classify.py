@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from homoeuler import DomainError, InconsistentParams, NoSolution, OutOfRange
+from homoeuler import (
+    DomainError,
+    InconsistentParams,
+    NoSolution,
+    NumericalError,
+    OutOfRange,
+    classify,
+)
 from homoeuler.assemble import elliptic_global, global_profile
 from homoeuler.classify import (
     CountKind,
@@ -306,3 +313,33 @@ class TestSolveHyperbolicSpan:
     def test_out_of_range(self, lam, sign, target):
         with pytest.raises(OutOfRange):
             solve_hyperbolic_span(lam, sign.value, target)
+
+
+class TestSolverErrorsNameTheirInputs:
+    def test_census_cross_check(self, monkeypatch):
+        p_star = solve_elliptic(5.0, 3).P_star
+
+        # an orbit whose period disagrees with the quadrature's
+        def off_orbit(lam, P, T_hint):
+            return type("Orbit", (), {"measured_span": T_hint + 1e-6})()
+        monkeypatch.setattr(classify, "_elliptic_orbit", off_orbit)
+        with pytest.raises(NumericalError) as info:
+            solve_elliptic(5.0, 3)
+        msg = str(info.value)
+        assert msg.startswith(f"at lam = 5.0, n = 3, P* = {p_star!r}: ")
+        assert msg.endswith(" disagree beyond 1e-7")
+
+    @pytest.mark.parametrize("span,sign,bound", [
+        (3.0, ">", "lower"),    # never below the target
+        (0.1, ">", "upper"),    # never above it
+        (3.0, "<", "lower"),
+    ])
+    def test_span_bracket_expansion(self, monkeypatch, span, sign, bound):
+        # a span function with no root makes one bracket end run away
+        monkeypatch.setattr(classify, "_span", lambda lam, P, B: span)
+        target = 2.0 if sign == ">" else 0.5
+        with pytest.raises(NumericalError) as info:
+            solve_hyperbolic_span(3.0, -2.0, target)
+        assert str(info.value) == (
+            f"{bound} bracket expansion failed on B {sign} 0 at lam = 3.0,"
+            f" P = -1.0, target span {target!r}")

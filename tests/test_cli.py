@@ -507,6 +507,29 @@ class TestExitCodes:
         assert "domain error" in err
         assert params in err and f"{flow} a double" in err
 
+    @pytest.mark.parametrize("argv,rc_want,parts", [
+        # the radicand is nan (-inf + inf) along the whole up-scan
+        (["phase-portrait", "--lambda", "1.5", "--pressure",
+          "1.7735943027886556", "--b-values", "8.942593947789929e+262"], 2,
+         ("turning points of lam=1.5, P=1.7735943027886556,"
+          " B=8.942593947789929e+262: no sign change found scanning up from"
+          " 3.904988901757974e+196",)),
+        # next to the centre the quadrature misses 1e-9 (ROADMAP item 5)
+        (["period-scan", "--lambda", "5", "--p-min", "1e-12", "--p-max",
+          "1.0485759e-07", "--n-points", "2"], 3,
+         ("quadrature at lam=5.0, P=1.0485759e-07, B=1.0: error estimate",
+          "misses the 1e-9 target")),
+        # P_max underflows to 0 at lam = 100 (ROADMAP item 3)
+        (["construct", "--lambda", "100", "--elliptic-n", "3"], 3,
+         ("pressure bisection at lam = 100.0, n = 3 exhausted 200"
+          " iterations",)),
+    ])
+    def test_solver_failures_name_their_inputs(self, capsys, argv, rc_want,
+                                               parts):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (rc_want, "")
+        assert all(part in err for part in parts), err
+
     @pytest.mark.parametrize("argv,flag", [
         (["classify", "--lambda", "nan"], "--lambda"),
         (["classify", "--lambda", "inf"], "--lambda"),

@@ -227,6 +227,17 @@ class TestSpanQuadratureRefusals:
                            match=r"lam=30\.0 gave T=0\.0 with error estimate"):
             span_quadrature(30.0, P, 1.0)
 
+    def test_missed_target_names_the_callers_parameters(self):
+        # next to the centre the estimate misses 1e-9 (ROADMAP item 5); the
+        # message names lam, P and B = 1 as passed, not the centre-normalised
+        # triple that is integrated
+        P = (1.0 - 1e-7) * steady_state(5.0, 1.0).P_max
+        with pytest.raises(QuadratureFailure) as info:
+            period_elliptic(5.0, P)
+        assert str(info.value).startswith(
+            f"quadrature at lam=5.0, P={P!r}, B=1.0: error estimate ")
+        assert str(info.value).endswith(" misses the 1e-9 target")
+
 
 class TestDualOracle:
     @pytest.mark.parametrize("lam,P,B", [
