@@ -77,7 +77,11 @@ def _emit(obj) -> str:
 
     The stdlib encoder prints floats with repr's shortest form; the fixed
     width here keeps files diffable across runs and platforms.  Non-finite
-    floats become null.
+    floats become null.  An all-finite float64 array of one or two
+    dimensions (an arc profile or mesh) is written by one "%" call on a
+    row template; every other value, arrays holding nan or inf included,
+    goes through the recursive path below.  "%.17g" formats a float
+    exactly as _fmt does, -0.0 as "-0" included.
     """
     if obj is None:
         return "null"
@@ -95,10 +99,21 @@ def _emit(obj) -> str:
         inner = ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, np.ndarray):
+        if (obj.dtype == np.float64 and 1 <= obj.ndim <= 2
+                and np.isfinite(obj).all()):
+            return _float_table(obj)
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_table(a: np.ndarray) -> str:
+    """JSON list (of rows) of a finite float64 array, via one template."""
+    row = "[" + ", ".join(["%.17g"] * a.shape[-1]) + "]"
+    if a.ndim == 2:
+        row = "[" + ", ".join([row] * a.shape[0]) + "]"
+    return row % tuple(a.ravel().tolist())
 
 
 def _solution_record(g: GlobalSolution, diagnostics: bool) -> dict:
@@ -191,38 +206,60 @@ FIELD_COLUMNS = ["r", "theta", "x", "y", "u_x", "u_y",
 # FieldSample fields behind FIELD_COLUMNS[2:]
 _FIELD_VALUES = ("x", "y", "u_x", "u_y", "psi", "stream", "vorticity",
                  "pressure")
-# one finite row of values; "%.17g" formats exactly as _fmt does
-_FIELD_ROW = ",".join(["%.17g"] * len(_FIELD_VALUES))
+# the fields that vary from cell to cell; psi varies by ray only and the
+# pressure by radius only
+_CELL_VALUES = ("x", "y", "u_x", "u_y", "stream", "vorticity")
+
+
+def _cell(v: float) -> str:
+    return _fmt(v) if math.isfinite(v) else ""
 
 
 def field_csv(g: GlobalSolution, grid: GridSpec) -> str:
-    """Plot-ready polar field table; singular-ray cells stay empty.
+    """Plot-ready polar field table; singular-ray cells stay empty, and so
+    does every non-finite value.
 
-    Rows are formatted one radius at a time from the field arrays, so no
-    per-cell objects are built.
+    theta and psi_value are formatted once per ray, r and pressure once
+    per radius.  Each radius is written by one "%" call on a template
+    joined from per-ray fragments: a fragment holds the ray's text and a
+    "%.17g" slot for each of the six per-cell values, and "%.17g" formats
+    exactly as _fmt does.  Rows on singular rays, and rows holding a
+    non-finite value, enter the template as literal text.  The table is
+    the join of the per-radius chunks.
     """
     rs, thetas = grid.axes()
     singular, cells = field_grid(g, rs, thetas)
-    cols = [cells[name] for name in _FIELD_VALUES]
-    rays = [(_fmt(t) + ",", on_ray)
-            for t, on_ray in zip(thetas.tolist(), singular.tolist())]
-    empty = "," * (len(_FIELD_VALUES) - 1)
-    buf = io.StringIO()
-    buf.write(",".join(FIELD_COLUMNS) + "\n")
+    block = np.stack([cells[name] for name in _CELL_VALUES], axis=-1)
+    psi = cells["psi"][0].tolist()
+    pressure = cells["pressure"][:, 0].tolist()
+    ok = (np.isfinite(block).all(axis=2) & np.isfinite(cells["psi"][0])
+          & ~singular & np.isfinite(cells["pressure"][:, :1]))
+    rays = [_fmt(t) + "," for t in thetas.tolist()]
+    slots = [f"{t}%.17g,%.17g,%.17g,%.17g,{_cell(p)},%.17g,%.17g,"
+             for t, p in zip(rays, psi)]
+    empty = "," * (len(_FIELD_VALUES) - 1) + "\n"
+    chunks = [",".join(FIELD_COLUMNS) + "\n"]
     for i, r in enumerate(rs.tolist()):
-        vals = np.stack([c[i] for c in cols], axis=1)
-        finite = np.isfinite(vals).all(axis=1).tolist()
         head = _fmt(r) + ","
-        for (theta, on_ray), row, ok in zip(rays, vals.tolist(), finite):
-            if on_ray:
-                line = empty
-            elif ok:
-                line = _FIELD_ROW % tuple(row)
-            else:
-                line = ",".join(_fmt(v) if math.isfinite(v) else ""
-                                for v in row)
-            buf.write(head + theta + line + "\n")
-    return buf.getvalue()
+        tail = _cell(pressure[i]) + "\n"
+        rows = block[i]
+        held = np.flatnonzero(~ok[i]).tolist()
+        parts, start = [], 0
+        for k in held + [len(slots)]:
+            if start < k:
+                parts.append(head + (tail + head).join(slots[start:k]) + tail)
+            if k < len(slots):
+                if singular[k]:
+                    line = empty
+                else:
+                    vals = rows[k].tolist()
+                    vals.insert(4, psi[k])
+                    line = ",".join(map(_cell, vals)) + "," + tail
+                parts.append(head + rays[k] + line)
+            start = k + 1
+        values = rows[ok[i]] if held else rows
+        chunks.append("".join(parts) % tuple(values.ravel().tolist()))
+    return "".join(chunks)
 
 
 def _write(text: str, path) -> None:
@@ -502,8 +539,13 @@ def _cmd_construct(args) -> int:
 def _load_solution(path) -> GlobalSolution:
     if path == "-":
         return parse_solution(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_solution(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UsageError(
+            f"cannot read --in {path!r}: {e.strerror or e}") from None
+    return parse_solution(text)
 
 
 def _cmd_flux(args) -> int:

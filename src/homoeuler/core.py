@@ -64,11 +64,6 @@ class FlowParams:
         """Velocity homogeneity q = lam - 1 (exact)."""
         return self.lam - 1.0
 
-    @property
-    def degenerate_shear(self) -> bool:
-        """True at lam = 1, where every solution is a parallel shear flow."""
-        return self.lam == 1.0
-
 
 @dataclass(frozen=True)
 class PhaseState:

@@ -84,6 +84,28 @@ def _finish(given: tuple, two_v: float, two_e: float,
     return SpanResult(float(two_v), method, float(two_e))
 
 
+def _scaled_bernoulli(lam: float, B: float, x0: float, given: tuple) -> float:
+    """C = B x0^(-2/lam) of the arch integrand.
+
+    The direct power is kept wherever it does not raise; where x0^(-2/lam)
+    alone overflows, C is taken from logs with the sign of B.  A C that is
+    still not finite is a DomainError naming given, the caller's
+    (lam, P, B).
+    """
+    try:
+        C = B * x0 ** (-2.0 / lam)
+    except OverflowError:
+        log_c = math.log(abs(B)) - 2.0 / lam * math.log(x0)
+        # exp overflows a double from log(max) = 709.78
+        C = math.copysign(math.exp(log_c) if log_c < 709.0 else math.inf, B)
+    if not math.isfinite(C):
+        lam_g, P_g, B_g = given
+        raise DomainError(
+            f"arch integrand at lam={lam_g!r}, P={P_g!r}, B={B_g!r}:"
+            f" C = B x0^(-2/lam) overflows a double (x0={x0!r})")
+    return C
+
+
 def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
                 tol: float, given: tuple | None = None) -> SpanResult:
     """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
@@ -100,7 +122,7 @@ def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
         v, e, _st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
                                          0.5 * tol, _MAX_PANELS)
         return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
-    C = B * ic.x0 ** (-2.0 / lam) if B != 0.0 else 0.0
+    C = _scaled_bernoulli(lam, B, ic.x0, given) if B != 0.0 else 0.0
     f = functools.partial(_kernels._integrand_hyp, a2, C, alpha)
     v, e, _st = _kernels.adaptive_gk(f, 0.0, 0.5 * math.pi, 0.5 * tol,
                                      _MAX_PANELS)

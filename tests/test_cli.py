@@ -4,13 +4,18 @@ Everything runs in process through main(argv) so coverage tools see it and
 failures carry normal tracebacks.
 """
 
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from test_assemble import cusp3, ell5, harmonic4, lam3, quad15
 
 from homoeuler import assemble, classify, cli
+from homoeuler._field import field_grid
+from homoeuler.assemble import GridSpec
 from homoeuler.cli import (
     FIELD_COLUMNS,
     main,
@@ -523,6 +528,14 @@ class TestExitCodes:
         (["construct", "--lambda", "100", "--elliptic-n", "3"], 3,
          ("pressure bisection at lam = 100.0, n = 3 exhausted 200"
           " iterations",)),
+        # the conjugate arch's x0^(-2/lam) overflowed in the quadrature,
+        # and so does C = -x0^(-2/lam) at unit B
+        (["construct", "--lambda", "0.6667", "--pressure",
+          "0.03727290792156944", "--specs=1.0152015702437511e-159:+,"
+          "1.0152015702437511e-159:-,1.0152015702437511e-159:+"], 2,
+         ("(lam=0.6667, P=0.03727290792156944, B=1.0152015702437511e-159)"
+          " admits no arc: arch integrand at lam=1.4999250037498126,",
+          "C = B x0^(-2/lam) overflows a double")),
     ])
     def test_solver_failures_name_their_inputs(self, capsys, argv, rc_want,
                                                parts):
@@ -563,3 +576,169 @@ class TestSelfcheckList:
         assert len(lines) == 12
         assert lines[0].startswith("criterion_01")
         assert lines[-1].startswith("criterion_12")
+
+
+# ---------------------------------------------------------------------------
+# oracles for the template writers: the per-cell CSV loop and the recursive
+# JSON emitter that cli.field_csv and cli._emit replaced, kept as they were
+# apart from their names and an inlined _fmt
+
+def oracle_emit(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        return f"{obj:.17g}" if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(k)}: {oracle_emit(v)}"
+                          for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, np.ndarray):
+        return oracle_emit(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(oracle_emit(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+ORACLE_VALUES = ("x", "y", "u_x", "u_y", "psi", "stream", "vorticity",
+                 "pressure")
+ORACLE_ROW = ",".join(["%.17g"] * len(ORACLE_VALUES))
+
+
+def oracle_field_csv(g, grid) -> str:
+    def fmt(x):
+        return f"{x:.17g}"
+    rs, thetas = grid.axes()
+    singular, cells = field_grid(g, rs, thetas)
+    cols = [cells[name] for name in ORACLE_VALUES]
+    rays = [(fmt(t) + ",", on_ray)
+            for t, on_ray in zip(thetas.tolist(), singular.tolist())]
+    empty = "," * (len(ORACLE_VALUES) - 1)
+    buf = io.StringIO()
+    buf.write(",".join(FIELD_COLUMNS) + "\n")
+    for i, r in enumerate(rs.tolist()):
+        vals = np.stack([c[i] for c in cols], axis=1)
+        finite = np.isfinite(vals).all(axis=1).tolist()
+        head = fmt(r) + ","
+        for (theta, on_ray), row, ok in zip(rays, vals.tolist(), finite):
+            if on_ray:
+                line = empty
+            elif ok:
+                line = ORACLE_ROW % tuple(row)
+            else:
+                line = ",".join(fmt(v) if math.isfinite(v) else ""
+                                for v in row)
+            buf.write(head + theta + line + "\n")
+    return buf.getvalue()
+
+
+BUILDERS = {"cusp": cusp3, "ell5": ell5, "ode3": lam3,
+            "harmonic": harmonic4, "vortex_sheet": lambda: lam3((1, 1, 1, 1)),
+            "quad15": quad15}
+
+
+@pytest.fixture(scope="module")
+def solutions():
+    return {name: build() for name, build in BUILDERS.items()}
+
+
+class TestTemplateWritersAgainstOracles:
+    """field_csv and _emit give the bytes of the loops they replaced."""
+
+    # the TestFieldOracle grid (every junction ray), radii whose powers
+    # overflow, and radii whose powers underflow to signed zeros
+    GRIDS = {"junctions": GridSpec(0.37, 2.5, 25, 24),
+             "huge": GridSpec(1.0, 1e70, 5, 24),
+             "tiny": GridSpec(1e-300, 1e-200, 5, 24)}
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=list(GRIDS))
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_field_csv_bytes(self, solutions, name, grid):
+        g = solutions[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cli.field_csv(g, self.GRIDS[grid])
+        assert got == oracle_field_csv(g, self.GRIDS[grid])
+
+    def test_grids_reach_every_row_kind(self, solutions):
+        def cells(name, grid):
+            text = cli.field_csv(solutions[name], self.GRIDS[grid])
+            return [line.split(",") for line in text.splitlines()[1:]]
+        # singular rays, infinite vorticity, overflowed cells, signed zeros
+        assert any(not any(c[2:]) for c in cells("cusp", "junctions"))
+        assert any(c[8] == "" and all(c[2:8])
+                   for c in cells("quad15", "junctions"))
+        assert any(c[9] == "" for c in cells("ell5", "huge"))
+        assert any("-0" in c[2:] for c in cells("ell5", "tiny"))
+
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_solution_json_bytes(self, solutions, name, diagnostics):
+        g = solutions[name]
+        want = oracle_emit(cli._solution_record(g, diagnostics)) + "\n"
+        assert solution_to_json(g, diagnostics) == want
+
+    @pytest.mark.parametrize("value", [
+        np.array([1.0, math.nan, -0.0]),
+        np.array([[0.5, -math.inf], [math.inf, 2.0]]),
+        np.array([[1e-310, -0.0], [3.0, -2.5e300]]),
+        np.empty(0), np.empty((0, 3)), np.empty((2, 0)),
+        np.arange(3), np.ones(2, dtype=np.float32), np.ones((2, 1, 2)),
+        {"profile": np.array([[1.0, math.nan]]), "n": [1, -0.0, None]},
+    ], ids=["nan", "inf-2d", "finite-2d", "empty", "empty-rows",
+            "empty-cols", "int", "float32", "3d", "nested"])
+    def test_emit_bytes(self, value):
+        assert cli._emit(value) == oracle_emit(value)
+
+    def test_emit_literals(self):
+        assert (cli._emit(np.array([[1.0, -0.0], [math.nan, 2.5]]))
+                == "[[1, -0], [null, 2.5]]")
+        assert cli._emit(np.array([0.1, math.inf])) == (
+            "[0.10000000000000001, null]")
+        assert cli._emit(np.empty((0, 3))) == "[]"
+
+
+class TestStoredSolutionErrors:
+    @pytest.mark.parametrize("argv", [["flux"],
+                                      ["export-field", "--grid", "1:2:2:8"]],
+                             ids=["flux", "export-field"])
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing", "directory"])
+    def test_unreadable_in_is_usage(self, capsys, tmp_path, argv, missing):
+        path = str(tmp_path / "absent.json") if missing else str(tmp_path)
+        rc, out, err = run(capsys, *argv, "--in", path)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert repr(path) in err
+
+    @pytest.fixture(scope="class")
+    def ell5_file(self, tmp_path_factory, solutions):
+        path = tmp_path_factory.mktemp("ell5") / "ell5.json"
+        path.write_text(solution_to_json(solutions["ell5"]))
+        return str(path)
+
+    @pytest.mark.parametrize("grid", ["1:1e100:2:8", "1:1e70:2:8"])
+    def test_overflowing_radii_give_empty_cells(self, capsys, ell5_file,
+                                                 grid):
+        # lam = 5: r^4 overflows at r = 1e100 (math.pow raised), and the
+        # stream, vorticity and pressure overflow at r = 1e70 (numpy warned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "export-field", "--in", ell5_file,
+                               "--grid", grid)
+        assert (rc, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(all(c) for c in rows[:8])
+        # x, y and psi_value stay; at 1e100 every other value is inf or nan
+        empty = [4, 5, 7, 8, 9] if grid.startswith("1:1e100") else [7, 9]
+        for c in rows[8:]:
+            assert all(c[j] == "" for j in empty)
+            assert all(c[j] for j in set(range(10)) - set(empty))

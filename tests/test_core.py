@@ -37,10 +37,6 @@ class TestFlowParams:
         with pytest.raises(DomainError):
             FlowParams(2.0, 1.0, float("nan"))
 
-    def test_degenerate_shear_flag(self):
-        assert FlowParams(1.0, 0.5, 1.0).degenerate_shear
-        assert not FlowParams(1.5, 0.5, 1.0).degenerate_shear
-
     def test_phase_state_needs_nonnegative_x(self):
         with pytest.raises(DomainError):
             PhaseState(-1e-9, 0.0)

@@ -2,6 +2,7 @@
 the ODE integrator as an independent oracle."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from homoeuler.orbits import (
 )
 from homoeuler.periods import (
     SpanMethod,
+    _scaled_bernoulli,
     chicone_W,
     limit_values,
     period_elliptic,
@@ -237,6 +239,43 @@ class TestSpanQuadratureRefusals:
         assert str(info.value).startswith(
             f"quadrature at lam=5.0, P={P!r}, B=1.0: error estimate ")
         assert str(info.value).endswith(" misses the 1e-9 target")
+
+
+class TestScaledBernoulli:
+    """C = B x0^(-2/lam) where x0^(-2/lam) alone overflows a double."""
+
+    GIVEN = (1.01, -5e-324, 1e-322)
+
+    @pytest.mark.parametrize("lam,B,x0", [
+        (1.5, -1.0, 0.37), (3.0, 2.5, 1e-100), (1.01, 1e-100, 3.1e-51)])
+    def test_direct_power_where_it_does_not_raise(self, lam, B, x0):
+        assert (_scaled_bernoulli(lam, B, x0, self.GIVEN)
+                == B * x0 ** (-2.0 / lam))
+
+    @pytest.mark.parametrize("B", [1e-322, -1e-322, 1e-300])
+    def test_logs_where_the_power_overflows(self, B):
+        lam, x0 = 1.01, 2.793900609975269e-162
+        with pytest.raises(OverflowError):
+            x0 ** (-2.0 / lam)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = Decimal(B) * Decimal(x0) ** Decimal(-2.0 / lam)
+        C = _scaled_bernoulli(lam, B, x0, self.GIVEN)
+        assert math.copysign(1.0, C) == math.copysign(1.0, B)
+        assert C == pytest.approx(float(want), rel=1e-12)
+
+    def test_subnormal_pressure_arch_has_a_span(self):
+        # lam^2 x0^2 = -2P puts x0 near 3e-162, so x0^(-2/lam) ~ 1e319
+        # overflowed; C itself is 0.008
+        r = span_quadrature(*self.GIVEN)
+        assert 0.0 < r.T < math.pi and r.est_error <= 1e-9
+
+    def test_infinite_C_names_the_triple(self):
+        with pytest.raises(DomainError) as info:
+            _scaled_bernoulli(1.5, -1.0, 3.1e-237, (1.5, -1e-158, -1.0))
+        assert str(info.value).startswith(
+            "arch integrand at lam=1.5, P=-1e-158, B=-1.0: C = B x0^(-2/lam)"
+            " overflows a double")
 
 
 class TestDualOracle:
