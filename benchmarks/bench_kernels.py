@@ -1,4 +1,4 @@
-"""Kernel-level timings: quadrature, turning points, orbits and arcs.
+"""Kernel-level timings: quadrature, scan rows, turning points, orbits, arcs.
 
 Each workload runs once as a warmup, then --reps times; the best time is
 printed, in seconds.
@@ -22,6 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 def _workloads():
     from homoeuler.assemble import elliptic_arc, hyperbolic_arc
     from homoeuler.classify import solve_elliptic
+    from homoeuler.cli import _scan_grid
     from homoeuler.core import FlowParams, steady_state
     from homoeuler.orbits import (
         PhaseState,
@@ -30,7 +31,7 @@ def _workloads():
         find_intercepts,
         integrate_orbit,
     )
-    from homoeuler.periods import period_elliptic, span_quadrature
+    from homoeuler.periods import period_elliptic, span_any, span_quadrature
 
     def spans():
         for lam in (2.5, 3.0, 5.0):
@@ -39,6 +40,21 @@ def _workloads():
                 span_quadrature(lam, float(f) * pm, 1.0)
             for P in (-0.5, -2.0):
                 span_quadrature(lam, P, 1.0)
+
+    # the default 200-point tables of period-scan: elliptic at lam = 5, and
+    # hyperbolic with either sign of B at lam = 3
+    scan_rows = []
+    for lam, region, sign in ((5.0, "elliptic", "plus"),
+                              (3.0, "hyperbolic", "plus"),
+                              (3.0, "hyperbolic", "minus")):
+        ps, B = _scan_grid(argparse.Namespace(
+            lam=lam, n_points=200, region=region, p_min=None, p_max=None,
+            b_sign=sign))
+        scan_rows += [FlowParams(lam, P, B) for P in ps]
+
+    def period_scan_rows():
+        for p in scan_rows:
+            span_any(p)
 
     # B < 0 arches: find_intercepts scans up from 8 decades below the apex
     arches = [FlowParams(lam, P, -1.0) for lam in (1.5, 2.0, 3.0, 5.0)
@@ -84,6 +100,7 @@ def _workloads():
         elliptic_arc(2.0, 1.5, 8.0)
 
     return [("span quadrature x21", spans),
+            ("period-scan rows x600", period_scan_rows),
             ("turning points x20", turning_points),
             ("near-centre period x3", near_centre_periods),
             ("orbit integration x3", orbits),

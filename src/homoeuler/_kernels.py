@@ -12,16 +12,19 @@ Nothing here may call scipy.
 
 Quadrature integrands
 ---------------------
-The quadrature takes the integrand as a callable f(phi); callers bind the
-other parameters with functools.partial.  The span integrals are regularized
-by trigonometric substitutions so that the integrands are smooth on the open
-interval:
+The quadrature takes the integrand as a callable f(phi).  The factories
+ell_integrand and hyp_integrand build one closure per orbit: what depends
+only on the orbit (rho, pi/2, the near-end limits, and the Taylor terms of
+R at either turning point, formed on their first use) is computed once, by
+the same expressions as a per-call evaluation would use, so each value is
+the same float.  The span integrals are regularized by trigonometric
+substitutions so that the integrands are smooth on the open interval:
 
-* _integrand_ell(a2, ac, alpha, c, x0, x1, phi):
+* ell_integrand(a2, ac, alpha, c, x0, x1)(phi):
   T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(m + rho sin phi))
   where R(x) = c - a2 x^2 + ac x^alpha has simple roots x0 < x1,
   m = (x0+x1)/2, rho = (x1-x0)/2, and g = R/((x-x0)(x1-x)) > 0.
-* _integrand_hyp(lam2, C, alpha, phi):
+* hyp_integrand(lam2, C, alpha)(phi):
   T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
   xi = sin phi, D(xi) = lam2 (1+xi) - C q_alpha(xi),
   q_alpha(xi) = (1-xi^alpha)/(1-xi), C = B x0^(alpha-2).
@@ -110,65 +113,121 @@ def _radicand(x: float, a2: float, ac: float, alpha: float, c: float) -> float:
     return -math.inf if ac < 0.0 else math.inf
 
 
-def _integrand_ell(a2, ac, alpha, c, x0, x1, phi):
+def _taylor(a2, ac, alpha, x):
+    """(r1, r2 / 2, r3 / 6, r4), r_k the k-th derivative of R at x, as the
+    near-end expansions of ell_integrand use them."""
+    r1 = -2.0 * a2 * x + ac * alpha * x ** (alpha - 1.0)
+    r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x ** (alpha - 2.0)
+    r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x ** (alpha - 3.0)
+    r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x ** (alpha - 4.0)
+    return r1, 0.5 * r2, r3 / 6.0, r4
+
+
+def ell_integrand(a2, ac, alpha, c, x0, x1):
+    """The elliptic span integrand f(phi) of the orbit with turning points
+    x0 < x1 of R(x) = c - a2 x^2 + ac x^alpha."""
     rho = 0.5 * (x1 - x0)
-    z = 0.5 * (0.5 * math.pi - phi)
-    sz = math.sin(z)
-    cz = math.cos(z)
-    d1 = 2.0 * rho * sz * sz       # x1 - x, exact near phi = +pi/2
-    d0 = 2.0 * rho * cz * cz       # x - x0, exact near phi = -pi/2
-    near = 1.0e-3
-    if d0 < near * min(rho, x0):
-        # 4-term Taylor of R about x0 removes the 0/0 in R/((x-x0)(x1-x)).
-        r1 = -2.0 * a2 * x0 + ac * alpha * x0 ** (alpha - 1.0)
-        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x0 ** (alpha - 2.0)
-        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x0 ** (alpha - 3.0)
-        r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x0 ** (alpha - 4.0)
-        num = r1 + d0 * (0.5 * r2 + d0 * (r3 / 6.0 + d0 * r4 / 24.0))
-        den = d1
-    elif d1 < near * min(rho, x1):
-        r1 = -2.0 * a2 * x1 + ac * alpha * x1 ** (alpha - 1.0)
-        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x1 ** (alpha - 2.0)
-        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x1 ** (alpha - 3.0)
-        r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x1 ** (alpha - 4.0)
-        num = -r1 + d1 * (0.5 * r2 + d1 * (-r3 / 6.0 + d1 * r4 / 24.0))
-        den = d0
-    else:
-        num = _radicand(x0 + d0, a2, ac, alpha, c)
-        den = d0 * d1
-    # den = 0 when the turning points coincide (find_intercepts can return
-    # x0 == x1); num / 0 raises, so take the IEEE +-inf, or nan for 0/0
-    g = num / den if den != 0.0 else num * math.copysign(math.inf, den)
-    if g <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(g)
+    tr = 2.0 * rho
+    hpi = 0.5 * math.pi
+    near0 = 1.0e-3 * min(rho, x0)
+    near1 = 1.0e-3 * min(rho, x1)
+    # closure cells load faster than math.* lookups on every node
+    sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
+    t0 = t1 = None
+
+    def f(phi):
+        nonlocal t0, t1
+        z = 0.5 * (hpi - phi)
+        sz = sin(z)
+        cz = cos(z)
+        d1 = tr * sz * sz          # x1 - x, exact near phi = +pi/2
+        d0 = tr * cz * cz          # x - x0, exact near phi = -pi/2
+        if d0 < near0:
+            # 4-term Taylor of R about x0 removes the 0/0 in
+            # R/((x-x0)(x1-x)).  Its terms are formed on first use: a power
+            # in them may overflow, and that raises only where this branch
+            # is taken.
+            if t0 is None:
+                t0 = _taylor(a2, ac, alpha, x0)
+            r1, h2, s3, r4 = t0
+            num = r1 + d0 * (h2 + d0 * (s3 + d0 * r4 / 24.0))
+            den = d1
+        elif d1 < near1:
+            if t1 is None:
+                t1 = _taylor(a2, ac, alpha, x1)
+            r1, h2, s3, r4 = t1
+            num = -r1 + d1 * (h2 + d1 * (-s3 + d1 * r4 / 24.0))
+            den = d0
+        else:
+            x = x0 + d0
+            if ac != 0.0 and x > 0.0:
+                num = c - a2 * x * x + ac * x ** alpha
+            else:
+                num = _radicand(x, a2, ac, alpha, c)
+            den = d0 * d1
+        # den = 0 when the turning points coincide (find_intercepts can
+        # return x0 == x1); num / 0 raises, so take the IEEE +-inf, or nan
+        # for 0/0
+        g = num / den if den != 0.0 else num * math.copysign(inf, den)
+        if g <= 0.0:
+            return inf
+        return 1.0 / sqrt(g)
+    return f
 
 
-def _integrand_hyp(lam2, cc, alpha, phi):
-    z = 0.5 * (0.5 * math.pi - phi)
-    sz = math.sin(z)
-    u = 2.0 * sz * sz              # 1 - sin(phi), exact near phi = pi/2
-    q = _q_alpha(u, alpha)
-    d = lam2 * (2.0 - u) - cc * q
-    if not d > 0.0:
-        return math.inf
-    return math.sqrt(2.0 - u) / math.sqrt(d)
+def hyp_integrand(lam2, cc, alpha):
+    """The hyperbolic span integrand f(phi) with C = cc."""
+    hpi = 0.5 * math.pi
+    sin, sqrt, expm1, log1p = math.sin, math.sqrt, math.expm1, math.log1p
+
+    def f(phi):
+        sz = sin(0.5 * (hpi - phi))
+        u = 2.0 * sz * sz          # 1 - sin(phi), exact near phi = pi/2
+        # _q_alpha's branch for 0 < u < 1/2, inline
+        if 0.0 < u < 0.5:
+            q = -expm1(alpha * log1p(-u)) / u
+        else:
+            q = _q_alpha(u, alpha)
+        d = lam2 * (2.0 - u) - cc * q
+        if not d > 0.0:
+            return math.inf
+        return sqrt(2.0 - u) / sqrt(d)
+    return f
+
+
+# the rule constants as separate floats for the unrolled _gk_panel
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
 
 
 def _gk_panel(f, a, b):
-    """One G7/K15 panel of f on [a, b]: returns (kronrod, |kronrod - gauss|)."""
+    """One G7/K15 panel of f on [a, b]: returns (kronrod, |kronrod - gauss|).
+
+    Unrolled, with the nodes evaluated and the sums formed in the loop
+    form's order: with s_j = f(c - hw x_j) + f(c + hw x_j),
+    resk = K7 fc + K0 s0 + ... + K6 s6 and resg = G3 fc + G0 s1 + G1 s3
+    + G2 s5."""
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        dx = hw * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * (f1 + f2)
+    dx = hw * _X0
+    s0 = f(c - dx) + f(c + dx)
+    dx = hw * _X1
+    s1 = f(c - dx) + f(c + dx)
+    dx = hw * _X2
+    s2 = f(c - dx) + f(c + dx)
+    dx = hw * _X3
+    s3 = f(c - dx) + f(c + dx)
+    dx = hw * _X4
+    s4 = f(c - dx) + f(c + dx)
+    dx = hw * _X5
+    s5 = f(c - dx) + f(c + dx)
+    dx = hw * _X6
+    s6 = f(c - dx) + f(c + dx)
+    resk = (_K7 * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4
+            + _K5 * s5 + _K6 * s6)
+    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
     return resk * hw, abs(resk - resg) * hw
 
 

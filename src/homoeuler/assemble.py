@@ -12,7 +12,6 @@ vorticity and pressure fields.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -394,7 +393,7 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     grade = arc_grading(lam)
     phi = 0.5 * math.pi * graded_fractions(m, grade)
     bp = 0.5 * math.pi * graded_weights(m, grade)
-    f = functools.partial(_kernels._integrand_hyp, lam * lam, C, alpha)
+    f = _kernels.hyp_integrand(lam * lam, C, alpha)
     th_half, worst = _kernels.cumulative_theta(f, phi, _PANEL_TOL,
                                                _MAX_PANELS)
     if worst != 0:

@@ -130,9 +130,10 @@ def _scan(R, start: float, up: bool):
     as long as R stays positive up to there, which holds for the strictly
     monotone radicand of every scan find_intercepts starts.  A raise at the
     point found is repeated.  A nan there does not stop the step-by-step
-    scan, so the gallop starts again from it: in floating point the radicand
-    turns nan (inf - inf) where both of its powers overflow, which can come
-    after its sign change or before a power raises.
+    scan, so the gallop starts again from it, at the grid points after it
+    even where an earlier stride went past them: in floating point the
+    radicand turns nan (inf - inf) where both of its powers overflow, which
+    can come after its sign change or before a power raises.
 
     Returns (g_{k-1}, g_k, R(g_{k-1}), R(g_k)), or None without a sign
     change.
@@ -147,7 +148,7 @@ def _scan(R, start: float, up: bool):
             for _ in range(hi + 1 - len(grid)):
                 g = g * _SCAN_FACTOR if up else g / _SCAN_FACTOR
                 grid.append(g)
-            f_hi = _probe(R, g)
+            f_hi = _probe(R, grid[hi])
             if f_hi is None or not f_hi > 0.0:
                 break
             if hi == _SCAN_MAX_STEPS:

@@ -19,7 +19,6 @@ the span; lam = 1 is the parallel shear closed form pi.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -117,13 +116,12 @@ def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
     alpha = 2.0 - 2.0 / lam
     a2 = lam * lam
     if ic.kind is InterceptKind.EllipticPair:
-        f = functools.partial(_kernels._integrand_ell, a2, B, alpha,
-                              -2.0 * P, ic.x0, ic.x1)
+        f = _kernels.ell_integrand(a2, B, alpha, -2.0 * P, ic.x0, ic.x1)
         v, e, _st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
                                          0.5 * tol, _MAX_PANELS)
         return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
     C = _scaled_bernoulli(lam, B, ic.x0, given) if B != 0.0 else 0.0
-    f = functools.partial(_kernels._integrand_hyp, a2, C, alpha)
+    f = _kernels.hyp_integrand(a2, C, alpha)
     v, e, _st = _kernels.adaptive_gk(f, 0.0, 0.5 * math.pi, 0.5 * tol,
                                      _MAX_PANELS)
     return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
@@ -207,7 +205,8 @@ def period_elliptic(lam: float, P: float, tol: float = 1e-10) -> SpanResult:
 def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
     """Life-span/period dispatch over the whole parameter plane.
 
-    lam > 1 goes to direct quadrature (after unit-B rescaling), lam < 1 is
+    lam > 1 goes to direct quadrature (after unit-B rescaling, or without
+    it for an arch whose rescaled triple is out of range), lam < 1 is
     conjugated to 1/lam and the span scaled by 1/lam, lam = 1 is the parallel
     shear closed form pi.
 
@@ -232,7 +231,16 @@ def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
     if p.B == 0.0 and p.P >= 0.0:
         raise NoSolution("B = 0 with P >= 0 admits no arch")
     # B = 0 arches are harmonic; span_hyperbolic returns their closed form
-    p2 = rescale_to_unit_B(p)[0] if p.B != 0.0 else p
+    try:
+        p2 = rescale_to_unit_B(p)[0] if p.B != 0.0 else p
+    except DomainError:
+        # |B|**lam, or P/|B|**lam, is out of range.  An arch's integrand
+        # needs only C = B x0^(-2/lam), so it is integrated unscaled; a
+        # closed orbit's period is computed at unit B only, and stays
+        # refused.
+        if p.P >= 0.0:
+            raise
+        return span_hyperbolic(lam, p.P, p.B, tol)
     if p2.P < 0.0:
         return span_hyperbolic(lam, p2.P, p2.B, tol)
     if p2.B > 0.0:

@@ -494,15 +494,12 @@ class TestExitCodes:
         (["phase-portrait", "--lambda", "200", "--pressure=-1",
           "--b-values", "1e300"], "lam=200.0, P=-1.0, B=1e+300", "overflows"),
         # lam = 0.02 is conjugated to lam = 50, B = -2P/lam^4 = 1.25e306, and
-        # |B|^50 overflows in the unit-B rescaling; at tiny |P| it underflows
+        # |B|^50 overflows in the unit-B rescaling, and the unscaled arch's
+        # radicand overflows too
         (["period-scan", "--lambda", "0.02", "--region", "hyperbolic",
           "--b-sign", "plus", "--p-min=-1e300", "--p-max=-1e299",
           "--n-points", "3"], "lam=50.0, P=-3125000.0, B=1.25e+306",
          "overflows"),
-        (["period-scan", "--lambda", "0.02", "--region", "hyperbolic",
-          "--b-sign", "plus", "--p-min=-1e-299", "--p-max=-1e-300",
-          "--n-points", "3"], "lam=50.0, P=-3125000.0, B=1.25e-293",
-         "underflows"),
     ])
     def test_out_of_range_power_is_domain_error(self, capsys, argv, params,
                                                 flow):
@@ -511,6 +508,20 @@ class TestExitCodes:
         assert rc == 2
         assert "domain error" in err
         assert params in err and f"{flow} a double" in err
+
+    def test_arch_whose_rescaling_underflows_has_a_span(self, capsys):
+        # at tiny |P| the conjugate's B = -2P/lam^4 is 1.25e-293 and |B|^50
+        # underflows in the unit-B rescaling; the arch is integrated
+        # unscaled instead, and is all but harmonic: (pi/50) * 50
+        rc, out, err = run(capsys, "period-scan", "--lambda", "0.02",
+                           "--region", "hyperbolic", "--b-sign", "plus",
+                           "--p-min=-1e-299", "--p-max=-1e-300",
+                           "--n-points", "3", "--format", "json")
+        assert (rc, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["T"] == pytest.approx(math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("argv,rc_want,parts", [
         # the radicand is nan (-inf + inf) along the whole up-scan

@@ -167,62 +167,122 @@ class TestScalarKernelOracle:
                                    [-np.pi / 2, np.pi / 2, 0.0]])
             yield args, [float(p) for p in phis]
 
+    @staticmethod
+    def ell_branch(args, phi):
+        x0, x1 = args[4], args[5]
+        rho = 0.5 * (x1 - x0)
+        z = 0.5 * (0.5 * np.pi - phi)
+        if 2.0 * rho * np.cos(z) ** 2 < 1e-3 * min(rho, x0):
+            return "near x0"
+        if 2.0 * rho * np.sin(z) ** 2 < 1e-3 * min(rho, x1):
+            return "near x1"
+        return "interior"
+
     def test_integrand_ell(self):
         branches = set()
         for args, phis in self.ell_params():
-            x0, x1 = args[4], args[5]
-            rho = 0.5 * (x1 - x0)
+            # one closure per orbit, as the quadrature uses it
+            f = K.ell_integrand(*args)
             for phi in phis:
-                z = 0.5 * (0.5 * np.pi - phi)
-                if 2.0 * rho * np.cos(z) ** 2 < 1e-3 * min(rho, x0):
-                    branches.add("near x0")
-                elif 2.0 * rho * np.sin(z) ** 2 < 1e-3 * min(rho, x1):
-                    branches.add("near x1")
-                else:
-                    branches.add("interior")
-                got = K._integrand_ell(*args, phi)
+                branches.add(self.ell_branch(args, phi))
+                got = f(phi)
                 assert got.hex() == float(np_integrand_ell(*args, phi)).hex()
+                assert got.hex() == K.ell_integrand(*args)(phi).hex()
         assert branches == {"near x0", "near x1", "interior"}
         # coinciding turning points, as find_intercepts returns at lam = 30,
-        # P = (1 - 1e-6) P_max: every panel node divides by zero
+        # P = (1 - 1e-6) P_max: every panel node divides by zero (den == 0)
         args = (900.0, 1.0, 2.0 - 2.0 / 30.0, 0.0, 2.9e-45, 2.9e-45)
+        f = K.ell_integrand(*args)
         for phi in (-np.pi / 2, -0.3, 0.0, 0.9, np.pi / 2):
-            got = K._integrand_ell(*args, phi)
+            got = f(phi)
             assert got.hex() == float(np_integrand_ell(*args, phi)).hex()
+
+    def test_integrand_ell_taylor_terms_cached(self):
+        # one closure whose Taylor branches about x0 and x1 are taken in
+        # turn, three times over: the terms formed on first use give the
+        # oracle's bits on every later use
+        args, _phis = next(self.ell_params())
+        f = K.ell_integrand(*args)
+        phis = (-np.pi / 2, np.pi / 2 - 1e-4, 0.3, -np.pi / 2 + 2e-4,
+                np.pi / 2)
+        assert [self.ell_branch(args, phi) for phi in phis] == [
+            "near x0", "near x1", "interior", "near x0", "near x1"]
+        for phi in phis * 3:
+            assert f(phi).hex() == float(np_integrand_ell(*args, phi)).hex()
+
+    def test_integrand_ell_overflow_only_in_taylor_branch(self):
+        # x0 ** (alpha - 4) and x1 ** (alpha - 4) overflow (1e-100 ** -3.33):
+        # building the closure and evaluating it inside must not raise, and
+        # each Taylor-branch node raises OverflowError, as the oracle does,
+        # every time it is evaluated
+        args = (2.25, 1.0, 2.0 - 2.0 / 1.5, 0.0, 1e-100, 3e-100)
+        f = K.ell_integrand(*args)
+        for _ in range(2):
+            for phi in (0.0, 0.5, -0.5):
+                assert self.ell_branch(args, phi) == "interior"
+                assert (f(phi).hex()
+                        == float(np_integrand_ell(*args, phi)).hex())
+            for phi in (-np.pi / 2, np.pi / 2, -np.pi / 2 + 1e-3):
+                assert self.ell_branch(args, phi) != "interior"
+                with pytest.raises(OverflowError):
+                    np_integrand_ell(*args, phi)
+                with pytest.raises(OverflowError):
+                    f(phi)
 
     def test_integrand_hyp(self):
         rng = np.random.default_rng(6)
         # alpha = -38 (lam = 0.05) overflows xi**alpha as xi = sin(phi) -> 0
         for lam2, cc, alpha in ((4.0, 1.2, 1.0), (9.0, -0.7, 4.0 / 3.0),
                                 (0.64, 2.0, -0.5), (0.0025, 1.0, -38.0)):
+            # u = 1 - sin(phi) is 0 at pi/2, exactly 1/2 at pi/6 and nan at
+            # a nan phi: the edges of the inline 0 < u < 1/2 branch
             phis = np.concatenate([
                 rng.uniform(0.0, np.pi / 6, 20),            # u >= 1/2
                 np.pi / 2 - rng.uniform(0.0, 1e-3, 20),     # u near 0
-                rng.uniform(0.0, np.pi / 2, 20), [0.0, np.pi / 2, 1e-12]])
+                rng.uniform(0.0, np.pi / 2, 20),
+                [0.0, np.pi / 2, 1e-12, np.pi / 6, np.nan]])
+            f = K.hyp_integrand(lam2, cc, alpha)
             for phi in phis:
                 phi = float(phi)
-                got = K._integrand_hyp(lam2, cc, alpha, phi)
+                got = f(phi)
                 want = np_integrand_hyp(lam2, cc, alpha, phi)
                 assert got.hex() == float(want).hex(), (phi, lam2, cc, alpha)
+        sz = math.sin(0.5 * (0.5 * math.pi - math.pi / 6))
+        assert 2.0 * sz * sz == 0.5
 
     def test_gk_panel(self):
         rng = np.random.default_rng(9)
         for args, _phis in self.ell_params():
             cuts = np.sort(rng.uniform(-np.pi / 2, np.pi / 2, 6))
             edges = [-np.pi / 2, *cuts, np.pi / 2]
-            f = functools.partial(K._integrand_ell, *args)
+            f = K.ell_integrand(*args)
             f_np = functools.partial(np_integrand_ell, *args)
             for a, b in zip(edges[:-1], edges[1:]):
                 got = K._gk_panel(f, float(a), float(b))
                 assert hexes(got) == hexes(loop_gk_panel(f_np, a, b))
         for args in ((4.0, 1.2, 1.0), (0.64, 2.0, -0.5), (0.0025, 1.0, -38.0)):
-            f = functools.partial(K._integrand_hyp, *args)
+            f = K.hyp_integrand(*args)
             f_np = functools.partial(np_integrand_hyp, *args)
             cuts = np.sort(rng.uniform(0.0, np.pi / 2, 6))
             edges = [0.0, *cuts, np.pi / 2]
             for a, b in zip(edges[:-1], edges[1:]):
                 got = K._gk_panel(f, float(a), float(b))
                 assert hexes(got) == hexes(loop_gk_panel(f_np, a, b))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_gk_panel_inf_and_nan_nodes(self, bad):
+        # an integrand that is inf or nan at some of the nodes: at the
+        # centre, at one node of a Kronrod-only pair (j even) or of a Gauss
+        # pair (j odd), on one side only or on both
+        def integrand(cut_lo, cut_hi):
+            def f(x):
+                return bad if cut_lo <= x <= cut_hi else math.cos(3.0 * x)
+            return f
+        for cut_lo, cut_hi in ((0.0, 0.0), (-1.0, -0.98), (0.9, 1.0),
+                               (-0.6, -0.55), (-1.0, 1.0), (0.3, 0.5)):
+            f = integrand(cut_lo, cut_hi)
+            got = K._gk_panel(f, -1.0, 1.0)
+            assert hexes(got) == hexes(loop_gk_panel(f, -1.0, 1.0))
 
 
 def linear_adaptive_gk(f, a, b, tol, max_panels):
@@ -290,14 +350,13 @@ class TestPanelSelectionOracle:
             for frac in (0.3, 1.0 - 1e-4, 1.0 - 1e-6):
                 P = 0.5 * lam * lam / (lam - 1.0) * frac
                 ic = find_intercepts(FlowParams(lam, P, ac))
-                f = functools.partial(K._integrand_ell, lam * lam, ac,
-                                      2.0 - 2.0 / lam, -2.0 * P, ic.x0, ic.x1)
+                f = K.ell_integrand(lam * lam, ac, 2.0 - 2.0 / lam,
+                                    -2.0 * P, ic.x0, ic.x1)
                 yield ("ell", (f, -np.pi / 2, np.pi / 2),
                        lam > 4.0 and frac > 0.99999)
         for lam, cc in ((0.7, 1.3), (1.5, -0.8), (2.0, 2.5), (5.0, 4.0)):
             cc *= rng.uniform(0.9, 1.1)
-            f = functools.partial(K._integrand_hyp, lam * lam, cc,
-                                  2.0 - 2.0 / lam)
+            f = K.hyp_integrand(lam * lam, cc, 2.0 - 2.0 / lam)
             yield "hyp", (f, 0.0, np.pi / 2), lam in (0.7, 5.0)
 
     def test_seeded_sweep_with_budget_hits(self):
@@ -387,8 +446,7 @@ class TestPanelSelectionOracle:
     def test_inf_integrand(self):
         # lam = 0.01, B = 0 (span_quadrature(0.01, -1, 0)): C q_alpha is
         # 0 * (-inf), so the integrand is inf at the nodes near phi = 0
-        args = (functools.partial(K._integrand_hyp, 1e-4, 0.0, -198.0),
-                0.0, np.pi / 2)
+        args = (K.hyp_integrand(1e-4, 0.0, -198.0), 0.0, np.pi / 2)
         for max_panels in (1, 2, 1024):
             want = gk_outcome(linear_adaptive_gk, *args, 1e-10, max_panels)
             assert want[1] in ("inf", "nan")
@@ -414,8 +472,7 @@ class TestEllipticQuadrature:
     def test_lam_two_flat_period(self):
         for P in (0.001, 0.01, 0.03):
             x0, x1 = elliptic_roots(2.0, P, 1.0)
-            f = functools.partial(K._integrand_ell, 4.0, 1.0, 1.0, -2 * P,
-                                  x0, x1)
+            f = K.ell_integrand(4.0, 1.0, 1.0, -2 * P, x0, x1)
             v, e, st = K.adaptive_gk(f, -np.pi / 2, np.pi / 2, 1e-12, 512)
             assert st == 0
             assert 2 * v == pytest.approx(np.pi, abs=1e-11)
@@ -424,8 +481,7 @@ class TestEllipticQuadrature:
                                          (5.0, 5e-8, 1.0)])
     def test_against_scipy(self, lam, P, B):
         x0, x1 = elliptic_roots(lam, P, B)
-        f = functools.partial(K._integrand_ell, lam * lam, B, 2 - 2 / lam,
-                              -2 * P, x0, x1)
+        f = K.ell_integrand(lam * lam, B, 2 - 2 / lam, -2 * P, x0, x1)
         v, e, st = K.adaptive_gk(f, -np.pi / 2, np.pi / 2, 1e-12, 512)
         ref = raw_halfspan(lam, P, B, x0, x1)
         assert st == 0
@@ -433,8 +489,8 @@ class TestEllipticQuadrature:
 
     def test_error_estimate_honest_when_budget_exhausted(self):
         x0, x1 = elliptic_roots(3.0, 5e-4, 1.0)
-        args = (functools.partial(K._integrand_ell, 9.0, 1.0, 2 - 2 / 3.0,
-                                  -1e-3, x0, x1), -np.pi / 2, np.pi / 2)
+        args = (K.ell_integrand(9.0, 1.0, 2 - 2 / 3.0, -1e-3, x0, x1),
+                -np.pi / 2, np.pi / 2)
         v, e, st = K.adaptive_gk(*args, 1e-30, 4)
         assert st == 1
         ref, _, st_ref = K.adaptive_gk(*args, 1e-13, 512)
@@ -445,8 +501,7 @@ class TestEllipticQuadrature:
 class TestHyperbolicQuadrature:
     def test_zero_coupling_closed_form(self):
         for lam in (0.7, 1.3, 2.0, 5.0):
-            f = functools.partial(K._integrand_hyp, lam * lam, 0.0,
-                                  2 - 2 / lam)
+            f = K.hyp_integrand(lam * lam, 0.0, 2 - 2 / lam)
             v, e, st = K.adaptive_gk(f, 0.0, np.pi / 2, 1e-13, 512)
             assert 2 * v == pytest.approx(np.pi / lam, rel=1e-13)
 
@@ -463,7 +518,7 @@ class TestHyperbolicQuadrature:
             hi *= 2
         x0 = brentq(R, 1e-12, hi, xtol=1e-15)
         C = B * x0 ** (-2.0 / lam)
-        f = functools.partial(K._integrand_hyp, lam * lam, C, 2 - 2 / lam)
+        f = K.hyp_integrand(lam * lam, C, 2 - 2 / lam)
         v, e, st = K.adaptive_gk(f, 0.0, np.pi / 2, 1e-12, 512)
         ref = raw_halfspan(lam, P, B, 0.0, x0) * x0 / x0
         assert st == 0
@@ -477,7 +532,7 @@ class TestCumulative:
         x0 = max(r)
         C = B * x0 ** (-1.0)
         phis = np.linspace(0.0, np.pi / 2, 33)
-        f = functools.partial(K._integrand_hyp, 4.0, C, 1.0)
+        f = K.hyp_integrand(4.0, C, 1.0)
         th, worst = K.cumulative_theta(f, phis, 1e-12, 256)
         assert worst == 0
         assert np.all(np.diff(th) > 0)

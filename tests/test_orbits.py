@@ -243,6 +243,25 @@ class TestGallopingScanOracle:
             assert expect in want
             assert outcome(march, R, 1.0) == want
 
+    @pytest.mark.parametrize("way", ["up", "down"])
+    def test_nan_gap_ending_inside_a_stride(self, way):
+        # nan from grid index 100 to 119, then negative: the gallop from 64
+        # lands on 128, past the gap, and the bisection stops at the first
+        # nan; the restart from there must probe the points after it, not
+        # 128 again
+        march = {"up": orbits._march_up, "down": orbits._march_down}[way]
+        step = {"up": step_march_up, "down": step_march_down}[way]
+        sign = 1.0 if way == "up" else -1.0
+
+        def R(x):
+            k = sign * math.log(x) / math.log(orbits._SCAN_FACTOR)
+            if k < 99.5:
+                return 1.0
+            return -1.0 if k > 119.5 else math.nan
+        want = outcome(step, R, 1.0)
+        assert (-1.0).hex() in want
+        assert outcome(march, R, 1.0) == want
+
 
 class TestIntegrateOrbit:
     def test_closed_orbit_period_lam2(self):

@@ -178,6 +178,21 @@ class TestSpanAny:
         with pytest.raises(NoSolution):
             span_any(FlowParams(3.0, 1.0, 0.0))
 
+    def test_arch_whose_rescaling_underflows(self):
+        # |B|**lam underflows a double, so the unit-B rescaling refuses
+        # these arches; span_any integrates them unscaled
+        r = span_any(FlowParams(1.01, -5e-324, 1e-322))
+        want = span_quadrature(1.01, -5e-324, 1e-322)
+        assert r.T.hex() == want.T.hex() == (3.1107262042220967).hex()
+        assert (r.method, r.est_error) == (want.method, want.est_error)
+        r = span_any(FlowParams(1.5, -1.0, 1e-250))
+        assert r.T == pytest.approx(math.pi / 1.5, abs=1e-12)
+
+    def test_closed_orbit_whose_rescaling_overflows(self):
+        # periods are computed at unit B only: still refused
+        with pytest.raises(DomainError, match="overflows a double"):
+            span_any(FlowParams(3.0, 1e-300, 1e300))
+
     @pytest.mark.parametrize("p,method", [
         (FlowParams(3.0, -0.7, 1.0), SpanMethod.QuadratureHyperbolic),
         (FlowParams(3.0, 0.0004, 2.5), SpanMethod.QuadratureElliptic),
