@@ -64,7 +64,7 @@ def _workloads():
         for p in arches:
             find_intercepts(p)
 
-    # next to the centre each period runs out of its 1024-panel budget
+    # near-circular orbits, which take g from the series about the centre
     near_centre = [(lam, (1.0 - 1e-6) * steady_state(lam, 1.0).P_max)
                    for lam in (3.0, 5.0, 8.0)]
 

@@ -24,10 +24,12 @@ substitutions so that the integrands are smooth on the open interval:
   T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(m + rho sin phi))
   where R(x) = c - a2 x^2 + ac x^alpha has simple roots x0 < x1,
   m = (x0+x1)/2, rho = (x1-x0)/2, and g = R/((x-x0)(x1-x)) > 0.
-* hyp_integrand(lam2, C, alpha)(phi):
+* hyp_integrand(lam2, C, alpha, d0)(phi):
   T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
   xi = sin phi, D(xi) = lam2 (1+xi) - C q_alpha(xi),
-  q_alpha(xi) = (1-xi^alpha)/(1-xi), C = B x0^(alpha-2).
+  q_alpha(xi) = (1-xi^alpha)/(1-xi), C = B x0^(alpha-2); for xi <= 1/2,
+  D(xi) = (d0 - lam2 xi^2 + C xi^alpha)/(1-xi) with d0 = lam2 - C
+  = -2P/x0^2 exactly.
 
 The RK45 pair is the Dormand-Prince 5(4) method; events (axis and y=0
 crossings) are located by a Newton iteration on the partial-step length,
@@ -175,20 +177,29 @@ def ell_integrand(a2, ac, alpha, c, x0, x1):
     return f
 
 
-def hyp_integrand(lam2, cc, alpha):
-    """The hyperbolic span integrand f(phi) with C = cc."""
+def hyp_integrand(lam2, cc, alpha, d0):
+    """The hyperbolic span integrand f(phi) with C = cc and d0 = lam2 - C,
+    which the caller forms without cancellation (periods.arch_integrand)."""
     hpi = 0.5 * math.pi
     sin, sqrt, expm1, log1p = math.sin, math.sqrt, math.expm1, math.log1p
 
     def f(phi):
         sz = sin(0.5 * (hpi - phi))
         u = 2.0 * sz * sz          # 1 - sin(phi), exact near phi = pi/2
-        # _q_alpha's branch for 0 < u < 1/2, inline
-        if 0.0 < u < 0.5:
-            q = -expm1(alpha * log1p(-u)) / u
+        if u >= 0.5:
+            # xi <= 1/2: D = (d0 - lam2 xi^2 + C xi^alpha)/(1 - xi) has no
+            # lam2 - C to cancel next to the separatrix
+            xi = sin(phi)
+            try:
+                p = xi ** alpha
+            except (OverflowError, ZeroDivisionError):
+                p = math.inf       # xi -> 0 with alpha < 0
+            d = (d0 - lam2 * xi * xi + cc * p) / (1.0 - xi)
+        elif 0.0 < u:
+            # _q_alpha's branch for 0 < u < 1/2, inline
+            d = lam2 * (2.0 - u) - cc * (-expm1(alpha * log1p(-u)) / u)
         else:
-            q = _q_alpha(u, alpha)
-        d = lam2 * (2.0 - u) - cc * q
+            d = lam2 * (2.0 - u) - cc * _q_alpha(u, alpha)
         if not d > 0.0:
             return math.inf
         return sqrt(2.0 - u) / sqrt(d)

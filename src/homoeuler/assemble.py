@@ -47,7 +47,7 @@ from .orbits import (
     find_intercepts,
     integrate_orbit,
 )
-from .periods import span_any
+from .periods import arch_integrand, span_any
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,7 +393,7 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     grade = arc_grading(lam)
     phi = 0.5 * math.pi * graded_fractions(m, grade)
     bp = 0.5 * math.pi * graded_weights(m, grade)
-    f = _kernels.hyp_integrand(lam * lam, C, alpha)
+    f = arch_integrand(lam, P, C, x0)
     th_half, worst = _kernels.cumulative_theta(f, phi, _PANEL_TOL,
                                                _MAX_PANELS)
     if worst != 0:

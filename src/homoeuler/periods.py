@@ -2,15 +2,22 @@
 numerical monotonicity certificate.
 
 One body, `_quadrature`, evaluates every span and period from (lam, P, B)
-and the turning points, after trigonometric substitutions that remove the
-inverse-square-root endpoint singularities, so the kernel only ever sees
-smooth integrands:
+and the turning points, after substitutions that remove the
+inverse-square-root endpoint singularities and the corners, so the kernel
+only ever sees smooth integrands:
 
 * hyperbolic arch (single turning point x0):
   T/2 = int_0^1 dxi / sqrt(lam^2 (1 - xi^2) - C (1 - xi^alpha)),  xi = x/x0,
-  C = B x0^(-2/lam), then xi = sin phi;
+  C = B x0^(-2/lam), then xi = sin phi, then phi = (pi/2) s^3 on [0, 1]
+  (`_arch`).  The last step removes the corner phi^alpha at the axis that
+  adaptive GK would otherwise bisect toward; next to the axis the
+  radicand is formed from lam^2 - C = -2P/x0^2 (`arch_integrand`), which
+  does not cancel next to the separatrix;
 * elliptic orbit (turning points x0 < x1): the radicand is factored as
   (x - x0)(x1 - x) g(x) with g smooth and positive, and x = m + rho sin phi.
+  For a near-circular orbit, rho <= m/64, g is not formed from R, which
+  cancels there, but summed as a series in sin phi from the second divided
+  difference of x^alpha about the centre (`_centre`).
 
 Routing: lam > 1 computes directly; lam < 1 conjugates to 1/lam and scales
 the span; lam = 1 is the parallel shear closed form pi.
@@ -105,6 +112,100 @@ def _scaled_bernoulli(lam: float, B: float, x0: float, given: tuple) -> float:
     return C
 
 
+def arch_integrand(lam: float, P: float, C: float, x0: float):
+    """The arch's span integrand f(phi), _kernels.hyp_integrand at its
+    turning point x0 and C = B x0^(-2/lam).
+
+    Its d0 = lam^2 - C is the radicand over x0^2 at the axis, where
+    R(x0) = 0 makes it -2P/x0^2 as well.  For C >= lam^2/2 the difference
+    is exact, but next to the separatrix the rounding of C alone exceeds
+    it, so d0 is -2P/x0^2 there.  Below, lam^2 - C loses nothing and agrees
+    with the C that the rest of the integrand uses, which matters where x0
+    is itself inexact (radicands formed in subnormals).
+    """
+    a2 = lam * lam
+    d0 = a2 - C if C < 0.5 * a2 else -2.0 * P / x0 / x0
+    return _kernels.hyp_integrand(a2, C, 2.0 - 2.0 / lam, d0)
+
+
+def _arch(f):
+    """The arch integrand f(phi) on s in [0, 1], phi = (pi/2) s^3.
+
+    Next to the axis f(phi) = a + b phi^alpha, a corner at phi = 0 that
+    adaptive GK bisects toward geometrically unless alpha = 1.  In s the
+    integrand f(phi) dphi/ds is s^2 (a + b' s^(3 alpha)): a polynomial at
+    lam = 3/2 and 3, and flat to second order at s = 0 for every lam.
+    """
+    hpi = 0.5 * math.pi
+    w = 1.5 * math.pi
+
+    def g(s):
+        s2 = s * s
+        return f(hpi * s2 * s) * (w * s2)
+    return g
+
+
+def _centre(a2: float, ac: float, alpha: float, x0: float, x1: float):
+    """The elliptic integrand 1/sqrt(g(m + rho sin phi)) of a near-circular
+    orbit, free of cancellation, or None where it does not apply.
+
+    R(X) = c - a2 X^2 + ac X^alpha vanishes at m - rho and m + rho, so
+    g = R/((X - m + rho)(m + rho - X)) = a2 - ac h[m - rho, m + rho, X],
+    the second divided difference of h = X^alpha, and c drops out.  With
+    X = m + rho y, y = sin phi,
+
+        h[m - rho, m + rho, X] = sum_n D_n y^n,  D_n = sum_{j >= 0} c_{n+2j},
+        c_k = binom(alpha, k+2) m^(alpha-k-2) rho^k,
+
+    since the divided difference of t^(k+2) at (-rho, rho, rho y) is
+    rho^k (y^k + y^(k-2) + ...).  Ten terms leave (rho/m)^10 <= 8.7e-19
+    of g for rho <= m/64 and |alpha| <= 2 (lam >= 1/2), where
+    binom(alpha, k) grows at most linearly in k; other orbits, and the
+    coinciding turning points rho = 0, get None.
+
+    rho is (x1 - x0)/2, but m is not their midpoint.  Next to the centre R
+    cancels, and x0 and x1 are each off by up to eps c/|R'|, about 1e-11 of
+    m at rho = 1e-5 m; unequal errors tilt the orbit and move T by as much.
+    So m is solved from R(m - rho) = R(m + rho), that is
+    2 a2 = ac sum_j binom(alpha, 2j+1) m^(alpha-2j-2) rho^(2j), by two
+    Newton steps from the midpoint; that equation does not cancel.
+    """
+    m = 0.5 * (x0 + x1)
+    rho = 0.5 * (x1 - x0)
+    if not (0.0 < rho <= m / 64.0 and -2.0 <= alpha <= 2.0):
+        return None
+    bn = [1.0]                      # binom(alpha, k), k = 0..11
+    for k in range(11):
+        bn.append(bn[-1] * (alpha - k) / (k + 1))
+    try:
+        for _ in range(2):
+            w = ac * m ** (alpha - 2.0)
+            r2 = (rho / m) ** 2
+            odd = [bn[2 * j + 1] * r2 ** j for j in range(5)]
+            slope = w * math.fsum(t * (alpha - 2.0 - 2 * j)
+                                  for j, t in enumerate(odd)) / m
+            m -= (w * math.fsum(odd) - 2.0 * a2) / slope
+        ck = -ac * m ** (alpha - 2.0)
+    except OverflowError:
+        return None
+    r = rho / m
+    cs = []                         # -ac c_k
+    for k in range(10):
+        cs.append(bn[k + 2] * ck)
+        ck *= r
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9 = (
+        math.fsum(cs[n::2]) for n in range(10))
+    e0 += a2
+    sin, sqrt, inf = math.sin, math.sqrt, math.inf
+
+    def f(phi):
+        y = sin(phi)
+        g = e0 + y * (e1 + y * (e2 + y * (e3 + y * (e4 + y * (e5 + y * (
+            e6 + y * (e7 + y * (e8 + y * e9))))))))
+        return 1.0 / sqrt(g) if g > 0.0 else inf
+    return f
+
+
 def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
                 tol: float, given: tuple | None = None) -> SpanResult:
     """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
@@ -115,15 +216,17 @@ def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
     given = given or (lam, P, B)
     alpha = 2.0 - 2.0 / lam
     a2 = lam * lam
+    x0 = ic.x0
     if ic.kind is InterceptKind.EllipticPair:
-        f = _kernels.ell_integrand(a2, B, alpha, -2.0 * P, ic.x0, ic.x1)
+        f = _centre(a2, B, alpha, x0, ic.x1)
+        if f is None:
+            f = _kernels.ell_integrand(a2, B, alpha, -2.0 * P, x0, ic.x1)
         v, e, _st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
                                          0.5 * tol, _MAX_PANELS)
         return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
-    C = _scaled_bernoulli(lam, B, ic.x0, given) if B != 0.0 else 0.0
-    f = _kernels.hyp_integrand(a2, C, alpha)
-    v, e, _st = _kernels.adaptive_gk(f, 0.0, 0.5 * math.pi, 0.5 * tol,
-                                     _MAX_PANELS)
+    C = _scaled_bernoulli(lam, B, x0, given) if B != 0.0 else 0.0
+    f = _arch(arch_integrand(lam, P, C, x0))
+    v, e, _st = _kernels.adaptive_gk(f, 0.0, 1.0, 0.5 * tol, _MAX_PANELS)
     return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
 
 

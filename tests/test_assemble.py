@@ -50,9 +50,9 @@ TWO_PI = 2.0 * math.pi
 # Bernoulli constants whose arcs tile exactly, from the span solver:
 # B_06/B_04 give spans 0.6 pi and 0.4 pi at lam = 3, P = -1; B_CUSP gives
 # span 2 pi/3 at lam = 2/3, P = 1
-B_06 = 9.210963274524987
-B_04 = 2.530233964397848
-B_CUSP = 3.500247331754384
+B_06 = 9.210963274529362
+B_04 = 2.5302339644026546
+B_CUSP = 3.5002473317585845
 
 # sum over the three cusp arcs of 2 int_0^x0 sqrt(R) dx, adaptive quadrature
 # on the closed-form radicand (abs err ~4e-10)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from test_assemble import cusp3, ell5, harmonic4, lam3, quad15
 
-from homoeuler import assemble, classify, cli
+from homoeuler import assemble, classify, cli, periods
 from homoeuler._field import field_grid
 from homoeuler.assemble import GridSpec
 from homoeuler.cli import (
@@ -380,6 +380,18 @@ class TestPeriodScan:
             assert 0.5 * math.pi < row["T"] < math.pi
             assert row["est_error"] <= 1e-9
 
+    def test_next_to_the_centre(self, capsys):
+        # P = P_max (1 - 9.5e-8) at lam = 5, where the cancelling radicand
+        # missed 1e-9: T lies 1.07e-8 above the centre limit 2 pi/sqrt(10)
+        rc, out, err = run(capsys, "period-scan", "--lambda", "5", "--p-min",
+                           "1e-12", "--p-max", "1.0485759e-07",
+                           "--n-points", "2", "--format", "json")
+        assert (rc, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        gap = rows[0]["T"] - 2.0 * math.pi / math.sqrt(10.0)
+        assert 1.0e-8 < gap < 1.1e-8
+        assert all(row["est_error"] <= 1e-9 for row in rows)
+
 
 class TestFieldExport:
     @pytest.fixture()
@@ -530,10 +542,10 @@ class TestExitCodes:
          ("turning points of lam=1.5, P=1.7735943027886556,"
           " B=8.942593947789929e+262: no sign change found scanning up from"
           " 3.904988901757974e+196",)),
-        # next to the centre the quadrature misses 1e-9 (ROADMAP item 5)
+        # a mid-range period on a one-panel budget misses 1e-9
         (["period-scan", "--lambda", "5", "--p-min", "1e-12", "--p-max",
-          "1.0485759e-07", "--n-points", "2"], 3,
-         ("quadrature at lam=5.0, P=1.0485759e-07, B=1.0: error estimate",
+          "5e-08", "--n-points", "2"], 3,
+         ("quadrature at lam=5.0, P=5e-08, B=1.0: error estimate",
           "misses the 1e-9 target")),
         # P_max underflows to 0 at lam = 100 (ROADMAP item 3)
         (["construct", "--lambda", "100", "--elliptic-n", "3"], 3,
@@ -548,8 +560,12 @@ class TestExitCodes:
           " admits no arc: arch integrand at lam=1.4999250037498126,",
           "C = B x0^(-2/lam) overflows a double")),
     ])
-    def test_solver_failures_name_their_inputs(self, capsys, argv, rc_want,
-                                               parts):
+    def test_solver_failures_name_their_inputs(self, capsys, monkeypatch,
+                                               argv, rc_want, parts):
+        # with its 1024-panel budget no known input misses the quadrature
+        # target; one panel per span makes the period-scan row do so, and
+        # the other failures come before any quadrature
+        monkeypatch.setattr(periods, "_MAX_PANELS", 1)
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (rc_want, "")
         assert all(part in err for part in parts), err

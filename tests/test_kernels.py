@@ -103,10 +103,18 @@ def np_integrand_ell(a2, ac, alpha, c, x0, x1, phi):
     return 1.0 / np.sqrt(g)
 
 
-def np_integrand_hyp(lam2, cc, alpha, phi):
+def np_integrand_hyp(lam2, cc, alpha, d0, phi):
     sz = np.sin(0.5 * (0.5 * np.pi - phi))
     u = 2.0 * sz * sz
-    d = lam2 * (2.0 - u) - cc * K._q_alpha(u, alpha)
+    if u >= 0.5:
+        # xi = sin(phi) <= 1/2: D (1 - xi) = d0 - lam2 xi^2 + C xi^alpha,
+        # where xi^alpha is inf once it overflows or xi = 0 with alpha < 0
+        xi = np.float64(np.sin(phi))
+        with np.errstate(over="ignore", divide="ignore"):
+            p = xi ** alpha
+        d = (d0 - lam2 * xi * xi + cc * p) / (1.0 - xi)
+    else:
+        d = lam2 * (2.0 - u) - cc * K._q_alpha(u, alpha)
     if not d > 0.0:
         return np.inf
     return np.sqrt(2.0 - u) / np.sqrt(d)
@@ -231,9 +239,14 @@ class TestScalarKernelOracle:
 
     def test_integrand_hyp(self):
         rng = np.random.default_rng(6)
-        # alpha = -38 (lam = 0.05) overflows xi**alpha as xi = sin(phi) -> 0
-        for lam2, cc, alpha in ((4.0, 1.2, 1.0), (9.0, -0.7, 4.0 / 3.0),
-                                (0.64, 2.0, -0.5), (0.0025, 1.0, -38.0)):
+        # alpha = -38 (lam = 0.05) overflows xi**alpha as xi = sin(phi) -> 0;
+        # d0 = lam2 - C, the integrand's value at the axis, except at the
+        # separatrix-like (9, 9): there the caller passes -2P/x0^2 > 0
+        for lam2, cc, alpha, d0 in ((4.0, 1.2, 1.0, 2.8),
+                                    (9.0, -0.7, 4.0 / 3.0, 9.7),
+                                    (9.0, 9.0, 4.0 / 3.0, 1.5e-17),
+                                    (0.64, 2.0, -0.5, -1.36),
+                                    (0.0025, 1.0, -38.0, -0.9975)):
             # u = 1 - sin(phi) is 0 at pi/2, exactly 1/2 at pi/6 and nan at
             # a nan phi: the edges of the inline 0 < u < 1/2 branch
             phis = np.concatenate([
@@ -241,14 +254,17 @@ class TestScalarKernelOracle:
                 np.pi / 2 - rng.uniform(0.0, 1e-3, 20),     # u near 0
                 rng.uniform(0.0, np.pi / 2, 20),
                 [0.0, np.pi / 2, 1e-12, np.pi / 6, np.nan]])
-            f = K.hyp_integrand(lam2, cc, alpha)
+            f = K.hyp_integrand(lam2, cc, alpha, d0)
             for phi in phis:
                 phi = float(phi)
                 got = f(phi)
-                want = np_integrand_hyp(lam2, cc, alpha, phi)
+                want = np_integrand_hyp(lam2, cc, alpha, d0, phi)
                 assert got.hex() == float(want).hex(), (phi, lam2, cc, alpha)
         sz = math.sin(0.5 * (0.5 * math.pi - math.pi / 6))
         assert 2.0 * sz * sz == 0.5
+        # next to the axis D is d0, not the lam2 - C = 0 that cancelled
+        f = K.hyp_integrand(9.0, 9.0, 4.0 / 3.0, 1.5e-17)
+        assert f(1e-30) == pytest.approx(1.5e-17 ** -0.5, rel=1e-12)
 
     def test_gk_panel(self):
         rng = np.random.default_rng(9)
@@ -260,7 +276,8 @@ class TestScalarKernelOracle:
             for a, b in zip(edges[:-1], edges[1:]):
                 got = K._gk_panel(f, float(a), float(b))
                 assert hexes(got) == hexes(loop_gk_panel(f_np, a, b))
-        for args in ((4.0, 1.2, 1.0), (0.64, 2.0, -0.5), (0.0025, 1.0, -38.0)):
+        for args in ((4.0, 1.2, 1.0, 2.8), (0.64, 2.0, -0.5, -1.36),
+                     (0.0025, 1.0, -38.0, -0.9975)):
             f = K.hyp_integrand(*args)
             f_np = functools.partial(np_integrand_hyp, *args)
             cuts = np.sort(rng.uniform(0.0, np.pi / 2, 6))
@@ -356,7 +373,8 @@ class TestPanelSelectionOracle:
                        lam > 4.0 and frac > 0.99999)
         for lam, cc in ((0.7, 1.3), (1.5, -0.8), (2.0, 2.5), (5.0, 4.0)):
             cc *= rng.uniform(0.9, 1.1)
-            f = K.hyp_integrand(lam * lam, cc, 2.0 - 2.0 / lam)
+            f = K.hyp_integrand(lam * lam, cc, 2.0 - 2.0 / lam,
+                                lam * lam - cc)
             yield "hyp", (f, 0.0, np.pi / 2), lam in (0.7, 5.0)
 
     def test_seeded_sweep_with_budget_hits(self):
@@ -444,9 +462,9 @@ class TestPanelSelectionOracle:
             K.adaptive_gk, *args)
 
     def test_inf_integrand(self):
-        # lam = 0.01, B = 0 (span_quadrature(0.01, -1, 0)): C q_alpha is
-        # 0 * (-inf), so the integrand is inf at the nodes near phi = 0
-        args = (K.hyp_integrand(1e-4, 0.0, -198.0), 0.0, np.pi / 2)
+        # lam = 0.01, B = 0 (span_quadrature(0.01, -1, 0)): C xi^alpha is
+        # 0 * inf, so the integrand is inf at the nodes near phi = 0
+        args = (K.hyp_integrand(1e-4, 0.0, -198.0, 1e-4), 0.0, np.pi / 2)
         for max_panels in (1, 2, 1024):
             want = gk_outcome(linear_adaptive_gk, *args, 1e-10, max_panels)
             assert want[1] in ("inf", "nan")
@@ -501,7 +519,7 @@ class TestEllipticQuadrature:
 class TestHyperbolicQuadrature:
     def test_zero_coupling_closed_form(self):
         for lam in (0.7, 1.3, 2.0, 5.0):
-            f = K.hyp_integrand(lam * lam, 0.0, 2 - 2 / lam)
+            f = K.hyp_integrand(lam * lam, 0.0, 2 - 2 / lam, lam * lam)
             v, e, st = K.adaptive_gk(f, 0.0, np.pi / 2, 1e-13, 512)
             assert 2 * v == pytest.approx(np.pi / lam, rel=1e-13)
 
@@ -518,7 +536,7 @@ class TestHyperbolicQuadrature:
             hi *= 2
         x0 = brentq(R, 1e-12, hi, xtol=1e-15)
         C = B * x0 ** (-2.0 / lam)
-        f = K.hyp_integrand(lam * lam, C, 2 - 2 / lam)
+        f = K.hyp_integrand(lam * lam, C, 2 - 2 / lam, -2 * P / x0 ** 2)
         v, e, st = K.adaptive_gk(f, 0.0, np.pi / 2, 1e-12, 512)
         ref = raw_halfspan(lam, P, B, 0.0, x0) * x0 / x0
         assert st == 0
@@ -532,7 +550,7 @@ class TestCumulative:
         x0 = max(r)
         C = B * x0 ** (-1.0)
         phis = np.linspace(0.0, np.pi / 2, 33)
-        f = K.hyp_integrand(4.0, C, 1.0)
+        f = K.hyp_integrand(4.0, C, 1.0, 4.0 - C)
         th, worst = K.cumulative_theta(f, phis, 1e-12, 256)
         assert worst == 0
         assert np.all(np.diff(th) > 0)

@@ -15,7 +15,9 @@ from homoeuler import (
     PhaseState,
     QuadratureFailure,
     SteadyStateError,
+    _kernels,
     conjugate,
+    periods,
     steady_state,
 )
 from homoeuler.orbits import (
@@ -181,9 +183,12 @@ class TestSpanAny:
     def test_arch_whose_rescaling_underflows(self):
         # |B|**lam underflows a double, so the unit-B rescaling refuses
         # these arches; span_any integrates them unscaled
+        # the value is 8e-15 from mpmath's 3.1107262042308923, the span at
+        # the C = B x0^(-2/lam) of the computed x0 (whose radicand is formed
+        # in subnormals)
         r = span_any(FlowParams(1.01, -5e-324, 1e-322))
         want = span_quadrature(1.01, -5e-324, 1e-322)
-        assert r.T.hex() == want.T.hex() == (3.1107262042220967).hex()
+        assert r.T.hex() == want.T.hex() == (3.1107262042308843).hex()
         assert (r.method, r.est_error) == (want.method, want.est_error)
         r = span_any(FlowParams(1.5, -1.0, 1e-250))
         assert r.T == pytest.approx(math.pi / 1.5, abs=1e-12)
@@ -244,11 +249,12 @@ class TestSpanQuadratureRefusals:
                            match=r"lam=30\.0 gave T=0\.0 with error estimate"):
             span_quadrature(30.0, P, 1.0)
 
-    def test_missed_target_names_the_callers_parameters(self):
-        # next to the centre the estimate misses 1e-9 (ROADMAP item 5); the
-        # message names lam, P and B = 1 as passed, not the centre-normalised
-        # triple that is integrated
-        P = (1.0 - 1e-7) * steady_state(5.0, 1.0).P_max
+    def test_missed_target_names_the_callers_parameters(self, monkeypatch):
+        # on a one-panel budget the estimate misses 1e-9; the message names
+        # lam, P and B = 1 as passed, not the centre-normalised triple that
+        # is integrated
+        monkeypatch.setattr(periods, "_MAX_PANELS", 1)
+        P = 0.5 * steady_state(5.0, 1.0).P_max
         with pytest.raises(QuadratureFailure) as info:
             period_elliptic(5.0, P)
         assert str(info.value).startswith(
@@ -387,3 +393,161 @@ class TestChiconeW:
             chicone_W(-0.1, 3.0)
         with pytest.raises(DomainError):
             chicone_W(10.0, 3.0)
+
+
+def _count_panels(monkeypatch):
+    """Counts _gk_panel calls and adaptive_gk budget hits, by rebinding the
+    module globals as the perfbench tracer does."""
+    counts = {"panels": 0, "budget_hits": 0}
+    panel, gk = _kernels._gk_panel, _kernels.adaptive_gk
+
+    def counting_panel(*args):
+        counts["panels"] += 1
+        return panel(*args)
+
+    def counting_gk(*args):
+        v, e, status = gk(*args)
+        counts["budget_hits"] += status
+        return v, e, status
+    monkeypatch.setattr(_kernels, "_gk_panel", counting_panel)
+    monkeypatch.setattr(_kernels, "adaptive_gk", counting_gk)
+    return counts
+
+
+class TestArchSpanOracle:
+    """Arch spans against mpmath (30 digits), with the turning point solved
+    in mpmath too."""
+
+    @staticmethod
+    def reference(lam, P, B):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        lam, P, B = mp.mpf(lam), mp.mpf(P), mp.mpf(B)
+        al = 2 - 2 / lam
+        # the turning point x0, by bisection in log x: R > 0 below it
+        lo, hi = mp.mpf(2) ** -1100, mp.mpf(2) ** 1100
+        while hi / lo > 1 + mp.mpf(10) ** -27:
+            x = mp.sqrt(lo * hi)
+            if -2 * P - lam ** 2 * x * x + B * x ** al > 0:
+                lo = x
+            else:
+                hi = x
+        C = B * lo ** (al - 2)
+        # T/2 = int_0^1 dxi/sqrt(lam^2 (1 - xi^2) - C (1 - xi^alpha)),
+        # scaled to O(1); xi = cos psi on [1/2, 1] keeps 1 - xi exact
+        s2 = lam ** 2 + abs(C)
+        a2, c = lam ** 2 / s2, C / s2
+
+        def lower(xi):
+            return 1 / mp.sqrt(a2 * (1 - xi ** 2) - c * (1 - xi ** al))
+
+        def upper(psi):
+            one_minus_pow = -mp.expm1(al * mp.log1p(-2 * mp.sin(psi / 2) ** 2))
+            return mp.sin(psi) / mp.sqrt(a2 * mp.sin(psi) ** 2
+                                         - c * one_minus_pow)
+        half = mp.quad(lower, [0, 0.5]) + mp.quad(upper, [0, mp.pi / 3])
+        return float(2 * half / mp.sqrt(s2))
+
+    @pytest.mark.parametrize("B", [1.0, -1.0])
+    @pytest.mark.parametrize("lam", [1.01, 1.2, 1.5, 2.5, 3.0, 5.0, 13.0])
+    def test_spans(self, lam, B):
+        for P in (-1e6, -1e3, -1.0, -1e-3, -1e-6):
+            if (lam, B, P) == (1.01, -1.0, -1e-6):
+                # x0 = 1.6e-288, and C = B x0^(-2/lam) overflows
+                with pytest.raises(DomainError, match="overflows a double"):
+                    span_any(FlowParams(lam, P, B))
+                continue
+            r = span_any(FlowParams(lam, P, B))
+            ref = self.reference(lam, P, B)
+            assert abs(r.T - ref) <= r.est_error, (lam, B, P)
+            if ref > 1e-10:
+                # spans below the 1e-10 target (lam = 1.01 and 1.2, B = -1,
+                # |P| <= 1e-3: 1e-134 to 4e-9) are held to the estimate
+                assert r.T == pytest.approx(ref, rel=1e-13, abs=0.0), (
+                    lam, B, P)
+
+    def test_cusp_via_conjugacy(self):
+        from test_assemble import B_CUSP
+        r = span_any(FlowParams(2.0 / 3.0, 1.0, B_CUSP))
+        assert r.method is SpanMethod.Conjugacy
+        ref = self.reference(2.0 / 3.0, 1.0, B_CUSP)
+        assert r.T == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert r.T == pytest.approx(2.0 * math.pi / 3.0, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lam,P,want", [
+        # separatrix arches, where lam^2 - C rounds below zero; mpmath
+        (3.0, -1e-20, 3.1415322028800215),
+        (13.0, -1e-60, 3.0612416303673075),
+        (3.0, -1e-10, 3.1224742425374329),
+    ])
+    def test_next_to_the_separatrix(self, lam, P, want):
+        assert span_any(FlowParams(lam, P, 1.0)).T == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
+    def test_panels_per_span(self, monkeypatch):
+        # lam = 1.5, B = +1 on the 200-row hyperbolic period-scan grid of
+        # the survey benchmark: 29.5 panels per span when phi was
+        # integrated directly, 7.0 in s
+        counts = _count_panels(monkeypatch)
+        ps = -np.geomspace(1e-6, 1e6, 200)
+        for P in ps:
+            span_any(FlowParams(1.5, float(P), 1.0))
+        assert counts["panels"] <= 8 * len(ps)
+        assert counts["budget_hits"] == 0
+
+
+class TestNearCentreOracle:
+    """Periods next to the centre against mpmath (30 digits)."""
+
+    @staticmethod
+    def reference(lam, P):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        lam, P = mp.mpf(lam), mp.mpf(P)
+        al = 2 - 2 / lam
+
+        def R(x):
+            return -2 * P - lam ** 2 * x * x + x ** al
+
+        def dR(x):
+            return -2 * lam ** 2 * x + al * x ** (al - 1)
+        # turning points by Newton, from the quadratic about the centre
+        xs = ((lam - 1) / lam ** 3) ** (lam / 2)
+        h = mp.sqrt(-2 * R(xs) / (-2 * lam ** 2
+                                  + al * (al - 1) * xs ** (al - 2)))
+        roots = []
+        for x in (xs - h, xs + h):
+            for _ in range(60):
+                x -= R(x) / dR(x)
+            roots.append(x)
+        m, rho = (roots[0] + roots[1]) / 2, (roots[1] - roots[0]) / 2
+
+        # Gauss-Legendre keeps its nodes far enough from the turning
+        # points for R to be resolved there
+        def f(phi):
+            return rho * mp.cos(phi) / mp.sqrt(R(m + rho * mp.sin(phi)))
+        return float(2 * mp.quad(f, [-mp.pi / 2, 0, mp.pi / 2],
+                                 method="gauss-legendre"))
+
+    @pytest.mark.parametrize("lam", [1.5, 3.0, 5.0, 8.0, 13.0])
+    def test_periods_approach_the_centre_limit(self, lam):
+        p_max = steady_state(lam, 1.0).P_max
+        t_centre = 2.0 * math.pi / math.sqrt(2.0 * lam)
+        gaps = []
+        for k in range(4, 11):
+            P = p_max * (1.0 - 10.0 ** -k)
+            T = period_elliptic(lam, P).T
+            assert T == pytest.approx(self.reference(lam, P), rel=1e-14,
+                                      abs=0.0), k
+            gaps.append(abs(T - t_centre))
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+    def test_no_budget_hit_on_the_near_centre_scan(self, monkeypatch):
+        # the survey benchmark's near-centre scans: 200 rows from
+        # P_max (1 - 1e-6) down to 1e-4 P_max
+        counts = _count_panels(monkeypatch)
+        for lam in (3.0, 5.0):
+            p_max = steady_state(lam, 1.0).P_max
+            for P in np.geomspace((1.0 - 1e-6) * p_max, 1e-4 * p_max, 200):
+                period_elliptic(lam, float(P))
+        assert counts["budget_hits"] == 0

@@ -80,7 +80,7 @@ def test_kernel_counters_see_every_call(monkeypatch):
     # a call that runs out of panels bisects max_panels - 1 times
     counts["_gk_panel"] = 0
     max_panels = 16
-    f = _kernels.hyp_integrand(9.0, 1.0, 4.0 / 3.0)
+    f = _kernels.hyp_integrand(9.0, 1.0, 4.0 / 3.0, 8.0)
     _v, _e, status = _kernels.adaptive_gk(f, 0.0, 1.5, 0.0, max_panels)
     assert status == 1
     assert counts["_gk_panel"] == 2 * max_panels - 1
