@@ -9,6 +9,7 @@ printed, in seconds.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -28,6 +29,7 @@ def _workloads():
         PhaseState,
         ReturnToAxis,
         ReturnToStart,
+        closed_orbit,
         find_intercepts,
         integrate_orbit,
     )
@@ -80,7 +82,7 @@ def _workloads():
             integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart())
 
     # orbits that end in stop events: apex-to-axis arches, and the lam = 13,
-    # n = 4 closed orbit whose period the census checks against 2 pi/4
+    # n = 4 closed orbit that construct --elliptic-n 4 samples as its arc
     event_runs = []
     for lam in (3.0, 5.0):
         p = FlowParams(lam, -1.0, 1.0)
@@ -94,6 +96,23 @@ def _workloads():
         for p, start, stop in event_runs:
             integrate_orbit(p, start, stop)
 
+    # the census cross-check orbit of the n = 3 root: the DP from the outer
+    # turning point with the T/2048 step cap the census used to take, and
+    # closed_orbit in (ln x, y/x) from the inner one
+    census = []
+    for lam in (5.8, 13.6, 18.374073):
+        p = FlowParams(lam, solve_elliptic(lam, 3).P_star, 1.0)
+        census.append((p, find_intercepts(p)))
+
+    def census_dp_from_x1():
+        for p, ic in census:
+            integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart(),
+                            max_step=2.0 * math.pi / 3.0 / 2048.0)
+
+    def census_uv_from_x0():
+        for p, ic in census:
+            closed_orbit(p, ic.x0)
+
     def arcs():
         hyperbolic_arc(3.0, -1.0, 4.0)
         hyperbolic_arc(2.0 / 3.0, 1.0, 3.5)
@@ -105,6 +124,8 @@ def _workloads():
             ("near-centre period x3", near_centre_periods),
             ("orbit integration x3", orbits),
             ("orbit events x3", events),
+            ("census orbit, x1 DP x3", census_dp_from_x1),
+            ("census orbit, x0 (u,v) x3", census_uv_from_x0),
             ("arc construction x3", arcs)]
 
 
@@ -124,7 +145,7 @@ def main(argv=None) -> int:
                     help="timed repetitions per workload (best is kept)")
     args = ap.parse_args(argv)
     for name, fn in _workloads():
-        print(f"{name:<24} {_best_of(fn, args.reps):.6f} s")
+        print(f"{name:<26} {_best_of(fn, args.reps):.6f} s")
     return 0
 
 

@@ -1,10 +1,12 @@
-"""Turning points on level curves and an adaptive orbit integrator.
+"""Turning points on level curves and two adaptive orbit integrators.
 
-The integrator doubles as an independent oracle for the quadrature spans and
-as the profile sampler for arcs with lam >= 2.  Arcs with lam < 2 and B != 0
+integrate_orbit steps the phase system in (x, y); it samples the profiles
+of arcs with lam >= 2 and checks their spans.  Arcs with lam < 2 and B != 0
 are never integrated through the axis: the power term of the phase system is
 singular there, so the integrator refuses (SingularEndpoint) and callers must
-take the quadrature path instead.
+take the quadrature path instead.  closed_orbit integrates a closed orbit in
+(ln x, y/x) from its inner turning point, where the field is analytic; it is
+the independent oracle for the quadrature periods of the elliptic census.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
+from ._kernels import (
+    _A10, _A20, _A21, _A30, _A31, _A32, _A40, _A41, _A42, _A43,
+    _A50, _A51, _A52, _A53, _A54, _A60, _A62, _A63, _A64, _A65,
+    _E0, _E2, _E3, _E4, _E5, _E6,
+)
 from ._rootfind import brent, newton_polish
 from .core import FlowParams, PhaseState, phase_vector_field, pressure_hamiltonian
 from .errors import (
@@ -32,11 +39,16 @@ from .errors import (
 # 64 points per decade, the bracketing density for turning-point scans
 _SCAN_FACTOR = 10.0 ** (1.0 / 64.0)
 _SCAN_MAX_STEPS = 64 * 300
+# the last scan grid built upward (True) and downward (False), see _scan
+_GRIDS = {True: [math.nan], False: [math.nan]}
 
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
 # below this abscissa an orbit with lam < 2 and B != 0 counts as singular
 X_MIN = 1e-12
 _H_MIN = 1e-14
+# step error tolerance of closed_orbit; census periods come out within
+# about 5e-13 of the quadrature
+_UV_TOL = 1e-12
 
 
 class InterceptKind(enum.Enum):
@@ -81,7 +93,12 @@ StopCondition = Union[ReturnToAxis, ReturnToStart, FixedTime]
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """An integrated orbit; samples is a read-only (n, 3) float64 array of
-    (t, x, y) rows, so orbit.samples.T unpacks the columns."""
+    (t, x, y) rows, so orbit.samples.T unpacks the columns.
+
+    measured_span is the span or period the integration measured.  From
+    integrate_orbit the samples cover that whole time; closed_orbit samples
+    only the half period from x0 to x1, and the other half is its mirror
+    image y -> -y."""
 
     params: FlowParams
     samples: np.ndarray
@@ -135,10 +152,16 @@ def _scan(R, start: float, up: bool):
     radicand turns nan (inf - inf) where both of its powers overflow, which
     can come after its sign change or before a power raises.
 
+    The last grid built in each direction is kept and reused, extended as
+    needed, by the next scan from the same start: every elliptic scan at one
+    lam and B starts at the centre abscissa.
+
     Returns (g_{k-1}, g_k, R(g_{k-1}), R(g_k)), or None without a sign
     change.
     """
-    grid = [start]
+    grid = _GRIDS[up]
+    if grid[0] != start:
+        grid = _GRIDS[up] = [start]
     lo, f_lo = 0, R(start)
     while True:
         stride = 1
@@ -301,6 +324,138 @@ def _intercepts(p: FlowParams) -> Intercepts:
     return Intercepts(InterceptKind.HyperbolicSingle, x1)
 
 
+def _uv_step(u, v, a, h, lam2, L, c):
+    """One Dormand-Prince 5(4) step of u' = v, v' = lam2 expm1(c u + L) - v^2
+    from (u, v), where a = v'(u, v).  Returns (u5, v5, a5, err_u, err_v),
+    a5 = v' at (u5, v5), which is the next step's a (first same as last)."""
+    expm1 = math.expm1
+    u1 = u + h * (_A10 * v)
+    v1 = v + h * (_A10 * a)
+    a1 = lam2 * expm1(c * u1 + L) - v1 * v1
+    u2 = u + h * (_A20 * v + _A21 * v1)
+    v2 = v + h * (_A20 * a + _A21 * a1)
+    a2 = lam2 * expm1(c * u2 + L) - v2 * v2
+    u3 = u + h * (_A30 * v + _A31 * v1 + _A32 * v2)
+    v3 = v + h * (_A30 * a + _A31 * a1 + _A32 * a2)
+    a3 = lam2 * expm1(c * u3 + L) - v3 * v3
+    u4 = u + h * (_A40 * v + _A41 * v1 + _A42 * v2 + _A43 * v3)
+    v4 = v + h * (_A40 * a + _A41 * a1 + _A42 * a2 + _A43 * a3)
+    a4 = lam2 * expm1(c * u4 + L) - v4 * v4
+    u5 = u + h * (_A50 * v + _A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4)
+    v5 = v + h * (_A50 * a + _A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+    a5 = lam2 * expm1(c * u5 + L) - v5 * v5
+    # the 5th-order weights are row 6 of A, whose column 1 is zero
+    un = u + h * (_A60 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+    vn = v + h * (_A60 * a + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+    an = lam2 * expm1(c * un + L) - vn * vn
+    eu = h * (_E0 * v + _E2 * v2 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * vn)
+    ev = h * (_E0 * a + _E2 * a2 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * an)
+    return un, vn, an, eu, ev
+
+
+def closed_orbit(p: FlowParams, x0: float) -> Orbit:
+    """The period of the closed orbit of p through its inner turning point x0.
+
+    The phase system is integrated in u = ln(x/x0) and the Riccati (Prufer)
+    variable v = y/x,
+
+        u' = v,    v' = K e^(-2u/lam) - lam^2 - v^2,
+        K = ((lam - 1)/lam) B x0^(-2/lam),
+
+    from (u, v) = (0, 0) until v returns to 0 at the outer turning point x1,
+    which takes half the period.  The field is analytic on the whole closed
+    orbit, so an adaptive Dormand-Prince 5(4) step needs no step cap and no
+    guard near the axis, and the start at x0 is well conditioned: one ulp of
+    x0 moves the pressure of the orbit by a few ulps, where at x1 it can
+    move it by 1e-6.  Each step keeps its error estimate within _UV_TOL of
+    the state plus the orbit's extent.  The crossing of v = 0 inside the last step is located
+    by Newton steps on the step length, one Dormand-Prince step per trial.
+
+    Parameters
+    ----------
+    p : FlowParams
+    x0 : float
+        The inner turning point, find_intercepts(p).x0 of an EllipticPair.
+
+    Returns
+    -------
+    Orbit
+        closed = True, measured_span = twice the time from x0 to x1, and
+        (t, x0 e^u, x0 e^u v) samples of that half period, from x0 to x1.
+
+    Raises
+    ------
+    DomainError
+        If x0 is not the inner turning point of a closed orbit (v' <= 0
+        there) or K is not a finite double.
+    StepFailure
+        If the step size falls below 1e-6 of the first step.
+    EventNotFound
+        If v does not return to 0 within 16 pi (1 + 1/lam).
+    NumericalError
+        If the samples drift off the pressure level beyond 1e-9 (1 + |P|).
+    """
+    lam = p.lam
+    lam2 = lam * lam
+    c = -2.0 / lam
+    try:
+        a = (lam - 1.0) / lam * p.B * x0 ** c - lam2
+    except ArithmeticError:
+        a = math.inf
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"x0 = {x0!r} is not the inner turning point of a"
+                          f" closed orbit of {p}: v'(0) = {a!r}")
+    # K e^(c u) - lam^2 = lam^2 expm1(c u + L), L = ln(K/lam^2), does not
+    # cancel near the centre, where K e^(c u) stays close to lam^2
+    L = math.log1p(a / lam2)
+    # errors are measured against _UV_TOL times the state plus the orbit's
+    # extent in u and the scale of v, from a = v'(0): near the centre u
+    # oscillates with frequency w = sqrt(2 lam) about a / w^2, so it spans
+    # a / lam and |v| reaches w/2 of that; toward the separatrix the span
+    # grows like (lam/2) ln(a)
+    su = _UV_TOL * 0.5 * lam * math.log1p(2.0 * a / lam2)
+    sv = su * math.sqrt(0.5 * lam)
+    # a first step of 1/20 of the shorter of two time scales, the
+    # oscillation's and the start's; none under 1e-6 of that
+    h = 0.05 / math.sqrt(2.0 * lam + a)
+    h_min = 1e-6 * h
+    # a half period is below pi (1 + 1/lam) for every lam
+    t_cap = 16.0 * math.pi * (1.0 + 1.0 / lam)
+    t = u = v = 0.0
+    rows = [(t, u, v)]
+    while True:
+        if t > t_cap:
+            raise EventNotFound(
+                f"y/x did not return to 0 by t_cap = {t_cap!r} for {p}")
+        if h < h_min:
+            raise StepFailure(f"step size fell below {h_min!r} at t={t!r},"
+                              f" x={x0 * math.exp(u)!r} for {p}")
+        un, vn, an, eu, ev = _uv_step(u, v, a, h, lam2, L, c)
+        err = math.sqrt(0.5 * ((eu / (su + _UV_TOL * abs(un))) ** 2
+                               + (ev / (sv + _UV_TOL * abs(vn))) ** 2))
+        if err <= 1.0:
+            if v > 0.0 and not vn > 0.0:
+                break
+            t += h
+            u, v, a = un, vn, an
+            rows.append((t, u, v))
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+    # v = 0 inside this step: Newton on its length tau, from the secant
+    # guess, dv/dtau = v' at the trial state
+    tau = h * v / (v - vn)
+    for _ in range(16):
+        ue, ve, ae, _eu, _ev = _uv_step(u, v, a, tau, lam2, L, c)
+        tau -= ve / ae
+        if abs(ve / ae) <= 1e-15 * (t + tau):
+            break
+    rows.append((t + tau, ue, 0.0))
+    ts, us, vs = np.array(rows).T
+    xs = x0 * np.exp(us)
+    ys = xs * vs
+    _check_drift(p, xs, ys)
+    return Orbit(p, _samples(ts, xs, ys), True, 2.0 * (t + tau))
+
+
 def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
                 max_step: float, guard: int, stop_kind: int, n_stop: int):
     # large-lam elliptic orbits live at x ~ (lam^-2)^(lam/2), far below any
@@ -425,12 +580,7 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     xs = np.maximum(xs, 0.0)
     span = span_factor * float(t_end)
 
-    drift = _pressure_drift(p, xs, ys)
-    bound = 1e-9 * (1.0 + abs(p.P))
-    if drift > bound:
-        raise NumericalError(
-            f"pressure drift {drift:.3e} exceeds the conservation tolerance"
-            f" 1e-9 (1 + |P|) = {bound:.3e} for {p}")
+    _check_drift(p, xs, ys)
     return Orbit(p, _samples(ts, xs, ys), closed, span)
 
 
@@ -441,7 +591,9 @@ def _samples(ts, xs, ys) -> np.ndarray:
     return out
 
 
-def _pressure_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> float:
+def _check_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise NumericalError if a sample is off the pressure level p.P by more
+    than 1e-9 (1 + |P|)."""
     alpha = 2.0 - 2.0 / p.lam
     H = -0.5 * ys * ys - 0.5 * p.lam * p.lam * xs * xs
     if p.B != 0.0:
@@ -449,7 +601,12 @@ def _pressure_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> float:
             pw = np.where(xs > 0.0, xs, 1.0) ** alpha
         pw = np.where(xs > 0.0, pw, 1.0 if alpha == 0.0 else 0.0)
         H = H + 0.5 * p.B * pw
-    return float(np.abs(H - p.P).max())
+    drift = float(np.abs(H - p.P).max())
+    bound = 1e-9 * (1.0 + abs(p.P))
+    if drift > bound:
+        raise NumericalError(
+            f"pressure drift {drift:.3e} exceeds the conservation tolerance"
+            f" 1e-9 (1 + |P|) = {bound:.3e} for {p}")
 
 
 def _raise_for_status(out, p: FlowParams) -> None:

@@ -189,6 +189,20 @@ class TestCountElliptic:
             assert abs(period - TWO_PI / n) <= 1e-8
 
 
+class TestCensusGrid:
+    """Every 10th lam of the grid 12.55, 12.65, ..., 24.45, where the census
+    cross-check from the outer turning point failed at 75 of 120 lam."""
+
+    @pytest.mark.parametrize("lam", [12.55 + k for k in range(12)])
+    def test_all_roots_solve_and_cross_check(self, lam):
+        cat = solve_all_elliptic(lam)
+        assert [n for n, _, _ in cat.entries] == list(range(3, 3 + cat.n))
+        for n, p_star, period in cat.entries:
+            T = span_any(FlowParams(lam, p_star, 1.0)).T
+            assert abs(T - TWO_PI / n) <= 1e-10
+            assert abs(period - T) <= 1e-11
+
+
 class TestSolveElliptic:
     @pytest.mark.parametrize("lam,n", sorted(ELLIPTIC_ROOTS))
     def test_frozen_roots(self, lam, n):
@@ -320,8 +334,8 @@ class TestSolverErrorsNameTheirInputs:
         p_star = solve_elliptic(5.0, 3).P_star
 
         # an orbit whose period disagrees with the quadrature's
-        def off_orbit(lam, P, T_hint):
-            return type("Orbit", (), {"measured_span": T_hint + 1e-6})()
+        def off_orbit(lam, P):
+            return type("Orbit", (), {"measured_span": TWO_PI / 3 + 1e-6})()
         monkeypatch.setattr(classify, "_elliptic_orbit", off_orbit)
         with pytest.raises(NumericalError) as info:
             solve_elliptic(5.0, 3)

@@ -67,6 +67,16 @@ class TestClassify:
         assert entry["n"] == 3
         assert entry["period"] == pytest.approx(TWO_PI / 3.0, abs=1e-9)
 
+    def test_json_census_at_large_lambda(self, capsys):
+        # four roots whose cross-check orbits dwell next to the separatrix
+        # (P* / P_max down to 5e-9)
+        rc, out, _ = run(capsys, "classify", "--json", "--lambda", "18.374073")
+        assert rc == 0
+        entries = json.loads(out)["elliptic"]["entries"]
+        assert [e["n"] for e in entries] == [3, 4, 5, 6]
+        for e in entries:
+            assert abs(e["period"] - TWO_PI / e["n"]) <= 1e-10
+
     def test_bad_lambda_is_domain_error(self, capsys):
         rc, _, err = run(capsys, "classify", "--lambda", "0")
         assert rc == 2

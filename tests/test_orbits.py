@@ -23,9 +23,11 @@ from homoeuler.orbits import (
     Orbit,
     ReturnToAxis,
     ReturnToStart,
+    closed_orbit,
     find_intercepts,
     integrate_orbit,
 )
+from homoeuler.periods import span_any
 
 
 def radicand_residual(p, x):
@@ -261,6 +263,103 @@ class TestGallopingScanOracle:
         want = outcome(step, R, 1.0)
         assert (-1.0).hex() in want
         assert outcome(march, R, 1.0) == want
+
+
+def step_grid(start, up, n):
+    """g_0 .. g_{n-1} of a scan from start, one product after the other."""
+    grid = [start]
+    for _ in range(n - 1):
+        g = grid[-1]
+        grid.append(g * orbits._SCAN_FACTOR if up else g / orbits._SCAN_FACTOR)
+    return grid
+
+
+class TestScanGridReuse:
+    """_scan keeps the last grid of each direction and extends it across
+    calls; its points must be the step-by-step loop's bits."""
+
+    @staticmethod
+    def stop_after(start, up, k):
+        # positive up to grid index k - 1 of the scan from start, then -1
+        edge = step_grid(start, up, k + 1)[k]
+        if up:
+            return lambda x: -1.0 if x >= edge else 1.0
+        return lambda x: -1.0 if x <= edge else 1.0
+
+    def test_grids_match_step_by_step(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_GRIDS",
+                            {True: [math.nan], False: [math.nan]})
+        steps = {True: step_march_up, False: step_march_down}
+        marches = {True: orbits._march_up, False: orbits._march_down}
+        s1, s2 = 0.7234512, 3.1e-5
+        # a fresh start, the same start again (reused, then extended across
+        # calls), another start (rebuilt), then the first one again, in
+        # both directions and interleaved
+        calls = [(s1, True, 5), (s1, True, 3), (s1, True, 300),
+                 (s1, False, 40), (s1, True, 2000), (s2, True, 17),
+                 (s1, False, 1), (s1, False, 900), (s2, False, 64),
+                 (s1, True, 129), (s1, True, 7000)]
+        lengths = {True: 0, False: 0}
+        for start, up, k in calls:
+            R = self.stop_after(start, up, k)
+            want = outcome(steps[up], R, start)
+            assert outcome(marches[up], R, start) == want, (start, up, k)
+            grid = orbits._GRIDS[up]
+            assert grid[0] == start
+            assert ([g.hex() for g in grid]
+                    == [g.hex() for g in step_grid(start, up, len(grid))])
+            lengths[up] = max(lengths[up], len(grid))
+        # the longest scans built grids far past one gallop stride
+        assert lengths[True] > 7000 and lengths[False] > 900
+
+
+# (lam, n): P* at B = 1 of the census roots, from the pressure bisection
+CENSUS_ROOTS = {
+    (10.0, 3): 6.846676616322176e-24,
+    (10.0, 4): 3.6906044207341044e-21,
+    (13.0, 3): 1.8538570411303935e-34,
+    (13.0, 4): 6.2166682559144325e-31,
+    (13.0, 5): 2.0733312189496292e-29,
+    (18.374073, 3): 6.596902195461735e-55,
+    (18.374073, 4): 8.08526431701063e-50,
+    (18.374073, 5): 7.731525669227727e-48,
+    (18.374073, 6): 1.0594851948274014e-46,
+    (24.4, 3): 1.5167341639871312e-79,
+    (24.4, 4): 1.169308313352156e-72,
+    (24.4, 5): 4.9131260711447217e-70,
+    (24.4, 6): 1.1427471135157247e-68,
+}
+
+
+class TestClosedOrbit:
+    @pytest.mark.parametrize("lam,n", sorted(CENSUS_ROOTS))
+    def test_census_roots_match_quadrature(self, lam, n):
+        p = FlowParams(lam, CENSUS_ROOTS[(lam, n)], 1.0)
+        ic = find_intercepts(p)
+        o = closed_orbit(p, ic.x0)
+        assert o.closed
+        assert abs(o.measured_span - span_any(p).T) <= 1e-11
+        # the samples run from x0 to x1 over half the period
+        t, x, y = o.samples.T
+        assert t[-1] == 0.5 * o.measured_span
+        assert x[0] == ic.x0 and y[0] == 0.0 and y[-1] == 0.0
+        assert x[-1] == pytest.approx(ic.x1, rel=1e-9)
+        assert np.all(np.diff(t) > 0.0) and np.all(y >= 0.0)
+
+    @pytest.mark.parametrize("frac,tol", [(0.5, 1e-12), (1.0 - 1e-9, 1e-12),
+                                          (1e-4, 1e-10), (1e-12, 1e-10)])
+    def test_lam_two_continuum(self, frac, tol):
+        # every closed orbit at lam = 2 has period pi; the census takes the
+        # one at P_max / 2, and orbits that dwell by the separatrix collect
+        # more of the per-step error
+        p = FlowParams(2.0, frac * steady_state(2.0, 1.0).P_max, 1.0)
+        o = closed_orbit(p, find_intercepts(p).x0)
+        assert abs(o.measured_span - math.pi) <= tol
+
+    def test_refuses_the_outer_turning_point(self):
+        p = FlowParams(5.0, 0.5 * steady_state(5.0, 1.0).P_max, 1.0)
+        with pytest.raises(DomainError, match="inner turning point"):
+            closed_orbit(p, find_intercepts(p).x1)
 
 
 class TestIntegrateOrbit:
