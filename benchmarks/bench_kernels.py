@@ -9,7 +9,6 @@ printed, in seconds.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -27,8 +26,6 @@ def _workloads():
     from homoeuler.core import FlowParams, steady_state
     from homoeuler.orbits import (
         PhaseState,
-        ReturnToAxis,
-        ReturnToStart,
         closed_orbit,
         find_intercepts,
         integrate_orbit,
@@ -74,44 +71,35 @@ def _workloads():
         for lam, P in near_centre:
             period_elliptic(lam, P)
 
-    def orbits():
-        for lam in (2.0, 3.0, 5.0):
-            P = 0.5 * steady_state(lam, 1.0).P_max
-            p = FlowParams(lam, P, 1.0)
-            ic = find_intercepts(p)
-            integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart())
-
-    # orbits that end in stop events: apex-to-axis arches, and the lam = 13,
-    # n = 4 closed orbit that construct --elliptic-n 4 samples as its arc
-    event_runs = []
+    # apex-to-axis arches, which end in the axis event
+    arch_starts = []
     for lam in (3.0, 5.0):
         p = FlowParams(lam, -1.0, 1.0)
-        event_runs.append((p, PhaseState(find_intercepts(p).x0, 0.0),
-                           ReturnToAxis()))
-    p = FlowParams(13.0, solve_elliptic(13.0, 4).P_star, 1.0)
-    event_runs.append((p, PhaseState(find_intercepts(p).x1, 0.0),
-                       ReturnToStart()))
+        arch_starts.append((p, PhaseState(find_intercepts(p).x0, 0.0)))
 
     def events():
-        for p, start, stop in event_runs:
-            integrate_orbit(p, start, stop)
+        for p, start in arch_starts:
+            integrate_orbit(p, start)
 
-    # the census cross-check orbit of the n = 3 root: the DP from the outer
-    # turning point with the T/2048 step cap the census used to take, and
-    # closed_orbit in (ln x, y/x) from the inner one
+    # the census cross-check orbit of the n = 3 root, in (ln x, y/x) from
+    # the inner turning point
     census = []
     for lam in (5.8, 13.6, 18.374073):
         p = FlowParams(lam, solve_elliptic(lam, 3).P_star, 1.0)
         census.append((p, find_intercepts(p)))
 
-    def census_dp_from_x1():
-        for p, ic in census:
-            integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart(),
-                            max_step=2.0 * math.pi / 3.0 / 2048.0)
-
-    def census_uv_from_x0():
+    def census_orbits():
         for p, ic in census:
             closed_orbit(p, ic.x0)
+
+    # the arcs construct --elliptic-n 3 at lam = 5 and --elliptic-n 4 at
+    # lam = 13 build
+    elliptic_roots = [(lam, solve_elliptic(lam, n).P_star)
+                      for lam, n in ((5.0, 3), (13.0, 4))]
+
+    def elliptic_arcs():
+        for lam, P in elliptic_roots:
+            elliptic_arc(lam, P)
 
     def arcs():
         hyperbolic_arc(3.0, -1.0, 4.0)
@@ -122,10 +110,9 @@ def _workloads():
             ("period-scan rows x600", period_scan_rows),
             ("turning points x20", turning_points),
             ("near-centre period x3", near_centre_periods),
-            ("orbit integration x3", orbits),
-            ("orbit events x3", events),
-            ("census orbit, x1 DP x3", census_dp_from_x1),
-            ("census orbit, x0 (u,v) x3", census_uv_from_x0),
+            ("orbit events x2", events),
+            ("census orbit, x0 (u,v) x3", census_orbits),
+            ("elliptic arc x2", elliptic_arcs),
             ("arc construction x3", arcs)]
 
 

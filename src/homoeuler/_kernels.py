@@ -31,8 +31,8 @@ substitutions so that the integrands are smooth on the open interval:
   D(xi) = (d0 - lam2 xi^2 + C xi^alpha)/(1-xi) with d0 = lam2 - C
   = -2P/x0^2 exactly.
 
-The RK45 pair is the Dormand-Prince 5(4) method; events (axis and y=0
-crossings) are located by a Newton iteration on the partial-step length,
+The RK45 pair is the Dormand-Prince 5(4) method; the axis crossing that ends
+an arch is located by a Newton iteration on the partial-step length,
 safeguarded by the sign bracket [0, h] (Henon 1982).
 """
 
@@ -469,30 +469,26 @@ def _dp_substeps(x, y, h, lam, B):
 
 
 def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
-               x_floor, guard_singular, stop_kind, n_stop,
-               t_buf, x_buf, y_buf, ev_buf):
-    """Integrate the phase system with event detection.
+               x_floor, guard_singular, t_buf, x_buf, y_buf):
+    """Integrate the phase system up to its first x = 0 crossing.
 
-    stop_kind: 0 fixed time, 1 first x=0 crossing (axis), 2 n_stop-th y=0
-    crossing.  A crossing inside an accepted step of length h is located
-    on tau -> g(_dp_substeps(x, y, tau)), g = x (axis) or y, by Newton steps
-    tau -= g/g' with g' from _phase_rhs, started from the secant guess.  The
-    sign of g keeps a bracket [lo, hi] in [0, h]; a step leaving it falls
-    back to the midpoint.  The search stops once a step is at most 1e-13,
-    the bracket at most 1e-12 wide or 64 states were tried, and takes the
-    last Newton iterate only if it lies in the bracket (otherwise the last
-    evaluated tau).
+    A crossing inside an accepted step of length h is located on
+    tau -> x(_dp_substeps(x, y, tau)) by Newton steps tau -= x/x' with
+    x' = y, started from the secant guess.  The sign of x keeps a bracket
+    [lo, hi] in [0, h]; a step leaving it falls back to the midpoint.  The
+    search stops once a step is at most 1e-13, the bracket at most 1e-12
+    wide or 64 states were tried, and takes the last Newton iterate only if
+    it lies in the bracket (otherwise the last evaluated tau).
 
-    Returns (status, n_samples, n_events, t_end, x_end, y_end):
-    status 0 ok, 2 sample buffer full, 3 step underflow, 4 singular endpoint
-    (x < x_floor with the guard on), 5 stop condition not met before t_max.
+    Returns (status, n_samples, t_end, x_end, y_end): status 0 ok, 2 sample
+    buffer full, 3 step underflow, 4 singular endpoint (x < x_floor with the
+    guard on), 5 no crossing before t_max.
     """
     t = 0.0
     x = x0
     y = y0
     h = 0.125 * h_max
     n = 0
-    nev = 0
     t_buf[n] = t
     x_buf[n] = x
     y_buf[n] = y
@@ -501,7 +497,7 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
         if h > t_max - t:
             h = t_max - t
         if h < h_min:
-            return 3, n, nev, t, x, y
+            return 3, n, t, x, y
         x5, y5, ex, ey = _dp_step(x, y, h, lam, B)
         sc_x = atol_x + rtol * max(abs(x), abs(x5))
         sc_y = atol_y + rtol * max(abs(y), abs(y5))
@@ -515,57 +511,37 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
         # step accepted
         if guard_singular == 1 and x5 < x_floor:
             # refuse to approach the singular axis; report the last safe state
-            return 4, n, nev, t, x, y
-        crossed_axis = stop_kind == 1 and x > 0.0 and x5 <= 0.0
-        crossed_y = stop_kind == 2 and (y != 0.0) and ((y < 0.0) != (y5 < 0.0) or y5 == 0.0)
-        if crossed_axis or crossed_y:
-            g0 = x if crossed_axis else y
-            g1 = x5 if crossed_axis else y5
+            return 4, n, t, x, y
+        if x > 0.0 and x5 <= 0.0:
             lo = 0.0
             hi = h
-            te = h * g0 / (g0 - g1)
+            te = h * x / (x - x5)
             for it in range(64):
                 xe, ye = _dp_substeps(x, y, te, lam, B)
-                ge = xe if crossed_axis else ye
-                if ge != 0.0 and (ge < 0.0) == (g0 < 0.0):
+                if xe > 0.0:
                     lo = te
                 else:
                     hi = te
-                dx, dy = _phase_rhs(xe, ye, lam, B)
-                dg = dx if crossed_axis else dy
                 # without a slope -1 lies outside, so the midpoint is taken
-                tn = te - ge / dg if dg != 0.0 else -1.0
+                tn = te - xe / ye if ye != 0.0 else -1.0
                 if abs(tn - te) <= 1e-13 or hi - lo <= 1e-12 or it == 63:
                     if lo <= tn <= hi and tn != te:
                         te = tn
                         xe, ye = _dp_substeps(x, y, te, lam, B)
                     break
                 te = tn if lo < tn < hi else 0.5 * (lo + hi)
-            if crossed_axis:
-                if n >= t_buf.shape[0]:
-                    return 2, n, nev, t, x, y
-                t_buf[n] = t + te
-                x_buf[n] = xe if xe > 0.0 else 0.0
-                y_buf[n] = ye
-                n += 1
-                return 0, n, nev, t + te, xe, ye
-            if nev >= ev_buf.shape[0]:
-                return 5, n, nev, t, x, y
-            ev_buf[nev] = t + te
-            nev += 1
-            if nev >= n_stop:
-                if n >= t_buf.shape[0]:
-                    return 2, n, nev, t, x, y
-                t_buf[n] = t + te
-                x_buf[n] = xe
-                y_buf[n] = 0.0
-                n += 1
-                return 0, n, nev, t + te, xe, 0.0
+            if n >= t_buf.shape[0]:
+                return 2, n, t, x, y
+            t_buf[n] = t + te
+            x_buf[n] = xe if xe > 0.0 else 0.0
+            y_buf[n] = ye
+            n += 1
+            return 0, n, t + te, xe, ye
         t += h
         x = x5
         y = y5
         if n >= t_buf.shape[0]:
-            return 2, n, nev, t, x, y
+            return 2, n, t, x, y
         t_buf[n] = t
         x_buf[n] = x
         y_buf[n] = y
@@ -580,6 +556,4 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
         h *= fac
         if h > h_max:
             h = h_max
-    if stop_kind == 0:
-        return 0, n, nev, t, x, y
-    return 5, n, nev, t, x, y
+    return 5, n, t, x, y

@@ -41,9 +41,8 @@ from .errors import (
 )
 from .orbits import (
     InterceptKind,
-    ReturnToAxis,
-    ReturnToStart,
-    StopCondition,
+    Orbit,
+    closed_orbit,
     find_intercepts,
     integrate_orbit,
 )
@@ -322,11 +321,10 @@ def _curvature(x: np.ndarray, lam: float, B: float) -> np.ndarray:
     return -lam * lam * x + ((lam - 1.0) / lam) * B * np.power(x, beta)
 
 
-def _orbit_samples(p: FlowParams, start: PhaseState, stop: StopCondition,
-                   span: float, t: np.ndarray):
-    """(t clipped to the run, psi, psi') on p's orbit from start, once the
+def _orbit_samples(orbit: Orbit, span: float, t: np.ndarray):
+    """(t clipped to the orbit's samples, psi, psi') on orbit, once its
     integrated span matches the quadrature span within 1e-9."""
-    orbit = integrate_orbit(p, start, stop, rtol=_ARC_RTOL)
+    p = orbit.params
     if abs(orbit.measured_span - span) > 1e-9 * (1.0 + span):
         raise NumericalError(
             f"integrated span {orbit.measured_span!r} and quadrature span"
@@ -346,8 +344,8 @@ def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     # the arch ends; cubic grading there restores spectral-free Simpson
     # accuracy of the downstream weak-form integrals (lam = 2 is analytic)
     grade = 1 if lam == 2.0 else 3
-    t_all, v_all, d_all = _orbit_samples(p, PhaseState(0.0, y0),
-                                         ReturnToAxis(), span,
+    orbit = integrate_orbit(p, PhaseState(0.0, y0), rtol=_ARC_RTOL)
+    t_all, v_all, d_all = _orbit_samples(orbit, span,
                                          span * graded_fractions(n, grade))
     # honest symmetry check on the raw integration before canonicalizing
     sym = float(np.max(np.abs(v_all - v_all[::-1])))
@@ -439,7 +437,8 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
                  n_points: int = 512) -> LocalArc:
     """One full period of a closed orbit as a profile arc (psi > 0).
 
-    The orbit is integrated from its outer apex and resampled uniformly;
+    The loop of closed_orbit, which integrates from the inner turning
+    point, is resampled uniformly from the outer one, where the arc starts;
     the measured period is cross-checked against the quadrature span within
     1e-9 before the quadrature value is adopted as the arc span.
 
@@ -461,8 +460,7 @@ def elliptic_arc(lam: float, P: float, B: float = 1.0,
             f" ({ic.kind})")
     span = _arc_span(p)
     m = n // 2
-    t_half, v_h, d_h = _orbit_samples(p, PhaseState(ic.x1, 0.0),
-                                      ReturnToStart(), span,
+    t_half, v_h, d_h = _orbit_samples(closed_orbit(p, ic.x0), span,
                                       np.linspace(0.0, 0.5 * span, m + 1))
     v_h[0] = ic.x1
     d_h[0] = 0.0

@@ -46,13 +46,7 @@ from .classify import (
 from .config import LIMITS, RunConfig, check_arc_count
 from .core import FlowParams, steady_state
 from .errors import DomainError, NumericalError, SpanMismatch
-from .orbits import (
-    PhaseState,
-    ReturnToAxis,
-    ReturnToStart,
-    find_intercepts,
-    integrate_orbit,
-)
+from .orbits import PhaseState, closed_orbit, find_intercepts, integrate_orbit
 from .periods import span_any
 
 __all__ = ["main", "serialize_solution", "solution_to_json", "parse_solution"]
@@ -577,10 +571,9 @@ def _cmd_phase_portrait(args) -> int:
         p = FlowParams(args.lam, args.pressure, B)
         ic = find_intercepts(p)
         if args.pressure > 0.0 and args.lam > 1.0:
-            start, stop = PhaseState(ic.x1, 0.0), ReturnToStart()
+            orbit = closed_orbit(p, ic.x0)
         else:
-            start, stop = PhaseState(ic.x0, 0.0), ReturnToAxis()
-        orbit = integrate_orbit(p, start, stop)
+            orbit = integrate_orbit(p, PhaseState(ic.x0, 0.0))
         for t, x, y in orbit.samples.tolist():
             w.writerow([_fmt(B), _fmt(t), _fmt(x), _fmt(y)])
     _write(buf.getvalue(), args.out)

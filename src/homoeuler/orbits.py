@@ -1,12 +1,15 @@
 """Turning points on level curves and two adaptive orbit integrators.
 
-integrate_orbit steps the phase system in (x, y); it samples the profiles
-of arcs with lam >= 2 and checks their spans.  Arcs with lam < 2 and B != 0
-are never integrated through the axis: the power term of the phase system is
-singular there, so the integrator refuses (SingularEndpoint) and callers must
-take the quadrature path instead.  closed_orbit integrates a closed orbit in
-(ln x, y/x) from its inner turning point, where the field is analytic; it is
-the independent oracle for the quadrature periods of the elliptic census.
+integrate_orbit steps the phase system in (x, y) from an arch's apex or
+axis point to the axis; it samples the profiles of arcs with lam >= 2 and
+checks their spans.  Arcs with lam < 2 and B != 0 are never integrated
+through the axis: the power term of the phase system is singular there, so
+the integrator refuses (SingularEndpoint) and callers must take the
+quadrature path instead.  closed_orbit is the only integrator of closed
+orbits: it steps (ln x, y/x) from the inner turning point, where the field
+is analytic, and returns the whole loop.  Its period is the independent
+oracle for the quadrature periods of the elliptic census, and its samples
+are the profiles of elliptic arcs and the closed orbits of phase portraits.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,37 +75,19 @@ class Intercepts:
     x1: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ReturnToAxis:
-    """Stop at the first x = 0 crossing."""
-
-
-@dataclass(frozen=True)
-class ReturnToStart:
-    """Stop after one full period (closed orbits only)."""
-
-
-@dataclass(frozen=True)
-class FixedTime:
-    t: float
-
-
-StopCondition = Union[ReturnToAxis, ReturnToStart, FixedTime]
-
-
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """An integrated orbit; samples is a read-only (n, 3) float64 array of
     (t, x, y) rows, so orbit.samples.T unpacks the columns.
 
-    measured_span is the span or period the integration measured.  From
-    integrate_orbit the samples cover that whole time; closed_orbit samples
-    only the half period from x0 to x1, and the other half is its mirror
-    image y -> -y."""
+    measured_span is the span or period the integration measured.  The
+    samples of a closed orbit cover one loop, from its outer turning point
+    round to it again.  Those of an arch run from its start to the axis: the
+    whole span from an axis start, half of it from the apex, where the span
+    is doubled by symmetry."""
 
     params: FlowParams
     samples: np.ndarray
-    closed: bool
     measured_span: float
 
 
@@ -354,7 +339,7 @@ def _uv_step(u, v, a, h, lam2, L, c):
 
 
 def closed_orbit(p: FlowParams, x0: float) -> Orbit:
-    """The period of the closed orbit of p through its inner turning point x0.
+    """The closed orbit of p through its inner turning point x0, one loop.
 
     The phase system is integrated in u = ln(x/x0) and the Riccati (Prufer)
     variable v = y/x,
@@ -363,13 +348,15 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
         K = ((lam - 1)/lam) B x0^(-2/lam),
 
     from (u, v) = (0, 0) until v returns to 0 at the outer turning point x1,
-    which takes half the period.  The field is analytic on the whole closed
-    orbit, so an adaptive Dormand-Prince 5(4) step needs no step cap and no
-    guard near the axis, and the start at x0 is well conditioned: one ulp of
-    x0 moves the pressure of the orbit by a few ulps, where at x1 it can
-    move it by 1e-6.  Each step keeps its error estimate within _UV_TOL of
-    the state plus the orbit's extent.  The crossing of v = 0 inside the last step is located
-    by Newton steps on the step length, one Dormand-Prince step per trial.
+    which takes half the period T_h.  The field is analytic on the whole
+    closed orbit, so an adaptive Dormand-Prince 5(4) step needs no step cap
+    and no guard near the axis, and the start at x0 is well conditioned: one
+    ulp of x0 moves the pressure of the orbit by a few ulps, where at x1 it
+    can move it by 1e-6.  Each step keeps its error estimate within _UV_TOL
+    of the state plus the orbit's extent.  The crossing of v = 0 inside the
+    last step is located by Newton steps on the step length, one
+    Dormand-Prince step per trial.  The half from x1 back to x0 is the
+    mirror image (T_h - t, x, -y) of the integrated half.
 
     Parameters
     ----------
@@ -380,8 +367,9 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
     Returns
     -------
     Orbit
-        closed = True, measured_span = twice the time from x0 to x1, and
-        (t, x0 e^u, x0 e^u v) samples of that half period, from x0 to x1.
+        measured_span = 2 T_h, and (t, x, y) samples of one loop from
+        (x1, 0) at t = 0 through (x0, 0) at T_h, reached with y < 0, to
+        (x1, 0) at 2 T_h.
 
     Raises
     ------
@@ -448,18 +436,24 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
         tau -= ve / ae
         if abs(ve / ae) <= 1e-15 * (t + tau):
             break
-    rows.append((t + tau, ue, 0.0))
+    t_h = t + tau
+    rows.append((t_h, ue, 0.0))
     ts, us, vs = np.array(rows).T
     xs = x0 * np.exp(us)
     ys = xs * vs
     _check_drift(p, xs, ys)
-    return Orbit(p, _samples(ts, xs, ys), True, 2.0 * (t + tau))
+    # the mirrored half, reversed, then the integrated one; 0.0 - y keeps
+    # y = +0.0 at x1
+    return Orbit(p, _samples(np.concatenate((t_h - ts[:0:-1], t_h + ts)),
+                             np.concatenate((xs[:0:-1], xs)),
+                             np.concatenate((0.0 - ys[:0:-1], ys))),
+                 2.0 * t_h)
 
 
 def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
-                max_step: float, guard: int, stop_kind: int, n_stop: int):
-    # large-lam elliptic orbits live at x ~ (lam^-2)^(lam/2), far below any
-    # fixed floor; flooring the scale there would void the error control
+                max_step: float, guard: int):
+    # large-lam orbits live at x ~ (lam^-2)^(lam/2), far below any fixed
+    # floor; flooring the scale there would void the error control
     x_scale = max(abs(x0), abs(y0) / p.lam)
     if x_scale == 0.0:
         x_scale = 1e-8
@@ -470,11 +464,9 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
         t_buf = np.empty(cap)
         x_buf = np.empty(cap)
         y_buf = np.empty(cap)
-        ev_buf = np.empty(8)
         out = _kernels.rk45_orbit(p.lam, p.B, x0, y0, t_max, rtol, atol_x,
                                   atol_y, max_step, _H_MIN, X_MIN, guard,
-                                  stop_kind, n_stop, t_buf, x_buf, y_buf,
-                                  ev_buf)
+                                  t_buf, x_buf, y_buf)
         status, n = out[0], out[1]
         if status != 2:
             return out, t_buf[:n], x_buf[:n], y_buf[:n]
@@ -484,21 +476,19 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
                                  f" needs over {cap // 2} samples")
 
 
-def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
+def integrate_orbit(p: FlowParams, start: PhaseState, *,
                     rtol: float = 1e-10,
                     max_step: float = MAX_SAMPLE_STEP) -> Orbit:
-    """Integrate the phase system from start until the stop condition.
+    """Integrate the phase system from start to its first x = 0 crossing.
 
     Parameters
     ----------
     p : FlowParams
     start : PhaseState
         Must lie on the level set {pressure_hamiltonian = p.P} within 1e-10
-        relative; start.x may be 0 only when lam >= 2 or B = 0.
-    stop : ReturnToAxis | ReturnToStart | FixedTime
-        ReturnToStart measures one full period of a closed orbit; a start off
-        the x-axis is first advanced to its apex and the loop is sampled from
-        there (the period does not depend on the starting point).
+        relative; start.x may be 0 only when lam >= 2 or B = 0.  An apex
+        start (start.y = 0) covers half an arch, and the span is doubled by
+        symmetry.
     rtol : float, optional
         Relative tolerance of the step-size controller.
     max_step : float, optional
@@ -508,7 +498,7 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     -------
     Orbit
         With (t, x, y) samples spaced at most max_step apart, x clamped to
-        x >= 0, and measured_span set to the event (or fixed) time.
+        x >= 0, and measured_span set to the span of the arch.
 
     Raises
     ------
@@ -517,12 +507,10 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
     StepFailure
         If the step-size controller underflows.
     EventNotFound
-        If the stop condition is not met within the time cap.
+        If the orbit does not reach the axis within the time cap.
     SteadyStateError
-        If asked for a return condition from a stationary point.
+        If start is a stationary point.
     """
-    if isinstance(stop, type):
-        stop = stop()
     lam, B = p.lam, p.B
     H = pressure_hamiltonian(start, lam, B)
     if abs(H - p.P) > 1e-10 * (1.0 + abs(p.P)):
@@ -533,55 +521,25 @@ def integrate_orbit(p: FlowParams, start: PhaseState, stop: StopCondition, *,
 
     dx0, dy0 = phase_vector_field(start, lam, B)
     field_scale = lam * lam * max(abs(start.x), abs(start.y) / lam, 1e-300)
-    stationary = max(abs(dx0), abs(dy0)) <= 1e-13 * field_scale
-    if stationary:
-        if isinstance(stop, FixedTime):
-            samples = _samples((0.0, stop.t), (start.x,) * 2, (start.y,) * 2)
-            return Orbit(p, samples, False, stop.t)
+    if max(abs(dx0), abs(dy0)) <= 1e-13 * field_scale:
         raise SteadyStateError(
-            "start is a steady state; no return event will occur")
+            "start is a steady state; it never reaches the axis")
 
     guard = 1 if (lam < 2.0 and B != 0.0) else 0
     t_cap = 8.0 * (2.0 * math.pi / math.sqrt(2.0 * lam) + math.pi
                    + math.pi / lam)
-
-    span_factor = 1.0
-    if isinstance(stop, FixedTime):
-        out, ts, xs, ys = _run_kernel(p, start.x, start.y, stop.t, rtol,
-                                      max_step, guard, 0, 0)
-        closed = False
-    elif isinstance(stop, ReturnToAxis):
-        out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol,
-                                      max_step, guard, 1, 1)
-        closed = False
-        if start.y == 0.0:
-            # apex start covers half the arch; the span doubles by symmetry
-            span_factor = 2.0
-    elif isinstance(stop, ReturnToStart):
-        x_a, y_a = start.x, start.y
-        if start.y != 0.0:
-            # phase 1: ride to the apex, where y crosses zero
-            out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol,
-                                          max_step, guard, 2, 1)
-            _raise_for_status(out, p)
-            x_a, y_a = xs[-1], 0.0
-        out, ts, xs, ys = _run_kernel(p, x_a, y_a, t_cap, rtol, max_step,
-                                      guard, 2, 2)
-        closed = True
-    else:
-        raise TypeError(f"unsupported stop condition: {stop!r}")
-
+    out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol, max_step,
+                                  guard)
     _raise_for_status(out, p)
-    t_end = out[3]
 
     if np.any(xs < -1e-12):
-        raise DomainError(
-            "orbit crossed into x < 0; use ReturnToAxis for arch segments")
+        raise DomainError("orbit crossed into x < 0")
     xs = np.maximum(xs, 0.0)
-    span = span_factor * float(t_end)
+    # an apex start covers half the arch; the span doubles by symmetry
+    span = (2.0 if start.y == 0.0 else 1.0) * float(out[2])
 
     _check_drift(p, xs, ys)
-    return Orbit(p, _samples(ts, xs, ys), closed, span)
+    return Orbit(p, _samples(ts, xs, ys), span)
 
 
 def _samples(ts, xs, ys) -> np.ndarray:
@@ -610,7 +568,7 @@ def _check_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _raise_for_status(out, p: FlowParams) -> None:
-    status, _n, _nev, t, x, y = out
+    status, _n, t, x, y = out
     if status == 0:
         return
     if status == 3:
@@ -621,5 +579,6 @@ def _raise_for_status(out, p: FlowParams) -> None:
             f"state entered x < X_MIN = {X_MIN!r} near the axis at t={t!r}"
             f" for {p} (lam < 2 with B != 0); use the quadrature path")
     if status == 5:
-        raise EventNotFound(f"stop condition not met by t_cap = {t!r} for {p}")
+        raise EventNotFound(f"the axis was not reached by t_cap = {t!r}"
+                            f" for {p}")
     raise NumericalError(f"unknown integrator status {status} for {p}")

@@ -39,7 +39,6 @@ from .errors import DomainError
 from .families import evaluate_family, lambda_half, ode_residual
 from .orbits import (
     PhaseState,
-    ReturnToAxis,
     closed_orbit,
     find_intercepts,
     integrate_orbit,
@@ -180,7 +179,7 @@ def criterion_07(seed: int = 0):
         T = span_quadrature(lam, -1.0, B).T
         ic = find_intercepts(p)
         # measured_span folds the apex-to-axis symmetry in already
-        orbit = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis(),
+        orbit = integrate_orbit(p, PhaseState(ic.x0, 0.0),
                                 max_step=T / 2048.0)
         worst = max(worst, abs(orbit.measured_span - T))
     return worst <= 1e-7, f"max route disagreement {worst:.3e} (tol 1e-7)"

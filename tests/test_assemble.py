@@ -133,6 +133,29 @@ class TestLocalArc:
         assert np.max(np.abs(dpsi + np.sin(2.0 * th))) < 1e-9
         assert psi.min() > 0.0
 
+    def test_elliptic_arc_against_high_precision_reference(self):
+        # lam = 10, n = 3 against a 20-digit Taylor-series solution of
+        # psi'' = -lam^2 psi + ((lam - 1)/lam) psi^((lam - 2)/lam) from a
+        # 20-digit outer turning point, at every 8th node of the half arc
+        mp = pytest.importorskip("mpmath")
+        lam = 10.0
+        P = solve_elliptic(lam, 3).P_star
+        th, psi, dpsi = profile_arrays(elliptic_arc(lam, P))
+        with mp.workdps(20):
+            L, Pm = mp.mpf(lam), mp.mpf(P)
+            x1 = mp.findroot(
+                lambda x: -2 * Pm - L * L * x * x + x ** (2 - 2 / L),
+                mp.mpf(psi[0]))
+            ref = mp.odefun(lambda t, s: [
+                s[1], -L * L * s[0] + (L - 1) / L * s[0] ** ((L - 2) / L)],
+                0, [x1, mp.mpf(0)])
+            nodes = range(0, len(th) // 2 + 1, 8)
+            rows = [[float(v) for v in ref(mp.mpf(th[k]))] for k in nodes]
+        ref_psi, ref_dpsi = np.array(rows).T
+        scale = psi.max()
+        assert np.abs(psi[nodes] - ref_psi).max() <= 1e-11 * scale
+        assert np.abs(dpsi[nodes] - ref_dpsi).max() <= 1e-10 * scale
+
     def test_inadmissible_parameters(self):
         with pytest.raises(InadmissibleArc):
             hyperbolic_arc(3.0, 1.0, 1.0)

@@ -29,7 +29,7 @@ from homoeuler.classify import (
 )
 from homoeuler.core import FlowParams, steady_state
 from homoeuler.families import evaluate_family, lambda2, ode_residual
-from homoeuler.orbits import PhaseState, ReturnToStart, integrate_orbit
+from homoeuler.orbits import closed_orbit
 from homoeuler.periods import span_any
 
 TWO_PI = 2.0 * math.pi
@@ -76,7 +76,7 @@ class TestBernoulli:
 
     def test_constant_along_integrated_orbit(self):
         p = FlowParams(2.0, 1.5, 8.0)
-        orbit = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
+        orbit = closed_orbit(p, 0.5)
         _t, xs, ys = orbit.samples.T
         vals = np.array([bernoulli(float(x), float(y), 2.0, 1.5)
                          for x, y in zip(xs, ys)])

@@ -113,6 +113,23 @@ class TestConstruct:
             assert p["span"] == pytest.approx(TWO_PI / 3.0, abs=1e-9)
             assert p["sign"] == 1
 
+    @pytest.mark.parametrize("lam,n", [
+        ("11", "3"), ("12", "3"), ("13", "3"), ("17.05", "3"),
+        ("18.374073", "3"), ("24.4", "3"), ("24.4", "4")])
+    def test_elliptic_solutions_at_large_lambda(self, capsys, tmp_path, lam,
+                                                n):
+        # the arcs of these roots come from the closed orbit integrated
+        # from its inner turning point; from the outer one their period
+        # missed the quadrature span by more than 1e-9
+        out_file = tmp_path / "ell.json"
+        rc, _, err = run(capsys, "construct", "--lambda", lam,
+                         "--elliptic-n", n, "--out", str(out_file))
+        assert rc == 0, err
+        pieces = json.loads(out_file.read_text())["pieces"]
+        assert len(pieces) == int(n)
+        assert sum(p["span"] for p in pieces) == pytest.approx(TWO_PI,
+                                                                abs=1e-9)
+
     @pytest.mark.parametrize("lam", ["0.6667", "3"])
     def test_zero_pressure_refused_before_solve(self, capsys, monkeypatch,
                                                 lam):
@@ -474,6 +491,20 @@ class TestPhasePortrait:
         assert len(lines) > 50
         last_t = float(lines[-1].split(",")[1])
         assert last_t == pytest.approx(math.pi, abs=1e-6)
+        # one loop from the outer turning point x1 round to it again
+        x1 = (1 + math.sqrt(1 - 32 * 0.01)) / 8
+        first, last = lines[1].split(","), lines[-1].split(",")
+        for row, t in ((first, 0.0), (last, last_t)):
+            assert float(row[1]) == t and float(row[3]) == 0.0
+            assert float(row[2]) == pytest.approx(x1, rel=1e-9)
+
+    @pytest.mark.parametrize("pressure,b", [("2", "8"), ("0.5", "-1")])
+    def test_no_closed_orbit_is_domain_error(self, capsys, pressure, b):
+        # the centre pressure at lam = 2, B = 8 and an empty level set
+        rc, out, err = run(capsys, "phase-portrait", "--lambda", "2",
+                           "--pressure", pressure, f"--b-values={b}")
+        assert (rc, out) == (2, "")
+        assert "not the inner turning point of a closed orbit" in err
 
     def test_multiple_b_values(self, capsys):
         rc, out, _ = run(capsys, "phase-portrait", "--lambda", "2",

@@ -561,51 +561,54 @@ class TestCumulative:
 class TestRK45:
     def setup_method(self):
         cap = 1 << 16
-        self.bufs = (np.empty(cap), np.empty(cap), np.empty(cap), np.empty(8))
+        self.bufs = (np.empty(cap), np.empty(cap), np.empty(cap))
 
-    def run(self, lam, B, x0, y0, t_max, stop_kind, n_stop, guard=0,
-            rtol=1e-10, atol=1e-14):
-        tb, xb, yb, ev = self.bufs
+    def run(self, lam, B, x0, y0, t_max, guard=0, rtol=1e-10, atol=1e-14):
+        tb, xb, yb = self.bufs
         out = K.rk45_orbit(lam, B, x0, y0, t_max, rtol, atol, atol,
-                           2 * np.pi / 1024, 1e-14, 1e-12, guard,
-                           stop_kind, n_stop, tb, xb, yb, ev)
-        return out, tb, xb, yb, ev
+                           2 * np.pi / 1024, 1e-14, 1e-12, guard, tb, xb, yb)
+        return out, tb, xb, yb
 
     def test_linear_center_closed_form(self):
-        # B = 0 decouples the power term: x(t) = cos(lam t), orbit period 2 pi/lam
+        # B = 0 decouples the power term: x(t) = cos(lam t) from the apex,
+        # which meets the axis at t = pi/(2 lam) with y = -lam
         lam = 3.0
-        (st, n, nev, t, x, y), tb, xb, yb, ev = self.run(
-            lam, 0.0, 1.0, 0.0, 10.0, 2, 2)
+        (st, n, t, x, y), tb, xb, yb = self.run(lam, 0.0, 1.0, 0.0, 10.0)
         assert st == 0
-        assert t == pytest.approx(2 * np.pi / lam, abs=1e-11)
-        assert x == pytest.approx(1.0, abs=1e-10)
+        assert t == pytest.approx(np.pi / (2 * lam), abs=1e-11)
+        assert y == pytest.approx(-lam, abs=1e-10)
 
-    def test_fixed_time_against_scipy(self):
-        lam, B = 2.0, 1.0
-        sol = solve_ivp(lambda t, s: [s[1], -lam ** 2 * s[0]
-                                      + (lam - 1) / lam * B],
-                        (0.0, 2.5), [0.2, 0.0], rtol=1e-12, atol=1e-14,
+    def test_arch_against_scipy(self):
+        # lam = 2, B = 1 from the apex x1 = 1/2 of P = -1/4: the states at
+        # every sample and at the axis event match solve_ivp
+        lam, B, x1 = 2.0, 1.0, 0.5
+
+        def rhs(t, s):
+            return [s[1], -lam ** 2 * s[0] + (lam - 1) / lam * B]
+        (st, n, t, x, y), tb, xb, yb = self.run(lam, B, x1, 0.0, 10.0)
+        assert st == 0 and abs(x) <= 1e-12
+        sol = solve_ivp(rhs, (0.0, t), [x1, 0.0], rtol=1e-12, atol=1e-14,
                         dense_output=True)
-        (st, n, nev, t, x, y), *_ = self.run(lam, B, 0.2, 0.0, 2.5, 0, 0)
-        assert st == 0 and t == 2.5
-        ref = sol.sol(2.5)
-        assert x == pytest.approx(ref[0], abs=1e-9)
-        assert y == pytest.approx(ref[1], abs=1e-9)
+        ref = sol.sol(tb[:n])
+        assert np.abs(xb[:n] - ref[0]).max() <= 1e-9
+        assert np.abs(yb[:n] - ref[1]).max() <= 1e-9
+        assert y == pytest.approx(sol.y[1, -1], abs=1e-9)
 
     def test_axis_event_velocity(self):
         # arch at lam = 2, P = -1/2: the axis is hit with y = -sqrt(-2P) = -1
         r = np.roots([-4.0, 1.0, 1.0])
         apex = max(r)
-        (st, n, nev, t, x, y), *_ = self.run(2.0, 1.0, apex, 0.0, 10.0, 1, 1)
+        (st, n, t, x, y), *_ = self.run(2.0, 1.0, apex, 0.0, 10.0)
         assert st == 0
         assert abs(x) < 1e-12
         assert y == pytest.approx(-1.0, abs=1e-10)
 
     def test_pressure_drift_small(self):
+        # a closed orbit never meets the axis: the run ends at t_max
         P = 0.01
         x1 = (1 + np.sqrt(1 - 32 * P)) / 8
-        (st, n, nev, t, x, y), tb, xb, yb, ev = self.run(
-            2.0, 1.0, x1, 0.0, 20.0, 2, 2)
+        (st, n, t, x, y), tb, xb, yb = self.run(2.0, 1.0, x1, 0.0, 20.0)
+        assert st == 5 and t == 20.0
         H = -yb[:n] ** 2 / 2 - 2.0 * xb[:n] ** 2 + 0.5 * xb[:n]
         assert np.abs(H - H[0]).max() < 1e-12
 
@@ -617,46 +620,38 @@ class TestRK45:
         def R(x):
             return -2 * P - lam * lam * x * x + B * x ** (2 - 2 / lam)
         apex = brentq(R, 1e-12, 5.0, xtol=1e-15)
-        (st, n, nev, t, x, y), *_ = self.run(lam, B, apex, 0.0, 10.0, 1, 1,
-                                             guard=1)
+        (st, n, t, x, y), *_ = self.run(lam, B, apex, 0.0, 10.0, guard=1)
         assert st == 4
         # stops at the last state before the step that would cross the floor
         assert 0.0 <= x < 1e-8
 
     def event_runs(self):
-        """(label, run output) for axis and y = 0 events at lam = 2, 3, 5."""
+        """(label, run output) for axis events at lam = 2 and 3."""
         from scipy.optimize import brentq
 
         def R(x):
             return 1.4 - 9.0 * x * x + x ** (2 - 2 / 3.0)
         apex3 = brentq(R, 1e-12, 5.0, xtol=1e-15)
-        x1_5 = elliptic_roots(5.0, 5e-8, 1.0)[1]
-        cases = (("arch lam3 B0", (3.0, 0.0, 0.0, 1.0, 10.0, 1, 1)),
-                 ("arch lam3 B1", (3.0, 1.0, apex3, 0.0, 10.0, 1, 1)),
-                 ("closed lam2", (2.0, 8.0, 1.5, 0.0, 10.0, 2, 2)),
-                 ("closed lam5", (5.0, 1.0, x1_5, 0.0, 10.0, 2, 2)))
+        cases = (("arch lam3 B0", (3.0, 0.0, 0.0, 1.0, 10.0)),
+                 ("arch lam3 B1", (3.0, 1.0, apex3, 0.0, 10.0)),
+                 ("arch lam2 B1", (2.0, 1.0, 0.5, 0.0, 10.0)))
         for label, args in cases:
             yield label, self.run(*args)
 
     def test_events_located_to_rounding(self):
         # B = 0 at lam = 3: x = sin(3 t)/3 returns to the axis at t = pi/3
-        (st, n, nev, t, x, y), *_ = self.run(3.0, 0.0, 0.0, 1.0, 10.0, 1, 1)
+        (st, n, t, x, y), *_ = self.run(3.0, 0.0, 0.0, 1.0, 10.0)
         assert st == 0
         assert abs(t - np.pi / 3.0) <= 1e-13
         assert abs(x) <= 1e-15
-        # psi = 1 + 0.5 cos(2 theta) at lam = 2, B = 8 closes after pi
-        (st, n, nev, t, x, y), *_ = self.run(2.0, 8.0, 1.5, 0.0, 10.0, 2, 2)
-        assert st == 0 and nev == 2
-        assert abs(t - np.pi) <= 1e-12
 
     def test_event_times_inside_their_steps(self):
         for label, out in self.event_runs():
-            (st, n, nev, t, x, y), tb, xb, yb, ev = out
+            (st, n, t, x, y), tb, xb, yb = out
             assert st == 0, label
             ts = tb[:n]
             assert np.all(np.diff(ts) > 0.0), label
             assert ts[-1] == t, label
-            assert np.all((ev[:nev] > ts[0]) & (ev[:nev] <= t)), label
 
     def test_event_search_work_bound(self, monkeypatch):
         calls = [0]
@@ -667,16 +662,12 @@ class TestRK45:
             return substeps(*args)
         monkeypatch.setattr(K, "_dp_substeps", counted)
         for label, out in self.event_runs():
-            (st, n, nev, t, x, y), *_ = out
-            events = nev if nev else 1   # the axis event is not in ev_buf
-            assert calls[0] <= 8 * events, label
+            assert out[0][0] == 0, label
+            assert calls[0] <= 8, label
             calls[0] = 0
 
     def test_buffer_full_status(self):
         tb, xb, yb = np.empty(4), np.empty(4), np.empty(4)
-        ev = np.empty(8)
         out = K.rk45_orbit(2.0, 1.0, 0.2, 0.0, 10.0, 1e-10, 1e-14, 1e-14,
-                           2 * np.pi / 1024, 1e-14, 1e-12, 0, 0, 0,
-                           tb, xb, yb, ev)
+                           2 * np.pi / 1024, 1e-14, 1e-12, 0, tb, xb, yb)
         assert out[0] == 2
-

@@ -18,11 +18,8 @@ from homoeuler import (
 )
 from homoeuler import orbits
 from homoeuler.orbits import (
-    FixedTime,
     InterceptKind,
     Orbit,
-    ReturnToAxis,
-    ReturnToStart,
     closed_orbit,
     find_intercepts,
     integrate_orbit,
@@ -337,14 +334,22 @@ class TestClosedOrbit:
         p = FlowParams(lam, CENSUS_ROOTS[(lam, n)], 1.0)
         ic = find_intercepts(p)
         o = closed_orbit(p, ic.x0)
-        assert o.closed
         assert abs(o.measured_span - span_any(p).T) <= 1e-11
-        # the samples run from x0 to x1 over half the period
+        # one loop from x1, through x0 at half the period, back to x1; the
+        # half from x1 is the mirror image of the integrated one
         t, x, y = o.samples.T
-        assert t[-1] == 0.5 * o.measured_span
-        assert x[0] == ic.x0 and y[0] == 0.0 and y[-1] == 0.0
-        assert x[-1] == pytest.approx(ic.x1, rel=1e-9)
-        assert np.all(np.diff(t) > 0.0) and np.all(y >= 0.0)
+        k = len(t) // 2
+        assert len(t) == 2 * k + 1
+        assert t[0] == 0.0 and t[-1] == o.measured_span
+        assert t[k] == 0.5 * o.measured_span
+        assert x[k] == ic.x0 and y[k] == 0.0
+        assert y[0] == 0.0 and y[-1] == 0.0
+        assert x[0] == x[-1] == pytest.approx(ic.x1, rel=1e-9)
+        assert np.all(np.diff(t) > 0.0)
+        assert np.all(y[1:k] < 0.0) and np.all(y[k + 1:-1] > 0.0)
+        assert np.abs(t[:k + 1] + t[k:][::-1] - t[-1]).max() <= 1e-15 * t[-1]
+        assert np.array_equal(x[:k + 1], x[k:][::-1])
+        assert np.array_equal(y[:k + 1], -y[k:][::-1])
 
     @pytest.mark.parametrize("frac,tol", [(0.5, 1e-12), (1.0 - 1e-9, 1e-12),
                                           (1e-4, 1e-10), (1e-12, 1e-10)])
@@ -364,44 +369,28 @@ class TestClosedOrbit:
 
 class TestIntegrateOrbit:
     def test_closed_orbit_period_lam2(self):
-        # psi = 1 + 0.5 cos(2 theta) has period pi; start at its apex
+        # psi = 1 + 0.5 cos(2 theta) has period pi; x0 = 0.5, x1 = 1.5
         p = FlowParams(2.0, 1.5, 8.0)
-        o = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
-        assert o.closed
+        o = closed_orbit(p, 0.5)
         assert o.measured_span == pytest.approx(math.pi, abs=1e-8)
-
-    def test_period_independent_of_start_point(self):
-        p = FlowParams(2.0, 1.5, 8.0)
-        o1 = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
-        y = -math.sqrt(2 * (-p.P - 2 * 1.2 ** 2 + 4 * 1.2))
-        o2 = integrate_orbit(p, PhaseState(1.2, y), ReturnToStart())
-        assert o2.measured_span == pytest.approx(o1.measured_span, abs=1e-9)
 
     def test_harmonic_arch_span(self):
         # B = 0: arch span is pi/lam for any P < 0
         for lam in (0.8, 2.0, 3.7):
             a = 1.3
             p = FlowParams(lam, -lam * lam * a * a / 2, 0.0)
-            o = integrate_orbit(p, PhaseState(a, 0.0), ReturnToAxis())
+            o = integrate_orbit(p, PhaseState(a, 0.0))
             assert o.measured_span == pytest.approx(math.pi / lam, abs=1e-8)
-
-    def test_steady_state_stays_fixed_time(self):
-        p = FlowParams(2.0, 2.0, 8.0)
-        o = integrate_orbit(p, PhaseState(1.0, 0.0), FixedTime(1.0))
-        assert o.measured_span == 1.0
-        _, xs, ys = o.samples.T
-        assert np.allclose(xs, 1.0, atol=1e-13)
-        assert np.allclose(ys, 0.0, atol=1e-13)
 
     def test_steady_state_return_raises(self):
         p = FlowParams(2.0, 2.0, 8.0)
         with pytest.raises(SteadyStateError):
-            integrate_orbit(p, PhaseState(1.0, 0.0), ReturnToStart())
+            integrate_orbit(p, PhaseState(1.0, 0.0))
 
     def test_full_arch_axis_to_axis_lam2(self):
         p = FlowParams(2.0, -1.0, 1.0)
         v = math.sqrt(2.0)  # |y| = sqrt(-2P) at the axis
-        o = integrate_orbit(p, PhaseState(0.0, v), ReturnToAxis())
+        o = integrate_orbit(p, PhaseState(0.0, v))
         t, x, y = o.samples.T
         assert x[0] <= 1e-12 and x[-1] <= 1e-12
         assert abs(abs(y[0]) - v) <= 1e-6
@@ -410,7 +399,7 @@ class TestIntegrateOrbit:
     def test_pressure_conservation_along_samples(self):
         p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
-        o = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
+        o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
         t, x, y = o.samples.T
         alpha = 2 - 2 / 3.0
         # B-term vanishes at x = 0 since alpha > 0
@@ -424,27 +413,22 @@ class TestIntegrateOrbit:
         with pytest.raises(SingularEndpoint, match=re.escape(
                 "x < X_MIN = 1e-12 near the axis") + r".* for FlowParams\(lam=1\.5,"
                 r" P=-0\.5, B=1\.0\)"):
-            integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
+            integrate_orbit(p, PhaseState(ic.x0, 0.0))
 
     def test_off_level_set_start_rejected(self):
         p = FlowParams(2.0, 1.5, 8.0)
         with pytest.raises(DomainError):
-            integrate_orbit(p, PhaseState(1.5, 0.5), ReturnToStart())
+            integrate_orbit(p, PhaseState(1.5, 0.5))
 
     def test_axis_start_rejected_below_lam2(self):
         p = FlowParams(1.5, -0.5, 1.0)
         with pytest.raises(DomainError):
-            integrate_orbit(p, PhaseState(0.0, 1.0), ReturnToAxis())
-
-    def test_stop_accepts_bare_class(self):
-        p = FlowParams(2.0, 1.5, 8.0)
-        o = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart)
-        assert o.closed
+            integrate_orbit(p, PhaseState(0.0, 1.0))
 
     def test_samples_read_only_array(self):
         p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
-        o = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
+        o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
         s = o.samples
         assert isinstance(s, np.ndarray)
         assert s.dtype == np.float64
@@ -459,7 +443,7 @@ class TestIntegrateOrbit:
         # B = 0 from the apex: x = a cos(lam t), y = -a lam sin(lam t)
         lam, a = 3.0, 0.9
         p = FlowParams(lam, -lam * lam * a * a / 2, 0.0)
-        o = integrate_orbit(p, PhaseState(a, 0.0), ReturnToAxis())
+        o = integrate_orbit(p, PhaseState(a, 0.0))
         t, x, y = o.samples.T
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(0.5 * o.measured_span, abs=1e-12)
@@ -469,21 +453,9 @@ class TestIntegrateOrbit:
     def test_closed_orbit_closed_form_lam2(self):
         # psi = 1 + 0.5 cos(2 theta) from its apex, one full period
         p = FlowParams(2.0, 1.5, 8.0)
-        o = integrate_orbit(p, PhaseState(1.5, 0.0), ReturnToStart())
+        o = closed_orbit(p, 0.5)
         t, x, y = o.samples.T
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(o.measured_span)
         assert np.abs(x - (1 + 0.5 * np.cos(2 * t))).max() <= 1e-8
         assert np.abs(y + np.sin(2 * t)).max() <= 1e-8
-
-
-class TestReconstructProfile:
-    """The profile (theta, psi, psi') is read straight off orbit.samples."""
-
-    def test_steady_profile_constant(self):
-        p = FlowParams(2.0, 2.0, 8.0)
-        o = integrate_orbit(p, PhaseState(1.0, 0.0), FixedTime(2.0))
-        t, ps, dps = o.samples.T
-        assert t[0] == 0.0 and t[-1] == pytest.approx(2.0)
-        assert np.abs(ps - 1.0).max() <= 1e-12
-        assert np.abs(dps).max() <= 1e-12

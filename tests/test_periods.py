@@ -20,12 +20,7 @@ from homoeuler import (
     periods,
     steady_state,
 )
-from homoeuler.orbits import (
-    ReturnToAxis,
-    ReturnToStart,
-    find_intercepts,
-    integrate_orbit,
-)
+from homoeuler.orbits import closed_orbit, find_intercepts, integrate_orbit
 from homoeuler.periods import (
     SpanMethod,
     _scaled_bernoulli,
@@ -309,9 +304,9 @@ class TestDualOracle:
         p = FlowParams(lam, P, B)
         ic = find_intercepts(p)
         if P > 0:
-            o = integrate_orbit(p, PhaseState(ic.x1, 0.0), ReturnToStart())
+            o = closed_orbit(p, ic.x0)
         else:
-            o = integrate_orbit(p, PhaseState(ic.x0, 0.0), ReturnToAxis())
+            o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
         assert o.measured_span == pytest.approx(r.T, abs=1e-7)
 
 
