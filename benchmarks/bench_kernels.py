@@ -1,4 +1,5 @@
-"""Kernel-level timings: quadrature, scan rows, turning points, orbits, arcs.
+"""Kernel-level timings: quadrature, scan rows, turning points, orbits,
+census roots, arcs.
 
 Each workload runs once as a warmup, then --reps times; the best time is
 printed, in seconds.
@@ -101,6 +102,11 @@ def _workloads():
         for lam, P in elliptic_roots:
             elliptic_arc(lam, P)
 
+    def census_roots():
+        # the root solve with its cross-check orbit, one root per census band
+        for lam, n in ((5.8, 3), (10.0, 4), (13.6, 5), (18.374073, 6)):
+            solve_elliptic(lam, n)
+
     def arcs():
         hyperbolic_arc(3.0, -1.0, 4.0)
         hyperbolic_arc(2.0 / 3.0, 1.0, 3.5)
@@ -112,6 +118,7 @@ def _workloads():
             ("near-centre period x3", near_centre_periods),
             ("orbit events x2", events),
             ("census orbit, x0 (u,v) x3", census_orbits),
+            ("census roots x4", census_roots),
             ("elliptic arc x2", elliptic_arcs),
             ("arc construction x3", arcs)]
 

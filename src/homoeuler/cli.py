@@ -46,7 +46,13 @@ from .classify import (
 from .config import LIMITS, RunConfig, check_arc_count
 from .core import FlowParams, steady_state
 from .errors import DomainError, NumericalError, SpanMismatch
-from .orbits import PhaseState, closed_orbit, find_intercepts, integrate_orbit
+from .orbits import (
+    InterceptKind,
+    PhaseState,
+    closed_orbit,
+    find_intercepts,
+    integrate_orbit,
+)
 from .periods import span_any
 
 __all__ = ["main", "serialize_solution", "solution_to_json", "parse_solution"]
@@ -108,6 +114,23 @@ def _float_table(a: np.ndarray) -> str:
     if a.ndim == 2:
         row = "[" + ", ".join([row] * a.shape[0]) + "]"
     return row % tuple(a.ravel().tolist())
+
+
+def _row_table(keys, rows) -> str:
+    """JSON list of one {key: float} object per row, as _emit writes it.
+
+    All-finite rows share one "%" call on a joined template; a row holding
+    nan or inf is written by _emit, so its non-finite values read null.
+    """
+    slot = "{" + ", ".join(f"{json.dumps(k)}: %.17g" for k in keys) + "}"
+    parts, values = [], []
+    for row in rows:
+        if all(map(math.isfinite, row)):
+            parts.append(slot)
+            values.extend(row)
+        else:
+            parts.append(_emit(dict(zip(keys, row))))
+    return ("[" + ", ".join(parts) + "]") % tuple(values)
 
 
 def _solution_record(g: GlobalSolution, diagnostics: bool) -> dict:
@@ -408,10 +431,9 @@ def _cmd_period_scan(args) -> int:
         rows.append((P, r.T, r.est_error))
     verdict = _verdict([t for _, t, _ in rows])
     if args.format == "json":
-        text = _emit({"lambda": args.lam, "B": B,
-                      "rows": [{"P": p, "T": t, "est_error": e}
-                               for p, t, e in rows],
-                      "monotonicity": verdict}) + "\n"
+        text = ('{"lambda": %s, "B": %s, "rows": %s, "monotonicity": %s}\n'
+                % (_emit(args.lam), _emit(B),
+                   _row_table(("P", "T", "est_error"), rows), _emit(verdict)))
     elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -570,6 +592,9 @@ def _cmd_phase_portrait(args) -> int:
     for B in bs:
         p = FlowParams(args.lam, args.pressure, B)
         ic = find_intercepts(p)
+        if ic.kind is InterceptKind.Empty:
+            raise DomainError(
+                f"the level set of {p} is empty: no orbit to sample")
         if args.pressure > 0.0 and args.lam > 1.0:
             orbit = closed_orbit(p, ic.x0)
         else:

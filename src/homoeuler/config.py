@@ -44,7 +44,10 @@ class RunConfig:
 
     Each field reaches a numerical call or the output: root_tol the elliptic
     and span root solves, points_per_arc the arc builders, max_arcs the
-    stitcher, and output names the solution file.
+    stitcher, and output names the solution file.  Both solves stop on
+    Brent's x tolerance, so root_tol is not a stopping rule but the gate
+    each root must pass: |T - 2 pi/n| <= root_tol for the elliptic root (in
+    ln P) and |T - target| <= root_tol for the span root (in B).
     """
 
     root_tol: float = 1e-10

@@ -80,4 +80,9 @@ class EventNotFound(NumericalError):
 
 
 class NonMonotoneDetected(NumericalError):
-    """A bisection bracket misbehaved where monotonicity was expected."""
+    """A bracketed root solve misbehaved where monotonicity was expected.
+
+    Raised when a bracket carries no sign change, when it cannot be formed
+    (P_max underflows), or when the elliptic root solve (Brent in ln P)
+    ends outside its tolerance on |T - 2 pi/n|.
+    """

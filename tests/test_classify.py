@@ -11,6 +11,7 @@ from homoeuler import (
     DomainError,
     InconsistentParams,
     NoSolution,
+    NonMonotoneDetected,
     NumericalError,
     OutOfRange,
     classify,
@@ -34,8 +35,10 @@ from homoeuler.periods import span_any
 
 TWO_PI = 2.0 * math.pi
 
-# pressure roots from the frozen bisection (bracket [1e-12, 1-1e-12] P_max),
-# each cross-checked here against the defining period property
+# pressure roots frozen from an earlier solver, a bisection on P to within
+# 1e-10 of 2 pi/n on the bracket [1e-12, 1-1e-12] P_max; the Brent root in
+# ln P lies within 1e-9 relative of each, far inside the rel 1e-6 they are
+# held to.  Each is cross-checked here against the defining period property
 ELLIPTIC_ROOTS = {
     (5.0, 3): 4.032004130861798e-08,
     (6.0, 3): 4.330643216237535e-11,
@@ -216,6 +219,25 @@ class TestSolveElliptic:
         # and via the integrated orbit
         assert abs(res.orbit.measured_span - TWO_PI / n) <= 1e-7
 
+    @pytest.mark.parametrize("lam", np.linspace(4.6, 24.4, 23).tolist())
+    def test_roots_take_few_period_evaluations(self, monkeypatch, lam):
+        # Brent in ln P: at most 16 periods per root, none evaluated twice,
+        # and the root's period is the one the solve evaluated there
+        calls = []
+        span = classify._span
+
+        def counting(lam, P, B):
+            calls.append(P)
+            return span(lam, P, B)
+
+        monkeypatch.setattr(classify, "_span", counting)
+        for n in range(3, 3 + count_elliptic(lam).n):
+            del calls[:]
+            res = solve_elliptic(lam, n)
+            assert len(calls) <= 16
+            assert len(set(calls)) == len(calls) and res.P_star in calls
+            assert abs(span(lam, res.P_star, 1.0) - TWO_PI / n) <= 1e-12
+
     def test_root_inside_pressure_bracket(self):
         res = solve_elliptic(5.0, 3)
         assert 0.0 < res.P_star < steady_state(5.0, 1.0).P_max
@@ -342,6 +364,23 @@ class TestSolverErrorsNameTheirInputs:
         msg = str(info.value)
         assert msg.startswith(f"at lam = 5.0, n = 3, P* = {p_star!r}: ")
         assert msg.endswith(" disagree beyond 1e-7")
+
+    def test_root_tol_is_the_acceptance_gate(self):
+        # one ulp of 2 pi/3 is 4.4e-16, so tol = 1e-18 accepts only an exact
+        # hit, which this root is not
+        with pytest.raises(NonMonotoneDetected) as info:
+            solve_elliptic(5.0, 3, tol=1e-18)
+        msg = str(info.value)
+        assert msg.startswith("Brent on ln P at lam = 5.0, n = 3 stopped at"
+                              " P = ")
+        assert msg.endswith(" > 1e-18")
+
+    def test_p_max_underflow(self):
+        with pytest.raises(NonMonotoneDetected) as info:
+            solve_elliptic(100.0, 3)
+        assert str(info.value) == (
+            "no pressure bracket at lam = 100.0, n = 3: P_max = 0.0"
+            " underflows, so (1e-12 P_max, P_max) holds no positive double")
 
     @pytest.mark.parametrize("span,sign,bound", [
         (3.0, ">", "lower"),    # never below the target

@@ -504,7 +504,19 @@ class TestPhasePortrait:
         rc, out, err = run(capsys, "phase-portrait", "--lambda", "2",
                            "--pressure", pressure, f"--b-values={b}")
         assert (rc, out) == (2, "")
-        assert "not the inner turning point of a closed orbit" in err
+        assert {"2": "not the inner turning point of a closed orbit",
+                "0.5": "is empty: no orbit to sample"}[pressure] in err
+
+    @pytest.mark.parametrize("lam,pressure", [("3", "0.5"), ("0.75", "0.5")])
+    def test_empty_level_set_is_named(self, capsys, lam, pressure):
+        # B < 0 with P > 0: no point of the phase plane has this (P, B),
+        # on the closed-orbit route (lam > 1) and the arch route alike
+        rc, out, err = run(capsys, "phase-portrait", "--lambda", lam,
+                           "--pressure", pressure, "--b-values=-1")
+        assert (rc, out) == (2, "")
+        p = f"FlowParams(lam={float(lam)!r}, P={float(pressure)!r}, B=-1.0)"
+        assert err == (f"domain error: the level set of {p} is empty: no"
+                       " orbit to sample\n")
 
     def test_multiple_b_values(self, capsys):
         rc, out, _ = run(capsys, "phase-portrait", "--lambda", "2",
@@ -590,8 +602,8 @@ class TestExitCodes:
           "misses the 1e-9 target")),
         # P_max underflows to 0 at lam = 100 (ROADMAP item 3)
         (["construct", "--lambda", "100", "--elliptic-n", "3"], 3,
-         ("pressure bisection at lam = 100.0, n = 3 exhausted 200"
-          " iterations",)),
+         ("no pressure bracket at lam = 100.0, n = 3: P_max = 0.0"
+          " underflows",)),
         # the conjugate arch's x0^(-2/lam) overflowed in the quadrature,
         # and so does C = -x0^(-2/lam) at unit B
         (["construct", "--lambda", "0.6667", "--pressure",
@@ -718,7 +730,8 @@ def solutions():
 
 
 class TestTemplateWritersAgainstOracles:
-    """field_csv and _emit give the bytes of the loops they replaced."""
+    """field_csv, _emit and _row_table give the bytes of the loops they
+    replaced."""
 
     # the TestFieldOracle grid (every junction ray), radii whose powers
     # overflow, and radii whose powers underflow to signed zeros
@@ -764,6 +777,15 @@ class TestTemplateWritersAgainstOracles:
             "empty-cols", "int", "float32", "3d", "nested"])
     def test_emit_bytes(self, value):
         assert cli._emit(value) == oracle_emit(value)
+
+    @pytest.mark.parametrize("rows", [
+        [(-0.0, 0.0, 1e-300), (1.0, math.inf, 0.0), (-2.5e300, -0.0, 3e-17)],
+        [(0.0, -0.0, math.nan)], [],
+    ], ids=["mixed", "nan", "empty"])
+    def test_period_scan_rows_bytes(self, rows):
+        keys = ("P", "T", "est_error")
+        assert (cli._row_table(keys, rows)
+                == oracle_emit([dict(zip(keys, row)) for row in rows]))
 
     def test_emit_literals(self):
         assert (cli._emit(np.array([[1.0, -0.0], [math.nan, 2.5]]))

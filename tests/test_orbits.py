@@ -310,7 +310,8 @@ class TestScanGridReuse:
         assert lengths[True] > 7000 and lengths[False] > 900
 
 
-# (lam, n): P* at B = 1 of the census roots, from the pressure bisection
+# (lam, n): P* at B = 1 of the census roots, frozen from an earlier
+# bisection on P; the Brent root in ln P lies within 3e-9 relative of each
 CENSUS_ROOTS = {
     (10.0, 3): 6.846676616322176e-24,
     (10.0, 4): 3.6906044207341044e-21,
