@@ -25,12 +25,7 @@ def _workloads():
     from homoeuler.classify import solve_elliptic
     from homoeuler.cli import _scan_grid
     from homoeuler.core import FlowParams, steady_state
-    from homoeuler.orbits import (
-        PhaseState,
-        closed_orbit,
-        find_intercepts,
-        integrate_orbit,
-    )
+    from homoeuler.orbits import closed_orbit, find_intercepts, integrate_orbit
     from homoeuler.periods import period_elliptic, span_any, span_quadrature
 
     def spans():
@@ -76,11 +71,11 @@ def _workloads():
     arch_starts = []
     for lam in (3.0, 5.0):
         p = FlowParams(lam, -1.0, 1.0)
-        arch_starts.append((p, PhaseState(find_intercepts(p).x0, 0.0)))
+        arch_starts.append((p, find_intercepts(p).x0))
 
     def events():
-        for p, start in arch_starts:
-            integrate_orbit(p, start)
+        for p, x0 in arch_starts:
+            integrate_orbit(p, x0)
 
     # the census cross-check orbit of the n = 3 root, in (ln x, y/x) from
     # the inner turning point

@@ -30,7 +30,7 @@ from ._mesh import (
 )
 from .classify import SolutionType, solution_type, solve_hyperbolic_span
 from .config import check_arc_count
-from .core import FlowParams, PhaseState
+from .core import FlowParams
 from .errors import (
     DomainError,
     InadmissibleArc,
@@ -39,22 +39,13 @@ from .errors import (
     QuadratureFailure,
     SpanMismatch,
 )
-from .orbits import (
-    InterceptKind,
-    Orbit,
-    closed_orbit,
-    find_intercepts,
-    integrate_orbit,
-)
+from .orbits import InterceptKind, Orbit, closed_orbit, find_intercepts
 from .periods import arch_integrand, span_any
 
 TWO_PI = 2.0 * math.pi
 
 # tiling tolerance for accepted global solutions
 _SPAN_TOL = 1e-9
-# arc profiles are integrated tighter than the user-facing default so that
-# Bernoulli constancy survives the psi^(2/lam - 2) weight near the ends
-_ARC_RTOL = 1e-11
 _PANEL_TOL = 1e-13
 _MAX_PANELS = 4096
 
@@ -211,11 +202,11 @@ def hyperbolic_arc(lam: float, P: float, B: float,
     """Build one hyperbolic (vanishing) arc of the profile.
 
     Dispatches on the parameter region: P = 0 is the shear arch
-    A sin(theta)^lam, B = 0 is the harmonic arch, lam >= 2 integrates the
-    phase ODE across the axis, and the remaining regions (1 < lam < 2, and
-    1/2 < lam < 1 with P > 0) use the turning-point quadrature that also
-    produces the spans.  Construction cross-checks the span against the
-    span oracle, the arch symmetry, and Bernoulli constancy.
+    A sin(theta)^lam, B = 0 is the harmonic arch, and every other arc
+    (lam > 1 with P < 0, and 1/2 < lam < 1 with P > 0) comes from the
+    turning-point quadrature that also produces the spans.  Construction
+    cross-checks the span against the span oracle, the arch symmetry, and
+    Bernoulli constancy.
 
     Raises
     ------
@@ -243,8 +234,6 @@ def hyperbolic_arc(lam: float, P: float, B: float,
         if P > 0.0:
             raise InadmissibleArc(
                 f"no hyperbolic solutions for P > 0 at lam = {lam!r} > 1")
-        if lam >= 2.0:
-            return _ode_arc(lam, P, B, n)
         return _quad_arc(lam, P, B, n)
     if lam == 1.0:
         raise InadmissibleArc(
@@ -316,7 +305,7 @@ def _harmonic_arc(lam: float, P: float, n: int) -> LocalArc:
 
 
 def _curvature(x: np.ndarray, lam: float, B: float) -> np.ndarray:
-    """psi'' from the phase ODE on node values x >= 0 (lam >= 2 or x > 0)."""
+    """psi'' from the phase ODE on node values x > 0."""
     beta = (lam - 2.0) / lam
     return -lam * lam * x + ((lam - 1.0) / lam) * B * np.power(x, beta)
 
@@ -336,39 +325,19 @@ def _orbit_samples(orbit: Orbit, span: float, t: np.ndarray):
     return t, v, d
 
 
-def _ode_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
-    p = FlowParams(lam, P, B)
-    span = _arc_span(p)
-    y0 = math.sqrt(-2.0 * P)
-    # for lam > 2 the field is Holder at the axis and psi' is only C^1 at
-    # the arch ends; cubic grading there restores spectral-free Simpson
-    # accuracy of the downstream weak-form integrals (lam = 2 is analytic)
-    grade = 1 if lam == 2.0 else 3
-    orbit = integrate_orbit(p, PhaseState(0.0, y0), rtol=_ARC_RTOL)
-    t_all, v_all, d_all = _orbit_samples(orbit, span,
-                                         span * graded_fractions(n, grade))
-    # honest symmetry check on the raw integration before canonicalizing
-    sym = float(np.max(np.abs(v_all - v_all[::-1])))
-    if sym > 1e-7 * max(1.0, float(np.max(np.abs(v_all)))):
-        raise NumericalError(
-            f"arch symmetry defect {sym:.3e} exceeds 1e-7")
-    m = n // 2
-    v_h = np.maximum(v_all[:m + 1], 0.0)
-    d_h = d_all[:m + 1]
-    v_h[0] = 0.0
-    d_h[0] = y0
-    w_h = span * graded_weights(n, grade)[:m + 1]
-    return _mirrored_arc(p, span, t_all[:m + 1], v_h, d_h, w_h, y0)
-
-
 def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     """Arc via the turning-point substitution x = x0 sin(phi).
 
-    Covers 1 < lam < 2 (P < 0) and 1/2 < lam < 1 (P > 0), where the phase
-    ODE is singular at the axis.  theta(phi) is accumulated by adaptive
-    panels on a mesh graded toward the axis ends so that the profile is
-    polynomially resolved in the node index despite psi'' (or psi') blowing
-    up there.
+    Covers lam > 1 (P < 0) and 1/2 < lam < 1 (P > 0).  theta(phi) is
+    accumulated by adaptive panels on a phi mesh fitted to the axis end, so
+    that the profile is polynomially resolved in the node index there.  For
+    lam < 2 psi'' (or psi') blows up at the axis, and the mesh is graded
+    toward both ends of the half arc.  lam = 2 is analytic, and the mesh is
+    uniform.  For lam > 2 psi' carries a delta^alpha term, 1 < alpha < 2;
+    phi = (pi/2)(s - sin(pi s)/pi), s = k/m, crowds the nodes cubically
+    toward the axis, and being odd about both s = 0 and s = 1 it keeps the
+    mesh of a glued profile smooth in the node index through every apex and
+    junction, which Simpson's rule in the index needs.
 
     With delta = x/x0 = sin(phi) and u = 1 - delta, the radicand factors
     as R = x0^2 [lam^2 cos^2 phi + C (delta^alpha - 1)], and the node
@@ -388,9 +357,15 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     alpha = 2.0 - 2.0 / lam
     C = B * x0 ** (-2.0 / lam)
     m = n // 2
-    grade = arc_grading(lam)
-    phi = 0.5 * math.pi * graded_fractions(m, grade)
-    bp = 0.5 * math.pi * graded_weights(m, grade)
+    if lam > 2.0:
+        s = np.linspace(0.0, 1.0, m + 1)
+        phi = 0.5 * math.pi * (s - np.sin(math.pi * s) / math.pi)
+        sh = np.sin(0.5 * math.pi * s)
+        bp = (math.pi / m) * sh * sh
+    else:
+        grade = arc_grading(lam)
+        phi = 0.5 * math.pi * graded_fractions(m, grade)
+        bp = 0.5 * math.pi * graded_weights(m, grade)
     f = arch_integrand(lam, P, C, x0)
     th_half, worst = _kernels.cumulative_theta(f, phi, _PANEL_TOL,
                                                _MAX_PANELS)
@@ -398,7 +373,7 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
         raise QuadratureFailure(
             f"theta accumulation at lam={lam!r}, P={P!r}, B={B!r} ran out"
             f" of its {_MAX_PANELS} panels on the arc mesh")
-    T2 = th_half[-1]
+    T2 = float(th_half[-1])
     if abs(2.0 * T2 - span) > 1e-9 * (1.0 + span):
         raise NumericalError(
             f"accumulated span {2.0 * T2!r} and oracle span {span!r}"
@@ -422,6 +397,9 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
     dpsi_half = x0 * np.sqrt(np.maximum(ud, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         w_half = np.where(ud > 0.0, scale * bp * cphi / np.sqrt(ud), 0.0)
+    # at the apex cos(phi)/sqrt(ud) is a 0/0 of rounding-level numbers; its
+    # limit is 1/sqrt(lam^2 - alpha C/2) (0 where graded meshes have bp = 0)
+    w_half[-1] = scale * bp[-1] / math.sqrt(lam * lam - 0.5 * alpha * C)
     if lam > 1.0:
         end_slope = math.sqrt(-2.0 * P)
         x_half[0] = 0.0
@@ -738,9 +716,9 @@ def residual_max(g: GlobalSolution) -> float:
     node index; the two nodes at each end (one-sided stencils on vanishing
     psi) are excluded.  Nodes whose weight is under 1e-2 of the uniform
     spacing are skipped too: graded meshes degenerate there (spacings down
-    to sub-ulp; the apex of half-substitution meshes is an exact 0/0) and
-    differencing has no digits, while the skipped theta measure is
-    negligible.  On cusp arcs the check is further restricted to the tame
+    to sub-ulp, and a zero weight at the apex of a mesh graded toward both
+    ends of its half arc) and differencing has no digits, while the skipped
+    theta measure is negligible.  On cusp arcs the check is further restricted to the tame
     interior psi >= psi_max/4, matching the Bernoulli drift window.
     """
     lam = g.lam

@@ -48,7 +48,6 @@ from .core import FlowParams, steady_state
 from .errors import DomainError, NumericalError, SpanMismatch
 from .orbits import (
     InterceptKind,
-    PhaseState,
     closed_orbit,
     find_intercepts,
     integrate_orbit,
@@ -598,7 +597,7 @@ def _cmd_phase_portrait(args) -> int:
         if args.pressure > 0.0 and args.lam > 1.0:
             orbit = closed_orbit(p, ic.x0)
         else:
-            orbit = integrate_orbit(p, PhaseState(ic.x0, 0.0))
+            orbit = integrate_orbit(p, ic.x0)
         for t, x, y in orbit.samples.tolist():
             w.writerow([_fmt(B), _fmt(t), _fmt(x), _fmt(y)])
     _write(buf.getvalue(), args.out)

@@ -1,15 +1,16 @@
 """Turning points on level curves and two adaptive orbit integrators.
 
-integrate_orbit steps the phase system in (x, y) from an arch's apex or
-axis point to the axis; it samples the profiles of arcs with lam >= 2 and
-checks their spans.  Arcs with lam < 2 and B != 0 are never integrated
-through the axis: the power term of the phase system is singular there, so
-the integrator refuses (SingularEndpoint) and callers must take the
-quadrature path instead.  closed_orbit is the only integrator of closed
-orbits: it steps (ln x, y/x) from the inner turning point, where the field
-is analytic, and returns the whole loop.  Its period is the independent
-oracle for the quadrature periods of the elliptic census, and its samples
-are the profiles of elliptic arcs and the closed orbits of phase portraits.
+integrate_orbit steps the phase system in (x, y) from an arch's apex to the
+axis; its span is the independent oracle for the quadrature spans of arches,
+and its samples are the arches of phase portraits.  Arches with lam < 2 and
+B != 0 are not integrated into the axis: the power term of the phase system
+is singular there, so the integrator refuses (SingularEndpoint).
+
+closed_orbit is the only integrator of closed orbits: it steps (ln x, y/x)
+from the inner turning point, where the field is analytic, and returns the
+whole loop.  Its period is the independent oracle for the quadrature
+periods of the elliptic census, and its samples are the profiles of
+elliptic arcs and the closed orbits of phase portraits.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
 # below this abscissa an orbit with lam < 2 and B != 0 counts as singular
 X_MIN = 1e-12
 _H_MIN = 1e-14
+# relative step error tolerance of integrate_orbit
+_ARCH_RTOL = 1e-10
 # step error tolerance of closed_orbit; census periods come out within
 # about 5e-13 of the quadrature
 _UV_TOL = 1e-12
@@ -82,9 +85,8 @@ class Orbit:
 
     measured_span is the span or period the integration measured.  The
     samples of a closed orbit cover one loop, from its outer turning point
-    round to it again.  Those of an arch run from its start to the axis: the
-    whole span from an axis start, half of it from the apex, where the span
-    is doubled by symmetry."""
+    round to it again.  Those of an arch run from its apex to the axis, half
+    of the span, which is doubled by symmetry."""
 
     params: FlowParams
     samples: np.ndarray
@@ -450,23 +452,20 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
                  2.0 * t_h)
 
 
-def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
-                max_step: float, guard: int):
+def _run_kernel(p: FlowParams, x0: float, t_max: float, max_step: float,
+                guard: int):
     # large-lam orbits live at x ~ (lam^-2)^(lam/2), far below any fixed
     # floor; flooring the scale there would void the error control
-    x_scale = max(abs(x0), abs(y0) / p.lam)
-    if x_scale == 0.0:
-        x_scale = 1e-8
-    atol_x = 1e-13 * x_scale
-    atol_y = 1e-13 * p.lam * x_scale
+    atol_x = 1e-13 * x0
+    atol_y = 1e-13 * p.lam * x0
     cap = 1 << 14
     while True:
         t_buf = np.empty(cap)
         x_buf = np.empty(cap)
         y_buf = np.empty(cap)
-        out = _kernels.rk45_orbit(p.lam, p.B, x0, y0, t_max, rtol, atol_x,
-                                  atol_y, max_step, _H_MIN, X_MIN, guard,
-                                  t_buf, x_buf, y_buf)
+        out = _kernels.rk45_orbit(p.lam, p.B, x0, 0.0, t_max, _ARCH_RTOL,
+                                  atol_x, atol_y, max_step, _H_MIN, X_MIN,
+                                  guard, t_buf, x_buf, y_buf)
         status, n = out[0], out[1]
         if status != 2:
             return out, t_buf[:n], x_buf[:n], y_buf[:n]
@@ -476,29 +475,31 @@ def _run_kernel(p: FlowParams, x0: float, y0: float, t_max: float, rtol: float,
                                  f" needs over {cap // 2} samples")
 
 
-def integrate_orbit(p: FlowParams, start: PhaseState, *,
-                    rtol: float = 1e-10,
+def integrate_orbit(p: FlowParams, x0: float, *,
                     max_step: float = MAX_SAMPLE_STEP) -> Orbit:
-    """Integrate the phase system from start to its first x = 0 crossing.
+    """Integrate the phase system from the apex (x0, 0) of an arch to the
+    axis x = 0.
+
+    Steps are Dormand-Prince 5(4) in (x, y) at relative tolerance 1e-10; the
+    crossing of the axis is located inside the last step.  The samples cover
+    half the arch, and the span is doubled by symmetry.
 
     Parameters
     ----------
     p : FlowParams
-    start : PhaseState
-        Must lie on the level set {pressure_hamiltonian = p.P} within 1e-10
-        relative; start.x may be 0 only when lam >= 2 or B = 0.  An apex
-        start (start.y = 0) covers half an arch, and the span is doubled by
-        symmetry.
-    rtol : float, optional
-        Relative tolerance of the step-size controller.
+    x0 : float
+        The apex, find_intercepts(p).x0 of a HyperbolicSingle; (x0, 0) must
+        lie on the level set {pressure_hamiltonian = p.P} within 1e-10
+        relative.
     max_step : float, optional
         Largest time step, and so the widest spacing of the samples.
 
     Returns
     -------
     Orbit
-        With (t, x, y) samples spaced at most max_step apart, x clamped to
-        x >= 0, and measured_span set to the span of the arch.
+        With (t, x, y) samples from (x0, 0) at t = 0, spaced at most
+        max_step apart, x clamped to x >= 0, and measured_span set to the
+        span of the arch.
 
     Raises
     ------
@@ -509,18 +510,17 @@ def integrate_orbit(p: FlowParams, start: PhaseState, *,
     EventNotFound
         If the orbit does not reach the axis within the time cap.
     SteadyStateError
-        If start is a stationary point.
+        If (x0, 0) is a stationary point.
     """
     lam, B = p.lam, p.B
+    start = PhaseState(x0, 0.0)
     H = pressure_hamiltonian(start, lam, B)
     if abs(H - p.P) > 1e-10 * (1.0 + abs(p.P)):
         raise DomainError(
             f"start is off the level set: H={H!r} vs P={p.P!r}")
-    if start.x == 0.0 and lam < 2.0 and B != 0.0:
-        raise DomainError("start.x = 0 requires lam >= 2 (or B = 0)")
 
     dx0, dy0 = phase_vector_field(start, lam, B)
-    field_scale = lam * lam * max(abs(start.x), abs(start.y) / lam, 1e-300)
+    field_scale = lam * lam * max(x0, 1e-300)
     if max(abs(dx0), abs(dy0)) <= 1e-13 * field_scale:
         raise SteadyStateError(
             "start is a steady state; it never reaches the axis")
@@ -528,15 +528,13 @@ def integrate_orbit(p: FlowParams, start: PhaseState, *,
     guard = 1 if (lam < 2.0 and B != 0.0) else 0
     t_cap = 8.0 * (2.0 * math.pi / math.sqrt(2.0 * lam) + math.pi
                    + math.pi / lam)
-    out, ts, xs, ys = _run_kernel(p, start.x, start.y, t_cap, rtol, max_step,
-                                  guard)
+    out, ts, xs, ys = _run_kernel(p, x0, t_cap, max_step, guard)
     _raise_for_status(out, p)
 
     if np.any(xs < -1e-12):
         raise DomainError("orbit crossed into x < 0")
     xs = np.maximum(xs, 0.0)
-    # an apex start covers half the arch; the span doubles by symmetry
-    span = (2.0 if start.y == 0.0 else 1.0) * float(out[2])
+    span = 2.0 * float(out[2])
 
     _check_drift(p, xs, ys)
     return Orbit(p, _samples(ts, xs, ys), span)

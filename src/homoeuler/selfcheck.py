@@ -37,12 +37,7 @@ from .classify import (
 from .core import FlowParams, conjugate, steady_state
 from .errors import DomainError
 from .families import evaluate_family, lambda_half, ode_residual
-from .orbits import (
-    PhaseState,
-    closed_orbit,
-    find_intercepts,
-    integrate_orbit,
-)
+from .orbits import closed_orbit, find_intercepts, integrate_orbit
 from .periods import chicone_W, span_any, span_quadrature
 
 TWO_PI = 2.0 * math.pi
@@ -179,8 +174,7 @@ def criterion_07(seed: int = 0):
         T = span_quadrature(lam, -1.0, B).T
         ic = find_intercepts(p)
         # measured_span folds the apex-to-axis symmetry in already
-        orbit = integrate_orbit(p, PhaseState(ic.x0, 0.0),
-                                max_step=T / 2048.0)
+        orbit = integrate_orbit(p, ic.x0, max_step=T / 2048.0)
         worst = max(worst, abs(orbit.measured_span - T))
     return worst <= 1e-7, f"max route disagreement {worst:.3e} (tol 1e-7)"
 

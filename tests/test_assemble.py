@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homoeuler import DomainError, assemble
-from homoeuler._mesh import hermite_pair, simpson_uniform
+from homoeuler._mesh import deriv5, hermite_pair, simpson_uniform
 from homoeuler.assemble import (
     FieldSample,
     GlobalSolution,
@@ -43,6 +43,7 @@ from homoeuler.errors import (
     SpanMismatch,
 )
 from homoeuler.families import ode_residual, point_vortex
+from homoeuler.orbits import find_intercepts, integrate_orbit
 from homoeuler.periods import span_any
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +114,42 @@ class TestLocalArc:
         # Simpson over the node index recovers the span
         assert simpson_uniform(w) == pytest.approx(arc.span, rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0, 5.0, 13.0])
+    @pytest.mark.parametrize("B", [4.0, -1.0])
+    def test_span_matches_integrated_arch(self, lam, B):
+        # the (x, y) integration from the apex shares no code with the
+        # turning-point quadrature that builds the arc
+        p = FlowParams(lam, -1.0, B)
+        orbit = integrate_orbit(p, find_intercepts(p).x0)
+        span = hyperbolic_arc(lam, -1.0, B).span
+        assert abs(span - orbit.measured_span) <= 1e-9
+
+    @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0, 5.0])
+    def test_mesh_weights_match_theta_differences(self, lam):
+        # the mesh is smooth in the node index across the apex, so the
+        # stored d theta/dk agrees with differenced theta at every interior
+        # node, the apex included
+        arc = hyperbolic_arc(lam, -1.0, 4.0)
+        th = arc.profile[:, 0]
+        dev = np.abs(arc.mesh_dtheta - deriv5(th))[1:-1]
+        assert dev.max() <= 1e-6 * arc.span / (len(th) - 1)
+
+    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    def test_apex_weight_is_the_analytic_limit(self, lam):
+        # d theta/d phi = cos(phi)/sqrt(ud) is a 0/0 at the apex, with the
+        # limit 1/sqrt(lam^2 - alpha C/2), C = B x0^(-2/lam); d phi/dk there
+        # is pi/(2m) on the uniform lam = 2 mesh and pi/m on the
+        # phi = (pi/2)(s - sin(pi s)/pi) mesh of lam > 2
+        B = 4.0
+        arc = hyperbolic_arc(lam, -1.0, B)
+        m = (len(arc.profile) - 1) // 2
+        x0 = find_intercepts(FlowParams(lam, -1.0, B)).x0
+        alpha = 2.0 - 2.0 / lam
+        C = B * x0 ** (-2.0 / lam)
+        dphi = (0.5 if lam == 2.0 else 1.0) * math.pi / m
+        limit = dphi / math.sqrt(lam * lam - 0.5 * alpha * C)
+        assert arc.mesh_dtheta[m] == pytest.approx(limit, rel=1e-8)
+
     def test_cusp_arc(self):
         arc = hyperbolic_arc(2.0 / 3.0, 1.0, B_CUSP)
         th, psi, dpsi = profile_arrays(arc)
@@ -167,12 +204,15 @@ class TestLocalArc:
         (elliptic_arc, (5.0, 0.5 * steady_state(5.0, 1.0).P_max, 1.0)),
     ])
     def test_integrated_span_gate(self, monkeypatch, builder, args):
-        # a quadrature span 1e-8 off the orbit's must trip the 1e-9 gate
+        # a span oracle 1e-8 off the span the builder measures must trip the
+        # 1e-9 gate: theta accumulated over the mesh of a hyperbolic arc,
+        # the integrated period of an elliptic one
+        gate = {hyperbolic_arc: r"accumulated span \d\.\d+ and oracle span ",
+                elliptic_arc: r"integrated span \d\.\d+ and quadrature span "}
         shifted = span_any(FlowParams(*args)).T + 1e-8
         monkeypatch.setattr(assemble, "_arc_span", lambda p: shifted)
-        with pytest.raises(NumericalError, match=(
-                r"integrated span \d\.\d+ and quadrature span "
-                + re.escape(repr(shifted)))):
+        with pytest.raises(NumericalError,
+                           match=gate[builder] + re.escape(repr(shifted))):
             builder(*args)
 
     def test_theta_budget_names_the_arc(self, monkeypatch):

@@ -130,6 +130,32 @@ class TestConstruct:
         assert sum(p["span"] for p in pieces) == pytest.approx(TWO_PI,
                                                                 abs=1e-9)
 
+    @pytest.mark.parametrize("lam,pressure", [
+        ("2.5", "-2"), ("2.5", "-100"), ("3", "-3.7"), ("13", "-1")])
+    def test_equal_arcs_above_lambda_two(self, capsys, tmp_path, lam,
+                                         pressure):
+        # every arc keeps its Bernoulli constant within 1e-9, also at large
+        # |P| and lam, and H1 matches 2 n int_0^x0 sqrt(R) dx from scipy
+        quad = pytest.importorskip("scipy.integrate").quad
+        out_file = tmp_path / "h.json"
+        rc, _, err = run(capsys, "construct", "--lambda", lam,
+                         f"--pressure={pressure}", "--equal-arcs", "3",
+                         "--out", str(out_file))
+        assert rc == 0, err
+        g = parse_solution(out_file.read_text())
+        spans = [piece.arc.span for piece in g.pieces]
+        assert abs(math.fsum(spans) - TWO_PI) <= 1e-9
+        for piece in g.pieces:
+            assert assemble.bernoulli_drift(piece.arc) <= 1e-9
+        p = g.pieces[0].arc.params
+        x0 = g.pieces[0].arc.profile[:, 1].max()
+        alpha = 2.0 - 2.0 / p.lam
+        half, _ = quad(lambda x: math.sqrt(max(
+            -2.0 * p.P - p.lam ** 2 * x * x + p.B * x ** alpha, 0.0)),
+            0.0, x0, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert assemble.h1_seminorm(g) == pytest.approx(6.0 * half,
+                                                        rel=1e-9)
+
     @pytest.mark.parametrize("lam", ["0.6667", "3"])
     def test_zero_pressure_refused_before_solve(self, capsys, monkeypatch,
                                                 lam):

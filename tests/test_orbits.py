@@ -11,7 +11,6 @@ from homoeuler import (
     DomainError,
     FlowParams,
     NoBracket,
-    PhaseState,
     SingularEndpoint,
     SteadyStateError,
     steady_state,
@@ -380,27 +379,18 @@ class TestIntegrateOrbit:
         for lam in (0.8, 2.0, 3.7):
             a = 1.3
             p = FlowParams(lam, -lam * lam * a * a / 2, 0.0)
-            o = integrate_orbit(p, PhaseState(a, 0.0))
+            o = integrate_orbit(p, a)
             assert o.measured_span == pytest.approx(math.pi / lam, abs=1e-8)
 
     def test_steady_state_return_raises(self):
         p = FlowParams(2.0, 2.0, 8.0)
         with pytest.raises(SteadyStateError):
-            integrate_orbit(p, PhaseState(1.0, 0.0))
-
-    def test_full_arch_axis_to_axis_lam2(self):
-        p = FlowParams(2.0, -1.0, 1.0)
-        v = math.sqrt(2.0)  # |y| = sqrt(-2P) at the axis
-        o = integrate_orbit(p, PhaseState(0.0, v))
-        t, x, y = o.samples.T
-        assert x[0] <= 1e-12 and x[-1] <= 1e-12
-        assert abs(abs(y[0]) - v) <= 1e-6
-        assert abs(abs(y[-1]) - v) <= 1e-6
+            integrate_orbit(p, 1.0)
 
     def test_pressure_conservation_along_samples(self):
         p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
-        o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
+        o = integrate_orbit(p, ic.x0)
         t, x, y = o.samples.T
         alpha = 2 - 2 / 3.0
         # B-term vanishes at x = 0 since alpha > 0
@@ -414,22 +404,18 @@ class TestIntegrateOrbit:
         with pytest.raises(SingularEndpoint, match=re.escape(
                 "x < X_MIN = 1e-12 near the axis") + r".* for FlowParams\(lam=1\.5,"
                 r" P=-0\.5, B=1\.0\)"):
-            integrate_orbit(p, PhaseState(ic.x0, 0.0))
+            integrate_orbit(p, ic.x0)
 
     def test_off_level_set_start_rejected(self):
+        # the turning points are 0.5 and 1.5; (1, 0) sits on the level P = 2
         p = FlowParams(2.0, 1.5, 8.0)
-        with pytest.raises(DomainError):
-            integrate_orbit(p, PhaseState(1.5, 0.5))
-
-    def test_axis_start_rejected_below_lam2(self):
-        p = FlowParams(1.5, -0.5, 1.0)
-        with pytest.raises(DomainError):
-            integrate_orbit(p, PhaseState(0.0, 1.0))
+        with pytest.raises(DomainError, match="off the level set"):
+            integrate_orbit(p, 1.0)
 
     def test_samples_read_only_array(self):
         p = FlowParams(3.0, -0.7, 1.0)
         ic = find_intercepts(p)
-        o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
+        o = integrate_orbit(p, ic.x0)
         s = o.samples
         assert isinstance(s, np.ndarray)
         assert s.dtype == np.float64
@@ -444,7 +430,7 @@ class TestIntegrateOrbit:
         # B = 0 from the apex: x = a cos(lam t), y = -a lam sin(lam t)
         lam, a = 3.0, 0.9
         p = FlowParams(lam, -lam * lam * a * a / 2, 0.0)
-        o = integrate_orbit(p, PhaseState(a, 0.0))
+        o = integrate_orbit(p, a)
         t, x, y = o.samples.T
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(0.5 * o.measured_span, abs=1e-12)

@@ -12,7 +12,6 @@ from homoeuler import (
     FlowParams,
     InconsistentParams,
     NoSolution,
-    PhaseState,
     QuadratureFailure,
     SteadyStateError,
     _kernels,
@@ -306,7 +305,7 @@ class TestDualOracle:
         if P > 0:
             o = closed_orbit(p, ic.x0)
         else:
-            o = integrate_orbit(p, PhaseState(ic.x0, 0.0))
+            o = integrate_orbit(p, ic.x0)
         assert o.measured_span == pytest.approx(r.T, abs=1e-7)
 
 

@@ -44,7 +44,7 @@ def test_kernel_counters_see_every_call(monkeypatch):
     # the tracer counts kernel calls by rebinding these module globals; a
     # caller that inlined them, or kept its own reference, would be missed
     from homoeuler.core import FlowParams
-    from homoeuler.orbits import PhaseState, find_intercepts, integrate_orbit
+    from homoeuler.orbits import find_intercepts, integrate_orbit
     from homoeuler.periods import span_quadrature
 
     counts = dict.fromkeys(TRACER.KERNEL_COUNTERS, 0)
@@ -68,7 +68,7 @@ def test_kernel_counters_see_every_call(monkeypatch):
     for name in TRACER.KERNEL_COUNTERS:
         monkeypatch.setattr(_kernels, name, counting(name))
     p = FlowParams(3.0, -1.0, 1.0)
-    orbit = integrate_orbit(p, PhaseState(find_intercepts(p).x0, 0.0))
+    orbit = integrate_orbit(p, find_intercepts(p).x0)
     # every accepted step leaves a sample; the axis event adds the last one
     assert counts["main_dp_steps"] >= len(orbit.samples) - 1
     assert counts["_dp_substeps"] > 0
