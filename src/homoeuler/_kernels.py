@@ -31,9 +31,11 @@ substitutions so that the integrands are smooth on the open interval:
   D(xi) = (d0 - lam2 xi^2 + C xi^alpha)/(1-xi) with d0 = lam2 - C
   = -2P/x0^2 exactly.
 
-The RK45 pair is the Dormand-Prince 5(4) method; the axis crossing that ends
-an arch is located by a Newton iteration on the partial-step length,
-safeguarded by the sign bracket [0, h] (Henon 1982).
+rk45_orbit steps an arch of the phase system in (x, y) from its apex with
+the Dormand-Prince 5(4) pair, as a plain loop that collects the samples in
+lists and raises the typed errors of homoeuler.errors itself.  The axis
+crossing that ends the arch is located by a Newton iteration on the
+partial-step length, safeguarded by the sign bracket [0, h] (Henon 1982).
 """
 
 from __future__ import annotations
@@ -42,10 +44,18 @@ import math
 
 import numpy as np
 
+from .errors import EventNotFound, SingularEndpoint, StepFailure
+
 # Always False: the kernels run as plain Python.  Kept only because the
 # benchmark harness reads it (perfbench/run.py records it as provenance, and
 # perfbench/tracer.py sets kernels_counted from it).
 JIT_ENABLED = False
+
+# rk45_orbit's relative step error tolerance and smallest step
+_ARCH_RTOL = 1e-10
+_H_MIN = 1e-14
+# below this abscissa an arch with lam < 2 and B != 0 counts as singular
+X_MIN = 1e-12
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half), as
@@ -468,9 +478,14 @@ def _dp_substeps(x, y, h, lam, B):
     return x, y
 
 
-def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
-               x_floor, guard_singular, t_buf, x_buf, y_buf):
-    """Integrate the phase system up to its first x = 0 crossing.
+def rk45_orbit(p, x0, t_max, h_max):
+    """Integrate the phase system of p from the apex (x0, 0) up to its first
+    x = 0 crossing.
+
+    Dormand-Prince 5(4) steps, no longer than h_max and the first h_max/8,
+    keep the error within _ARCH_RTOL of the state plus 1e-13 x0 in x and
+    1e-13 lam x0 in y: large-lam arches live at x ~ (lam^-2)^(lam/2), far
+    below any fixed floor, which would void the error control.
 
     A crossing inside an accepted step of length h is located on
     tau -> x(_dp_substeps(x, y, tau)) by Newton steps tau -= x/x' with
@@ -480,27 +495,33 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
     wide or 64 states were tried, and takes the last Newton iterate only if
     it lies in the bracket (otherwise the last evaluated tau).
 
-    Returns (status, n_samples, t_end, x_end, y_end): status 0 ok, 2 sample
-    buffer full, 3 step underflow, 4 singular endpoint (x < x_floor with the
-    guard on), 5 no crossing before t_max.
+    Returns lists (ts, xs, ys): the apex at t = 0, the state after every
+    accepted step, and last the crossing, with x clamped to >= 0.  Raises
+    StepFailure if the step falls below _H_MIN, SingularEndpoint if a step
+    with lam < 2 and B != 0 would enter x < X_MIN (the power term of the
+    field is singular at the axis there), and EventNotFound if the axis is
+    not reached by t_max; each message names p.
     """
+    lam, B = p.lam, p.B
+    atol_x = 1e-13 * x0
+    atol_y = 1e-13 * lam * x0
+    guard = lam < 2.0 and B != 0.0
     t = 0.0
     x = x0
-    y = y0
+    y = 0.0
     h = 0.125 * h_max
-    n = 0
-    t_buf[n] = t
-    x_buf[n] = x
-    y_buf[n] = y
-    n += 1
+    ts = [t]
+    xs = [x]
+    ys = [y]
     while t < t_max:
         if h > t_max - t:
             h = t_max - t
-        if h < h_min:
-            return 3, n, t, x, y
+        if h < _H_MIN:
+            raise StepFailure(f"step size fell below {_H_MIN!r} at t={t!r},"
+                              f" x={x!r} for {p}")
         x5, y5, ex, ey = _dp_step(x, y, h, lam, B)
-        sc_x = atol_x + rtol * max(abs(x), abs(x5))
-        sc_y = atol_y + rtol * max(abs(y), abs(y5))
+        sc_x = atol_x + _ARCH_RTOL * max(abs(x), abs(x5))
+        sc_y = atol_y + _ARCH_RTOL * max(abs(y), abs(y5))
         err = math.sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
         if err > 1.0:
             fac = 0.9 * err ** -0.2
@@ -509,9 +530,11 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
             h *= fac
             continue
         # step accepted
-        if guard_singular == 1 and x5 < x_floor:
-            # refuse to approach the singular axis; report the last safe state
-            return 4, n, t, x, y
+        if guard and x5 < X_MIN:
+            raise SingularEndpoint(
+                f"state entered x < X_MIN = {X_MIN!r} near the axis at"
+                f" t={t!r} for {p} (lam < 2 with B != 0); use the"
+                " quadrature path")
         if x > 0.0 and x5 <= 0.0:
             lo = 0.0
             hi = h
@@ -530,22 +553,16 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
                         xe, ye = _dp_substeps(x, y, te, lam, B)
                     break
                 te = tn if lo < tn < hi else 0.5 * (lo + hi)
-            if n >= t_buf.shape[0]:
-                return 2, n, t, x, y
-            t_buf[n] = t + te
-            x_buf[n] = xe if xe > 0.0 else 0.0
-            y_buf[n] = ye
-            n += 1
-            return 0, n, t + te, xe, ye
+            ts.append(t + te)
+            xs.append(xe if xe > 0.0 else 0.0)
+            ys.append(ye)
+            return ts, xs, ys
         t += h
         x = x5
         y = y5
-        if n >= t_buf.shape[0]:
-            return 2, n, t, x, y
-        t_buf[n] = t
-        x_buf[n] = x
-        y_buf[n] = y
-        n += 1
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
         fac = 5.0
         if err > 0.0:
             fac = 0.9 * err ** -0.2
@@ -556,4 +573,5 @@ def rk45_orbit(lam, B, x0, y0, t_max, rtol, atol_x, atol_y, h_max, h_min,
         h *= fac
         if h > h_max:
             h = h_max
-    return 5, n, t, x, y
+    raise EventNotFound(f"the axis was not reached by t_max = {t_max!r}"
+                        f" for {p}")

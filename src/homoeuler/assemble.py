@@ -659,7 +659,8 @@ def energy_flux(g: GlobalSolution) -> float:
     total = 0.0
     for piece in g.pieces:
         dpsi = piece.arc.profile[:, 2]
-        v = dpsi ** 3
+        # two products are odd in rounding as well; numpy's ** 3 is not
+        v = dpsi * dpsi * dpsi
         paired = 0.5 * (v + v[::-1])
         total += piece.sign * _arc_integral(piece.arc, paired)
     return total

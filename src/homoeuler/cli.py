@@ -594,10 +594,11 @@ def _cmd_phase_portrait(args) -> int:
         if ic.kind is InterceptKind.Empty:
             raise DomainError(
                 f"the level set of {p} is empty: no orbit to sample")
-        if args.pressure > 0.0 and args.lam > 1.0:
-            orbit = closed_orbit(p, ic.x0)
-        else:
+        if ic.kind is InterceptKind.HyperbolicSingle:
             orbit = integrate_orbit(p, ic.x0)
+        else:
+            # a closed orbit; closed_orbit refuses the centre's single point
+            orbit = closed_orbit(p, ic.x0)
         for t, x, y in orbit.samples.tolist():
             w.writerow([_fmt(B), _fmt(t), _fmt(x), _fmt(y)])
     _write(buf.getvalue(), args.out)

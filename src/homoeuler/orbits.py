@@ -1,10 +1,14 @@
 """Turning points on level curves and two adaptive orbit integrators.
 
 integrate_orbit steps the phase system in (x, y) from an arch's apex to the
-axis; its span is the independent oracle for the quadrature spans of arches,
-and its samples are the arches of phase portraits.  Arches with lam < 2 and
-B != 0 are not integrated into the axis: the power term of the phase system
-is singular there, so the integrator refuses (SingularEndpoint).
+axis with _kernels.rk45_orbit; its span is the independent oracle for the
+quadrature spans of arches, and its samples are the arches of phase
+portraits.  Arches with lam < 2 and B != 0 are not integrated into the
+axis: the power term of the phase system is singular there, so the
+integrator refuses (SingularEndpoint).
+
+Both integrators check that their samples stay on the pressure level,
+within a tolerance relative to the orbit's own scale (_check_level).
 
 closed_orbit is the only integrator of closed orbits: it steps (ln x, y/x)
 from the inner turning point, where the field is analytic, and returns the
@@ -29,13 +33,12 @@ from ._kernels import (
     _E0, _E2, _E3, _E4, _E5, _E6,
 )
 from ._rootfind import brent, newton_polish
-from .core import FlowParams, PhaseState, phase_vector_field, pressure_hamiltonian
+from .core import FlowParams, PhaseState, phase_vector_field
 from .errors import (
     DomainError,
     EventNotFound,
     NoBracket,
     NumericalError,
-    SingularEndpoint,
     SteadyStateError,
     StepFailure,
 )
@@ -47,11 +50,6 @@ _SCAN_MAX_STEPS = 64 * 300
 _GRIDS = {True: [math.nan], False: [math.nan]}
 
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
-# below this abscissa an orbit with lam < 2 and B != 0 counts as singular
-X_MIN = 1e-12
-_H_MIN = 1e-14
-# relative step error tolerance of integrate_orbit
-_ARCH_RTOL = 1e-10
 # step error tolerance of closed_orbit; census periods come out within
 # about 5e-13 of the quadrature
 _UV_TOL = 1e-12
@@ -377,13 +375,15 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
     ------
     DomainError
         If x0 is not the inner turning point of a closed orbit (v' <= 0
-        there) or K is not a finite double.
+        there, or v' <= 1e-13 lam^2 at the centre) or K is not a finite
+        double.
     StepFailure
         If the step size falls below 1e-6 of the first step.
     EventNotFound
         If v does not return to 0 within 16 pi (1 + 1/lam).
     NumericalError
-        If the samples drift off the pressure level beyond 1e-9 (1 + |P|).
+        If a sample drifts off the pressure level beyond 1e-9 of the
+        orbit's scale (_check_level).
     """
     lam = p.lam
     lam2 = lam * lam
@@ -392,7 +392,7 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
         a = (lam - 1.0) / lam * p.B * x0 ** c - lam2
     except ArithmeticError:
         a = math.inf
-    if not 0.0 < a < math.inf:
+    if not 1e-13 * lam2 < a < math.inf:
         raise DomainError(f"x0 = {x0!r} is not the inner turning point of a"
                           f" closed orbit of {p}: v'(0) = {a!r}")
     # K e^(c u) - lam^2 = lam^2 expm1(c u + L), L = ln(K/lam^2), does not
@@ -443,7 +443,7 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
     ts, us, vs = np.array(rows).T
     xs = x0 * np.exp(us)
     ys = xs * vs
-    _check_drift(p, xs, ys)
+    _check_level(p, xs, ys, 1e-9, NumericalError, "a sample")
     # the mirrored half, reversed, then the integrated one; 0.0 - y keeps
     # y = +0.0 at x1
     return Orbit(p, _samples(np.concatenate((t_h - ts[:0:-1], t_h + ts)),
@@ -452,45 +452,23 @@ def closed_orbit(p: FlowParams, x0: float) -> Orbit:
                  2.0 * t_h)
 
 
-def _run_kernel(p: FlowParams, x0: float, t_max: float, max_step: float,
-                guard: int):
-    # large-lam orbits live at x ~ (lam^-2)^(lam/2), far below any fixed
-    # floor; flooring the scale there would void the error control
-    atol_x = 1e-13 * x0
-    atol_y = 1e-13 * p.lam * x0
-    cap = 1 << 14
-    while True:
-        t_buf = np.empty(cap)
-        x_buf = np.empty(cap)
-        y_buf = np.empty(cap)
-        out = _kernels.rk45_orbit(p.lam, p.B, x0, 0.0, t_max, _ARCH_RTOL,
-                                  atol_x, atol_y, max_step, _H_MIN, X_MIN,
-                                  guard, t_buf, x_buf, y_buf)
-        status, n = out[0], out[1]
-        if status != 2:
-            return out, t_buf[:n], x_buf[:n], y_buf[:n]
-        cap *= 2
-        if cap > (1 << 22):
-            raise NumericalError(f"sample buffer exhausted: the orbit of {p}"
-                                 f" needs over {cap // 2} samples")
-
-
 def integrate_orbit(p: FlowParams, x0: float, *,
                     max_step: float = MAX_SAMPLE_STEP) -> Orbit:
     """Integrate the phase system from the apex (x0, 0) of an arch to the
     axis x = 0.
 
-    Steps are Dormand-Prince 5(4) in (x, y) at relative tolerance 1e-10; the
-    crossing of the axis is located inside the last step.  The samples cover
-    half the arch, and the span is doubled by symmetry.
+    _kernels.rk45_orbit takes Dormand-Prince 5(4) steps in (x, y) at
+    relative tolerance 1e-10 and locates the crossing of the axis inside
+    the last step.  The samples cover half the arch, and the span is
+    doubled by symmetry.
 
     Parameters
     ----------
     p : FlowParams
     x0 : float
-        The apex, find_intercepts(p).x0 of a HyperbolicSingle; (x0, 0) must
-        lie on the level set {pressure_hamiltonian = p.P} within 1e-10
-        relative.
+        The apex, find_intercepts(p).x0 of a HyperbolicSingle; x0 > 0, and
+        (x0, 0) must lie on the level set {pressure_hamiltonian = p.P}
+        within 1e-10 of the orbit's scale (_check_level).
     max_step : float, optional
         Largest time step, and so the widest spacing of the samples.
 
@@ -498,85 +476,71 @@ def integrate_orbit(p: FlowParams, x0: float, *,
     -------
     Orbit
         With (t, x, y) samples from (x0, 0) at t = 0, spaced at most
-        max_step apart, x clamped to x >= 0, and measured_span set to the
-        span of the arch.
+        max_step apart, x > 0 up to the last sample, the axis crossing,
+        whose x is clamped to x >= 0, and measured_span set to the span of
+        the arch.
 
     Raises
     ------
-    SingularEndpoint
-        If the state enters x < X_MIN while lam < 2 and B != 0.
-    StepFailure
-        If the step-size controller underflows.
-    EventNotFound
-        If the orbit does not reach the axis within the time cap.
+    DomainError
+        If x0 is not positive or (x0, 0) is off the level set.
     SteadyStateError
         If (x0, 0) is a stationary point.
+    SingularEndpoint
+        If the state enters x < 1e-12 while lam < 2 and B != 0.
+    StepFailure
+        If the step size falls below 1e-14.
+    EventNotFound
+        If the orbit does not reach the axis within the time cap.
+    NumericalError
+        If a sample drifts off the pressure level beyond 1e-9 of the
+        orbit's scale.
     """
     lam, B = p.lam, p.B
-    start = PhaseState(x0, 0.0)
-    H = pressure_hamiltonian(start, lam, B)
-    if abs(H - p.P) > 1e-10 * (1.0 + abs(p.P)):
-        raise DomainError(
-            f"start is off the level set: H={H!r} vs P={p.P!r}")
+    if not x0 > 0.0:
+        raise DomainError(f"the apex x0 = {x0!r} of {p} is not positive")
+    _check_level(p, np.array([x0]), np.zeros(1), 1e-10, DomainError,
+                 "the start (x0, 0)")
 
-    dx0, dy0 = phase_vector_field(start, lam, B)
-    field_scale = lam * lam * max(x0, 1e-300)
-    if max(abs(dx0), abs(dy0)) <= 1e-13 * field_scale:
+    dx0, dy0 = phase_vector_field(PhaseState(x0, 0.0), lam, B)
+    if max(abs(dx0), abs(dy0)) <= 1e-13 * (lam * lam * x0):
         raise SteadyStateError(
             "start is a steady state; it never reaches the axis")
 
-    guard = 1 if (lam < 2.0 and B != 0.0) else 0
     t_cap = 8.0 * (2.0 * math.pi / math.sqrt(2.0 * lam) + math.pi
                    + math.pi / lam)
-    out, ts, xs, ys = _run_kernel(p, x0, t_cap, max_step, guard)
-    _raise_for_status(out, p)
-
-    if np.any(xs < -1e-12):
-        raise DomainError("orbit crossed into x < 0")
-    xs = np.maximum(xs, 0.0)
-    span = 2.0 * float(out[2])
-
-    _check_drift(p, xs, ys)
-    return Orbit(p, _samples(ts, xs, ys), span)
+    ts, xs, ys = _kernels.rk45_orbit(p, x0, t_cap, max_step)
+    samples = _samples(ts, xs, ys)
+    _check_level(p, samples[:, 1], samples[:, 2], 1e-9, NumericalError,
+                 "a sample")
+    return Orbit(p, samples, 2.0 * ts[-1])
 
 
 def _samples(ts, xs, ys) -> np.ndarray:
-    # column_stack copies, so the kernel's sample buffers are not kept alive
     out = np.column_stack((ts, xs, ys)).astype(np.float64, copy=False)
     out.flags.writeable = False
     return out
 
 
-def _check_drift(p: FlowParams, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Raise NumericalError if a sample is off the pressure level p.P by more
-    than 1e-9 (1 + |P|)."""
+def _check_level(p: FlowParams, xs: np.ndarray, ys: np.ndarray, tol: float,
+                 error: type, what: str) -> None:
+    """Raise error if a sample (x, y) is off the pressure level p.P by more
+    than tol times the orbit's scale max(1 + |P|, max y^2/2 + lam^2 x^2/2).
+
+    The second term is the size of the terms of H on the orbit: on a large
+    orbit (large B or lam x) they cancel to a P much smaller than
+    themselves, and their rounding alone outgrows 1 + |P|."""
     alpha = 2.0 - 2.0 / p.lam
-    H = -0.5 * ys * ys - 0.5 * p.lam * p.lam * xs * xs
-    if p.B != 0.0:
-        with np.errstate(divide="ignore"):
-            pw = np.where(xs > 0.0, xs, 1.0) ** alpha
-        pw = np.where(xs > 0.0, pw, 1.0 if alpha == 0.0 else 0.0)
-        H = H + 0.5 * p.B * pw
+    # an overflow gives an infinite or nan drift, which raises
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = 0.5 * ys * ys + 0.5 * p.lam * p.lam * xs * xs
+        H = -k
+        if p.B != 0.0:
+            pw = np.where(xs > 0.0, xs ** alpha,
+                          1.0 if alpha == 0.0 else 0.0)
+            H = H + 0.5 * p.B * pw
     drift = float(np.abs(H - p.P).max())
-    bound = 1e-9 * (1.0 + abs(p.P))
-    if drift > bound:
-        raise NumericalError(
-            f"pressure drift {drift:.3e} exceeds the conservation tolerance"
-            f" 1e-9 (1 + |P|) = {bound:.3e} for {p}")
-
-
-def _raise_for_status(out, p: FlowParams) -> None:
-    status, _n, t, x, y = out
-    if status == 0:
-        return
-    if status == 3:
-        raise StepFailure(f"step size fell below {_H_MIN!r} at t={t!r},"
-                          f" x={x!r} for {p}")
-    if status == 4:
-        raise SingularEndpoint(
-            f"state entered x < X_MIN = {X_MIN!r} near the axis at t={t!r}"
-            f" for {p} (lam < 2 with B != 0); use the quadrature path")
-    if status == 5:
-        raise EventNotFound(f"the axis was not reached by t_cap = {t!r}"
-                            f" for {p}")
-    raise NumericalError(f"unknown integrator status {status} for {p}")
+    scale = max(1.0 + abs(p.P), float(k.max()))
+    if not drift <= tol * scale:
+        raise error(f"{what} is {drift:.3e} off the level set, past"
+                    f" {tol:g} of the orbit's scale {scale:.3e}, for {p}")

@@ -114,11 +114,13 @@ class TestLocalArc:
         # Simpson over the node index recovers the span
         assert simpson_uniform(w) == pytest.approx(arc.span, rel=1e-9)
 
-    @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0, 5.0, 13.0])
-    @pytest.mark.parametrize("B", [4.0, -1.0])
+    @pytest.mark.parametrize("B,lam", [
+        (B, lam) for B in (4.0, -1.0) for lam in (2.0, 2.5, 3.0, 5.0, 13.0)]
+        + [(400.0, 2.0)])
     def test_span_matches_integrated_arch(self, lam, B):
         # the (x, y) integration from the apex shares no code with the
-        # turning-point quadrature that builds the arc
+        # turning-point quadrature that builds the arc; at B = 400 the terms
+        # of H are 2e4 times P, which the drift check must allow for
         p = FlowParams(lam, -1.0, B)
         orbit = integrate_orbit(p, find_intercepts(p).x0)
         span = hyperbolic_arc(lam, -1.0, B).span
@@ -300,6 +302,16 @@ class TestDiagnostics:
         assert abs(energy_flux(lam3((1, 1, 1, 1)))) <= 1e-12
         assert abs(energy_flux(cusp3())) <= 1e-10
         assert abs(energy_flux(elliptic_global(2.0, 1.5, 8.0))) <= 1e-12
+
+    @pytest.mark.parametrize("build", [
+        lambda: cusp3(), lambda: ell5(), lambda: lam3(),
+        lambda: lam3((1, 1, 1, 1)),
+        lambda: elliptic_global(2.0, 1.5, 8.0)],
+        ids=["cusp3", "ell5", "lam3", "lam3_same_signs", "elliptic2"])
+    def test_flux_cancels_exactly_on_mirrored_arcs(self, build):
+        # the arcs' psi' is odd about their midpoints to the last bit, and
+        # the cube by products keeps it odd, so the paired nodes cancel
+        assert energy_flux(build()) == 0.0
 
     def test_flux_detects_asymmetric_corruption(self):
         # reparameterize one harmonic arch by theta -> theta^1.1, which

@@ -544,6 +544,38 @@ class TestPhasePortrait:
         assert err == (f"domain error: the level set of {p} is empty: no"
                        " orbit to sample\n")
 
+    @pytest.mark.parametrize("lam", [0.75, 0.6])
+    def test_closed_orbit_below_lam1(self, capsys, lam):
+        # B < 0 below the centre pressure at lam < 1: a loop round the
+        # centre, integrated as a closed orbit and not as an arch
+        from homoeuler.core import FlowParams
+        alpha = 2.0 - 2.0 / lam
+        x_c = (-alpha / (2.0 * lam * lam)) ** (0.5 * lam)
+        pressure = 1.5 * 0.5 * (-lam * lam * x_c * x_c - x_c ** alpha)
+        rc, out, _ = run(capsys, "phase-portrait", "--lambda", repr(lam),
+                         f"--pressure={pressure!r}", "--b-values=-1")
+        assert rc == 0
+        last_t = float(out.strip().split("\n")[-1].split(",")[1])
+        T = periods.span_any(FlowParams(lam, pressure, -1.0)).T
+        assert abs(last_t - T) <= 1e-9
+
+    @pytest.mark.parametrize("lam,b", [("2", "400"), ("13", "402.77")])
+    def test_large_b_arch(self, capsys, lam, b):
+        # the terms of H reach 1e4 |P| and more on these arches; the
+        # level-set checks at the apex and along the samples scale with them
+        from homoeuler.core import FlowParams
+        rc, out, _ = run(capsys, "phase-portrait", "--lambda", lam,
+                         "--pressure=-1", "--b-values", b)
+        assert rc == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.strip().split("\n")[1:]]
+        assert rows[0][1] == 0.0 and rows[0][3] == 0.0
+        assert rows[-1][2] <= 1e-12 * rows[0][2]
+        half = 0.5 * periods.span_any(FlowParams(float(lam), -1.0,
+                                                 float(b))).T
+        # lam = 13 is 2.3e-7 off at the default largest step (ROADMAP)
+        assert abs(rows[-1][1] - half) <= (1e-10 if lam == "2" else 1e-6)
+
     def test_multiple_b_values(self, capsys):
         rc, out, _ = run(capsys, "phase-portrait", "--lambda", "2",
                          "--pressure", "-1", "--b-values", "1,2")

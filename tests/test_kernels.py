@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad, solve_ivp
 
 from homoeuler import _kernels as K
 from homoeuler.core import FlowParams
+from homoeuler.errors import EventNotFound, SingularEndpoint, StepFailure
 from homoeuler.orbits import find_intercepts
 
 
@@ -559,22 +561,19 @@ class TestCumulative:
 
 
 class TestRK45:
-    def setup_method(self):
-        cap = 1 << 16
-        self.bufs = (np.empty(cap), np.empty(cap), np.empty(cap))
-
-    def run(self, lam, B, x0, y0, t_max, guard=0, rtol=1e-10, atol=1e-14):
-        tb, xb, yb = self.bufs
-        out = K.rk45_orbit(lam, B, x0, y0, t_max, rtol, atol, atol,
-                           2 * np.pi / 1024, 1e-14, 1e-12, guard, tb, xb, yb)
-        return out, tb, xb, yb
+    @staticmethod
+    def run(lam, P, B, x0, t_max=10.0, h_max=2 * np.pi / 1024):
+        """rk45_orbit from the apex (x0, 0): (t_end, x_end, y_end) and the
+        sample arrays."""
+        ts, xs, ys = K.rk45_orbit(FlowParams(lam, P, B), x0, t_max, h_max)
+        return (ts[-1], xs[-1], ys[-1]), np.array(ts), np.array(xs), \
+            np.array(ys)
 
     def test_linear_center_closed_form(self):
         # B = 0 decouples the power term: x(t) = cos(lam t) from the apex,
         # which meets the axis at t = pi/(2 lam) with y = -lam
         lam = 3.0
-        (st, n, t, x, y), tb, xb, yb = self.run(lam, 0.0, 1.0, 0.0, 10.0)
-        assert st == 0
+        (t, x, y), *_ = self.run(lam, -4.5, 0.0, 1.0)
         assert t == pytest.approx(np.pi / (2 * lam), abs=1e-11)
         assert y == pytest.approx(-lam, abs=1e-10)
 
@@ -585,45 +584,59 @@ class TestRK45:
 
         def rhs(t, s):
             return [s[1], -lam ** 2 * s[0] + (lam - 1) / lam * B]
-        (st, n, t, x, y), tb, xb, yb = self.run(lam, B, x1, 0.0, 10.0)
-        assert st == 0 and abs(x) <= 1e-12
+        (t, x, y), tb, xb, yb = self.run(lam, -0.25, B, x1)
+        assert abs(x) <= 1e-12
         sol = solve_ivp(rhs, (0.0, t), [x1, 0.0], rtol=1e-12, atol=1e-14,
                         dense_output=True)
-        ref = sol.sol(tb[:n])
-        assert np.abs(xb[:n] - ref[0]).max() <= 1e-9
-        assert np.abs(yb[:n] - ref[1]).max() <= 1e-9
+        ref = sol.sol(tb)
+        assert np.abs(xb - ref[0]).max() <= 1e-9
+        assert np.abs(yb - ref[1]).max() <= 1e-9
         assert y == pytest.approx(sol.y[1, -1], abs=1e-9)
 
     def test_axis_event_velocity(self):
         # arch at lam = 2, P = -1/2: the axis is hit with y = -sqrt(-2P) = -1
         r = np.roots([-4.0, 1.0, 1.0])
         apex = max(r)
-        (st, n, t, x, y), *_ = self.run(2.0, 1.0, apex, 0.0, 10.0)
-        assert st == 0
+        (t, x, y), *_ = self.run(2.0, -0.5, 1.0, apex)
         assert abs(x) < 1e-12
         assert y == pytest.approx(-1.0, abs=1e-10)
 
     def test_pressure_drift_small(self):
-        # a closed orbit never meets the axis: the run ends at t_max
-        P = 0.01
-        x1 = (1 + np.sqrt(1 - 32 * P)) / 8
-        (st, n, t, x, y), tb, xb, yb = self.run(2.0, 1.0, x1, 0.0, 20.0)
-        assert st == 5 and t == 20.0
-        H = -yb[:n] ** 2 / 2 - 2.0 * xb[:n] ** 2 + 0.5 * xb[:n]
+        # the same arch: every sample keeps H = -y^2/2 - 2 x^2 + x/2 = -1/2
+        apex = max(np.roots([-4.0, 1.0, 1.0]))
+        _end, tb, xb, yb = self.run(2.0, -0.5, 1.0, apex)
+        H = -yb ** 2 / 2 - 2.0 * xb ** 2 + 0.5 * xb
         assert np.abs(H - H[0]).max() < 1e-12
 
+    def test_closed_orbit_never_reaches_the_axis(self):
+        # from the outer turning point of a closed orbit the run ends at
+        # t_max without an axis crossing
+        P = 0.01
+        x1 = (1 + np.sqrt(1 - 32 * P)) / 8
+        with pytest.raises(EventNotFound, match=re.escape(
+                "the axis was not reached by t_max = 20.0 for"
+                " FlowParams(lam=2.0, P=0.01, B=1.0)")):
+            self.run(2.0, P, 1.0, x1, t_max=20.0)
+
     def test_singular_guard_triggers(self):
-        # lam < 2 arch heading into the axis with the guard on stops early
+        # lam < 2 arch heading into the axis stops before x < X_MIN
         lam, P, B = 1.5, -0.5, 1.0
         from scipy.optimize import brentq
 
         def R(x):
             return -2 * P - lam * lam * x * x + B * x ** (2 - 2 / lam)
         apex = brentq(R, 1e-12, 5.0, xtol=1e-15)
-        (st, n, t, x, y), *_ = self.run(lam, B, apex, 0.0, 10.0, guard=1)
-        assert st == 4
-        # stops at the last state before the step that would cross the floor
-        assert 0.0 <= x < 1e-8
+        with pytest.raises(SingularEndpoint, match=re.escape(
+                "x < X_MIN = 1e-12 near the axis") + r".* for FlowParams\("
+                r"lam=1\.5, P=-0\.5, B=1\.0\)"):
+            self.run(lam, P, B, apex)
+
+    def test_step_underflow(self):
+        # a largest step under 8 _H_MIN makes the first step too small
+        with pytest.raises(StepFailure, match=re.escape(
+                "step size fell below 1e-14 at t=0.0, x=1.0 for"
+                " FlowParams(lam=3.0, P=-4.5, B=0.0)")):
+            self.run(3.0, -4.5, 0.0, 1.0, h_max=4e-14)
 
     def event_runs(self):
         """(label, run output) for axis events at lam = 2 and 3."""
@@ -632,26 +645,25 @@ class TestRK45:
         def R(x):
             return 1.4 - 9.0 * x * x + x ** (2 - 2 / 3.0)
         apex3 = brentq(R, 1e-12, 5.0, xtol=1e-15)
-        cases = (("arch lam3 B0", (3.0, 0.0, 0.0, 1.0, 10.0)),
-                 ("arch lam3 B1", (3.0, 1.0, apex3, 0.0, 10.0)),
-                 ("arch lam2 B1", (2.0, 1.0, 0.5, 0.0, 10.0)))
+        cases = (("arch lam3 B0", (3.0, -0.5, 0.0, 1.0 / 3.0)),
+                 ("arch lam3 B1", (3.0, -0.7, 1.0, apex3)),
+                 ("arch lam2 B1", (2.0, -0.25, 1.0, 0.5)))
         for label, args in cases:
             yield label, self.run(*args)
 
     def test_events_located_to_rounding(self):
-        # B = 0 at lam = 3: x = sin(3 t)/3 returns to the axis at t = pi/3
-        (st, n, t, x, y), *_ = self.run(3.0, 0.0, 0.0, 1.0, 10.0)
-        assert st == 0
-        assert abs(t - np.pi / 3.0) <= 1e-13
+        # B = 0 at lam = 3: x = cos(3 t)/3 from the apex (1/3, 0) meets the
+        # axis at t = pi/6
+        (t, x, y), *_ = self.run(3.0, -0.5, 0.0, 1.0 / 3.0)
+        assert abs(t - np.pi / 6.0) <= 1e-13
         assert abs(x) <= 1e-15
 
     def test_event_times_inside_their_steps(self):
-        for label, out in self.event_runs():
-            (st, n, t, x, y), tb, xb, yb = out
-            assert st == 0, label
-            ts = tb[:n]
-            assert np.all(np.diff(ts) > 0.0), label
-            assert ts[-1] == t, label
+        for label, ((t, x, y), tb, xb, yb) in self.event_runs():
+            assert np.all(np.diff(tb) > 0.0), label
+            assert tb[-1] == t, label
+            # every accepted state lies right of the axis
+            assert np.all(xb[:-1] > 0.0) and xb[-1] >= 0.0, label
 
     def test_event_search_work_bound(self, monkeypatch):
         calls = [0]
@@ -661,13 +673,6 @@ class TestRK45:
             calls[0] += 1
             return substeps(*args)
         monkeypatch.setattr(K, "_dp_substeps", counted)
-        for label, out in self.event_runs():
-            assert out[0][0] == 0, label
-            assert calls[0] <= 8, label
+        for label, _out in self.event_runs():
+            assert 0 < calls[0] <= 8, label
             calls[0] = 0
-
-    def test_buffer_full_status(self):
-        tb, xb, yb = np.empty(4), np.empty(4), np.empty(4)
-        out = K.rk45_orbit(2.0, 1.0, 0.2, 0.0, 10.0, 1e-10, 1e-14, 1e-14,
-                           2 * np.pi / 1024, 1e-14, 1e-12, 0, tb, xb, yb)
-        assert out[0] == 2

@@ -366,6 +366,20 @@ class TestClosedOrbit:
         with pytest.raises(DomainError, match="inner turning point"):
             closed_orbit(p, find_intercepts(p).x1)
 
+    @pytest.mark.parametrize("lam,B", [(5.0, 1.0), (13.0, 1.0),
+                                       (0.75, -1.0)])
+    def test_refuses_the_centre(self, lam, B):
+        # v'(0) at the centre is the rounding noise of K - lam^2, positive
+        # at these three; the centre is a single point, not a loop
+        alpha = 2.0 - 2.0 / lam
+        x_c = (alpha * B / (2.0 * lam * lam)) ** (0.5 * lam)
+        p = FlowParams(lam, 0.5 * (B * x_c ** alpha - lam * lam * x_c * x_c),
+                       B)
+        ic = find_intercepts(p)
+        assert ic.kind is InterceptKind.Center
+        with pytest.raises(DomainError, match="inner turning point"):
+            closed_orbit(p, ic.x0)
+
 
 class TestIntegrateOrbit:
     def test_closed_orbit_period_lam2(self):
@@ -405,6 +419,13 @@ class TestIntegrateOrbit:
                 "x < X_MIN = 1e-12 near the axis") + r".* for FlowParams\(lam=1\.5,"
                 r" P=-0\.5, B=1\.0\)"):
             integrate_orbit(p, ic.x0)
+
+    def test_apex_must_be_positive(self):
+        # (-1, 0) lies on the level set of B = 0 too, but an orbit from it
+        # crosses x = 0 upward before it returns
+        p = FlowParams(3.0, -4.5, 0.0)
+        with pytest.raises(DomainError, match="is not positive"):
+            integrate_orbit(p, -1.0)
 
     def test_off_level_set_start_rejected(self):
         # the turning points are 0.5 and 1.5; (1, 0) sits on the level P = 2
