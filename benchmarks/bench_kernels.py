@@ -1,8 +1,10 @@
 """Kernel-level timings: quadrature, scan rows, turning points, orbits,
-census roots, arcs.
+census roots, arcs, and the break-even of period-scan's fan-out.
 
 Each workload runs once as a warmup, then --reps times; the best time is
-printed, in seconds.
+printed, in seconds.  The last line derives the fork round trip, the row
+cost and the row count from which a second worker pays, the basis of
+`cli._ROWS_PER_WORKER`.
 
     python3 benchmarks/bench_kernels.py --reps 5
 """
@@ -19,11 +21,14 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+# row counts of the fan-out break-even scans
+FAN_OUT_ROWS = (8, 16, 32, 64, 256)
+
 
 def _workloads():
     from homoeuler.assemble import elliptic_arc, hyperbolic_arc
     from homoeuler.classify import solve_elliptic
-    from homoeuler.cli import _scan_grid
+    from homoeuler.cli import _scan_grid, _scan_rows
     from homoeuler.core import FlowParams, steady_state
     from homoeuler.orbits import closed_orbit, find_intercepts, integrate_orbit
     from homoeuler.periods import period_elliptic, span_any, span_quadrature
@@ -107,6 +112,16 @@ def _workloads():
         hyperbolic_arc(2.0 / 3.0, 1.0, 3.5)
         elliptic_arc(2.0, 1.5, 8.0)
 
+    # one lam = 5 elliptic scan of n rows, in-process and on two processes
+    def fan_out(n, workers):
+        ps, B = _scan_grid(argparse.Namespace(
+            lam=5.0, n_points=n, region="elliptic", p_min=None, p_max=None,
+            b_sign="plus"))
+        return lambda: _scan_rows(5.0, ps, B, workers)
+
+    scans = [(f"scan {n} rows, {w} proc", fan_out(n, w))
+             for n in FAN_OUT_ROWS for w in (1, 2)]
+
     return [("span quadrature x21", spans),
             ("period-scan rows x600", period_scan_rows),
             ("turning points x20", turning_points),
@@ -115,7 +130,21 @@ def _workloads():
             ("census orbit, x0 (u,v) x3", census_orbits),
             ("census roots x4", census_roots),
             ("elliptic arc x2", elliptic_arcs),
-            ("arc construction x3", arcs)]
+            ("arc construction x3", arcs)] + scans
+
+
+def _break_even(best: dict) -> str:
+    """Fork round trip, row cost and break-even row count of the fan-out.
+
+    A scan of n rows costs n r in-process and about f + n r / 2 on two
+    processes, so a second worker pays from n = 2 f / r rows on.  r comes
+    from the largest in-process scan, f from the smallest forked one.
+    """
+    n_lo, n_hi = FAN_OUT_ROWS[0], FAN_OUT_ROWS[-1]
+    r = best[f"scan {n_hi} rows, 1 proc"] / n_hi
+    f = best[f"scan {n_lo} rows, 2 proc"] - best[f"scan {n_lo} rows, 1 proc"] / 2
+    return (f"fan-out: fork round trip {1e3 * f:.2f} ms, row {1e3 * r:.3f} ms,"
+            f" break-even {2.0 * f / r:.0f} rows")
 
 
 def _best_of(fn, reps: int) -> float:
@@ -133,8 +162,11 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=5,
                     help="timed repetitions per workload (best is kept)")
     args = ap.parse_args(argv)
+    best = {}
     for name, fn in _workloads():
-        print(f"{name:<26} {_best_of(fn, args.reps):.6f} s")
+        best[name] = _best_of(fn, args.reps)
+        print(f"{name:<26} {best[name]:.6f} s")
+    print(_break_even(best))
     return 0
 
 

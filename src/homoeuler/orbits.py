@@ -260,8 +260,11 @@ def _intercepts(p: FlowParams) -> Intercepts:
     if aB > 0.0:
         # interior critical point (center candidate) exists
         x_c = (aB / (2.0 * lam2)) ** (0.5 * lam)
-        P_crit = 0.5 * (-lam2 * x_c * x_c + B * x_c ** alpha)
-        if abs(P - P_crit) <= 1e-13 * (abs(P_crit) + 1e-300):
+        # B x_c^alpha = lam^3 x_c^2/(lam - 1) at the centre: this form does
+        # not cancel, and no finite P is the centre where x_c^2 overflows
+        P_crit = lam2 * x_c * x_c / (2.0 * (lam - 1.0))
+        if (math.isfinite(P_crit)
+                and abs(P - P_crit) <= 1e-13 * (abs(P_crit) + 1e-300)):
             return Intercepts(InterceptKind.Center, x_c)
         if P > P_crit:
             if lam > 1.0:

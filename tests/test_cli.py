@@ -1,12 +1,17 @@
 """End-to-end CLI tests: exit codes, output formats, file round trips.
 
 Everything runs in process through main(argv) so coverage tools see it and
-failures carry normal tracebacks.
+failures carry normal tracebacks; one test runs the module as a script.
 """
 
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +28,8 @@ from homoeuler.cli import (
     serialize_solution,
     solution_to_json,
 )
+from homoeuler.core import steady_state
+from homoeuler.errors import DomainError, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -444,6 +451,196 @@ class TestPeriodScan:
         gap = rows[0]["T"] - 2.0 * math.pi / math.sqrt(10.0)
         assert 1.0e-8 < gap < 1.1e-8
         assert all(row["est_error"] <= 1e-9 for row in rows)
+
+
+# period-scan rows on forked workers: a scan of 200 rows at lam = 3 or 5
+# runs on two processes on a 2-CPU host; the tests set the usable CPUs the
+# fan-out sees, so they fork on any host
+
+# elliptic, next to the centre, hyperbolic with either sign of B, and
+# lam < 1 (conjugated to lam = 4/3)
+FAN_OUT_SCANS = {
+    "elliptic": ["--lambda", "5", "--n-points", "200"],
+    "near-centre": ["--lambda", "3", "--n-points", "201",
+                    f"--p-max={(1.0 - 1e-6) * steady_state(3.0, 1.0).P_max!r}"],
+    "hyperbolic plus": ["--lambda", "3", "--region", "hyperbolic",
+                        "--p-min=-1e6", "--p-max=-1e-6", "--n-points", "202"],
+    "hyperbolic minus": ["--lambda", "5", "--region", "hyperbolic",
+                         "--b-sign", "minus", "--p-min=-1e6",
+                         "--p-max=-1e-6", "--n-points", "203"],
+    "lambda below 1": ["--lambda", "0.75", "--region", "hyperbolic",
+                       "--n-points", "200"],
+}
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids the fan-out forks; after each test no child is left."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def scan_on(capsys, monkeypatch, cpus, argv):
+    """period-scan with `cpus` usable CPUs: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    rc, out, err = run(capsys, "period-scan", *argv)
+    # every child was reaped before the table was written
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return rc, out, err
+
+
+def scan_pressures(argv):
+    return cli._scan_grid(cli.build_parser().parse_args(
+        ["period-scan", *argv]))[0]
+
+
+def failing_at(monkeypatch, argv, bad_rows, exc_type=NumericalError):
+    """Make cli.span_any raise at the given rows of the scan `argv`."""
+    ps = scan_pressures(argv)
+    bad = {ps[i] for i in bad_rows}
+    real = cli.span_any
+
+    def span_any(p):
+        if p.P in bad:
+            raise exc_type(f"row at P={p.P!r} fails")
+        return real(p)
+
+    monkeypatch.setattr(cli, "span_any", span_any)
+
+
+class TestScanFanOut:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("name", list(FAN_OUT_SCANS))
+    def test_same_bytes_as_one_process(self, capsys, monkeypatch, forks,
+                                       name, fmt):
+        argv = FAN_OUT_SCANS[name] + ["--format", fmt]
+        want = scan_on(capsys, monkeypatch, 1, argv)
+        assert forks == [] and want[0] == 0 and want[2] == ""
+        assert scan_on(capsys, monkeypatch, 2, argv) == want
+        assert len(forks) == 1
+        assert scan_on(capsys, monkeypatch, 3, argv) == want
+        assert len(forks) == 3
+
+    def test_few_rows_stay_in_process(self, capsys, monkeypatch, forks):
+        n = 2 * cli._ROWS_PER_WORKER
+        argv = ["--lambda", "5", "--n-points", str(n - 1)]
+        assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
+        assert forks == []
+        argv[-1] = str(n)
+        assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
+        assert len(forks) == 1
+
+    def test_threads_keep_the_scan_in_process(self, capsys, monkeypatch,
+                                              forks):
+        # a forked child would hold only the calling thread
+        stop = threading.Event()
+        t = threading.Thread(target=stop.wait)
+        t.start()
+        try:
+            rc = scan_on(capsys, monkeypatch, 2, FAN_OUT_SCANS["elliptic"])[0]
+        finally:
+            stop.set()
+            t.join()
+        assert rc == 0 and forks == []
+
+    @pytest.mark.parametrize("cpus,bad_rows", [
+        (2, [5]),          # one row of the child's stripe
+        (2, [10, 7]),      # the child's row comes first
+        (2, [9, 4]),       # the parent's row comes first
+        (2, [0]),          # the parent's first row
+        (3, [199, 8, 12]), # stripes 1, 2 and 0 of three
+    ])
+    @pytest.mark.parametrize("exc_type,rc_want", [(NumericalError, 3),
+                                                  (DomainError, 2)])
+    def test_failing_row_as_in_one_process(self, capsys, monkeypatch, forks,
+                                           cpus, bad_rows, exc_type,
+                                           rc_want):
+        argv = FAN_OUT_SCANS["elliptic"]
+        failing_at(monkeypatch, argv, bad_rows, exc_type)
+        want = scan_on(capsys, monkeypatch, 1, argv)
+        P = scan_pressures(argv)[min(bad_rows)]
+        assert want[0] == rc_want and want[1] == ""
+        assert f"row at P={P!r} fails" in want[2]
+        assert scan_on(capsys, monkeypatch, cpus, argv) == want
+        assert len(forks) == cpus - 1
+
+    def test_untyped_exception_as_in_one_process(self, capsys, monkeypatch,
+                                                 forks):
+        argv = FAN_OUT_SCANS["elliptic"]
+        failing_at(monkeypatch, argv, [13], ZeroDivisionError)
+        P = scan_pressures(argv)[13]
+        for cpus in (1, 2):
+            with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
+                scan_on(capsys, monkeypatch, cpus, argv)
+        assert len(forks) == 1
+
+    def test_one_panel_budget_on_two_processes(self, capsys, monkeypatch,
+                                               forks):
+        # the _MAX_PANELS case of test_solver_failures_name_their_inputs,
+        # on enough rows to fork
+        monkeypatch.setattr(periods, "_MAX_PANELS", 1)
+        argv = ["--lambda", "5", "--p-min", "1e-12", "--p-max", "5e-08",
+                "--n-points", "64"]
+        want = scan_on(capsys, monkeypatch, 1, argv)
+        assert want[:2] == (3, "")
+        assert ("quadrature at lam=5.0, P=5e-08, B=1.0: error estimate"
+                in want[2])
+        assert scan_on(capsys, monkeypatch, 2, argv) == want
+        assert len(forks) == 1
+
+    def test_rows_of_a_dead_child_are_computed_again(self, capsys,
+                                                     monkeypatch, forks):
+        argv = FAN_OUT_SCANS["hyperbolic plus"]
+        want = scan_on(capsys, monkeypatch, 1, argv)
+        ps = scan_pressures(argv)
+        parent = os.getpid()
+        real = cli.span_any
+
+        def span_any(p):
+            if p.P == ps[51] and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(p)
+
+        monkeypatch.setattr(cli, "span_any", span_any)
+        assert scan_on(capsys, monkeypatch, 2, argv) == want
+        assert len(forks) == 1
+
+    def test_table_written_once(self):
+        # a child leaves by os._exit: neither the text the parent buffered
+        # before the scan nor the table is written by a child
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        # stdout on a pipe is block-buffered unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        argv = ["period-scan", "--lambda", "5", "--n-points", "200"]
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from homoeuler.cli import main\n"
+                  "sys.stdout.write('before the scan\\n')\n"
+                  f"sys.exit(main({argv!r}))\n")
+        forked = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, timeout=60)
+        plain = subprocess.run([sys.executable, "-m", "homoeuler.cli",
+                                *argv], env=env, capture_output=True,
+                               timeout=60)
+        assert forked.returncode == plain.returncode == 0
+        assert forked.stderr == plain.stderr == b""
+        assert forked.stdout == b"before the scan\n" + plain.stdout
+        assert plain.stdout.count(b"monotonicity:") == 1
+        assert plain.stdout.count(b"est_error") == 1
 
 
 class TestFieldExport:

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,30 @@ class TestFindIntercepts:
     def test_above_center_pressure_rejected(self):
         with pytest.raises(DomainError):
             find_intercepts(FlowParams(2.0, 0.05, 1.0))
+
+    @pytest.mark.parametrize("B", [1.0, 3.7, 1e-3])
+    def test_centre_pressure_is_center(self, B):
+        # P_crit as 0.5 (B x_c^alpha - lam^2 x_c^2) cancelled: it missed
+        # steady_state's P_max by more than the 1e-13 Center tolerance at 60
+        # of these 180 points, raising "exceeds P_max" or returning a pair
+        for lam in np.linspace(4.5, 34.0, 60):
+            lam = float(lam)
+            p_max = steady_state(lam, B).P_max
+            ic = find_intercepts(FlowParams(lam, p_max, B))
+            assert ic.kind is InterceptKind.Center, lam
+            with pytest.raises(DomainError, match="exceeds P_max"):
+                find_intercepts(FlowParams(lam, p_max * (1.0 + 1e-12), B))
+
+    @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+    def test_low_lam_centre_pressure_is_center(self, lam):
+        # the centre of lam < 1, B = -1, from 50 digits
+        with mpmath.workdps(50):
+            a = 2 - 2 / mpmath.mpf(lam)
+            x_c = (-a / (2 * mpmath.mpf(lam) ** 2)) ** (mpmath.mpf(lam) / 2)
+            P_c = (-x_c ** a - lam ** 2 * x_c ** 2) / 2
+        ic = find_intercepts(FlowParams(lam, float(P_c), -1.0))
+        assert ic.kind is InterceptKind.Center
+        assert ic.x0 == pytest.approx(float(x_c), rel=1e-14)
 
     def test_low_lam_elliptic_pair(self):
         # conjugate of the lam=2 family: roots at sqrt(1/2), sqrt(3/2)
