@@ -2,8 +2,9 @@
 census roots, arcs, and the break-even of period-scan's fan-out.
 
 Each workload runs once as a warmup, then --reps times; the best time is
-printed, in seconds.  The last line derives the fork round trip, the row
-cost and the row count from which a second worker pays, the basis of
+printed, in seconds.  Then come the radicand evaluations per turning point
+over the period-scan rows, and a line that derives the fork round trip, the
+row cost and the row count from which a second worker pays, the basis of
 `cli._ROWS_PER_WORKER`.
 
     python3 benchmarks/bench_kernels.py --reps 5
@@ -23,6 +24,62 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 # row counts of the fan-out break-even scans
 FAN_OUT_ROWS = (8, 16, 32, 64, 256)
+# the default 200-point tables of period-scan: elliptic at lam = 5, and
+# hyperbolic with either sign of B at lam = 3 (lam, region, B sign, and the
+# upper end of the pressures as a fraction of P_max, None for the default)
+DEFAULT_SCANS = ((5.0, "elliptic", "plus", None),
+                 (3.0, "hyperbolic", "plus", None),
+                 (3.0, "hyperbolic", "minus", None))
+# elliptic tables that reach to 1e-6 of the centre pressure
+NEAR_CENTRE_SCANS = ((3.0, "elliptic", "plus", 1.0 - 1e-6),
+                     (5.0, "elliptic", "plus", 1.0 - 1e-6))
+
+
+def _scan_rows_params(scans):
+    from homoeuler.cli import _scan_grid
+    from homoeuler.core import FlowParams, steady_state
+
+    rows = []
+    for lam, region, sign, frac in scans:
+        p_max = None if frac is None else frac * steady_state(lam, 1.0).P_max
+        ps, B = _scan_grid(argparse.Namespace(
+            lam=lam, n_points=200, region=region, p_min=None, p_max=p_max,
+            b_sign=sign))
+        rows += [FlowParams(lam, P, B) for P in ps]
+    return rows
+
+
+def _evaluations_per_turning_point() -> str:
+    """Radicand evaluations per turning point over the rows of the default
+    and near-centre period-scan tables, counted by wrapping the radicand
+    that orbits._radicand_funcs builds."""
+    from homoeuler import orbits
+    from homoeuler.periods import span_any
+
+    radicand_funcs = orbits._radicand_funcs
+    calls = [0]
+
+    def counting(p):
+        R, lam2, alpha = radicand_funcs(p)
+
+        def counted(x):
+            calls[0] += 1
+            return R(x)
+        return counted, lam2, alpha
+
+    per_point = []
+    orbits._radicand_funcs = counting
+    try:
+        for p in _scan_rows_params(DEFAULT_SCANS + NEAR_CENTRE_SCANS):
+            calls[0] = 0
+            span_any(p)
+            # a period solves both turning points, an arch its apex
+            per_point.append(calls[0] / (2 if p.P > 0.0 else 1))
+    finally:
+        orbits._radicand_funcs = radicand_funcs
+    return (f"radicand evaluations per turning point: median"
+            f" {np.median(per_point):.1f}, mean {np.mean(per_point):.2f},"
+            f" max {max(per_point):.1f} over {len(per_point)} rows")
 
 
 def _workloads():
@@ -41,22 +98,14 @@ def _workloads():
             for P in (-0.5, -2.0):
                 span_quadrature(lam, P, 1.0)
 
-    # the default 200-point tables of period-scan: elliptic at lam = 5, and
-    # hyperbolic with either sign of B at lam = 3
-    scan_rows = []
-    for lam, region, sign in ((5.0, "elliptic", "plus"),
-                              (3.0, "hyperbolic", "plus"),
-                              (3.0, "hyperbolic", "minus")):
-        ps, B = _scan_grid(argparse.Namespace(
-            lam=lam, n_points=200, region=region, p_min=None, p_max=None,
-            b_sign=sign))
-        scan_rows += [FlowParams(lam, P, B) for P in ps]
+    scan_rows = _scan_rows_params(DEFAULT_SCANS)
 
     def period_scan_rows():
         for p in scan_rows:
             span_any(p)
 
-    # B < 0 arches: find_intercepts scans up from 8 decades below the apex
+    # B < 0 arches: the apex is bracketed where lam^2 x^2, or -B x^alpha,
+    # alone reaches -2P and where both stay below -P
     arches = [FlowParams(lam, P, -1.0) for lam in (1.5, 2.0, 3.0, 5.0)
               for P in (-1e-3, -0.5, -2.0, -10.0, -1e3)]
 
@@ -166,6 +215,7 @@ def main(argv=None) -> int:
     for name, fn in _workloads():
         best[name] = _best_of(fn, args.reps)
         print(f"{name:<26} {best[name]:.6f} s")
+    print(_evaluations_per_turning_point())
     print(_break_even(best))
     return 0
 

@@ -1,8 +1,9 @@
-"""Bracketed scalar root finding: Brent's method with an optional Newton polish.
+"""Bracketed scalar root finding by Brent's method.
 
-Used for turning points of the radicand and for the one-parameter solves in
-the classification layer.  Callable-based and pure Python; the per-call count
-is small so there is nothing to compile here.
+Used for the one-parameter solves in the classification layer (turning
+points have their own solve, orbits._turning_point).  Callable-based and
+pure Python; the per-call count is small so there is nothing to compile
+here.
 """
 
 from __future__ import annotations
@@ -69,21 +70,3 @@ def brent(f: Callable[[float], float], a: float, b: float,
         fb = f(b)
     return b
 
-
-def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
-                  x: float, lo: float, hi: float, iters: int = 3) -> float:
-    """A few safeguarded Newton steps; falls back to x if a step leaves [lo, hi]."""
-    for _ in range(iters):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        d = df(x)
-        if d == 0.0:
-            return x
-        xn = x - fx / d
-        if not (lo <= xn <= hi):
-            return x
-        if xn == x:
-            return x
-        x = xn
-    return x

@@ -427,9 +427,10 @@ def _verdict(ts) -> str:
 
 # A scan of n rows runs on min(usable CPUs, n // _ROWS_PER_WORKER)
 # processes.  On a 2-CPU host one fork, pipe and wait round trip costs
-# 3.0-4.6 ms and a lam = 5 elliptic row 0.13-0.21 ms, so a second worker
-# pays from 32-65 rows on, about 40 in the median of six runs of
-# benchmarks/bench_kernels.py.
+# 3.2-6.2 ms and a lam = 5 elliptic row 0.11-0.20 ms, so a second worker
+# pays from 40-86 rows on, about 52 in the median of 14 runs of
+# benchmarks/bench_kernels.py; the same host read 29-77 rows, median 57,
+# before turning points became one bracketed solve each.
 _ROWS_PER_WORKER = 20
 _ROW = struct.Struct("dd")  # (T, est_error) as a child sends it
 

@@ -1,5 +1,9 @@
 """Turning points on level curves and two adaptive orbit integrators.
 
+find_intercepts brackets each turning point between two points where two of
+the radicand's three terms balance, so that the radicand's sign there is
+known in closed form, and solves it once in ln x (_turning_point).
+
 integrate_orbit steps the phase system in (x, y) from an arch's apex to the
 axis with _kernels.rk45_orbit; its span is the independent oracle for the
 quadrature spans of arches, and its samples are the arches of phase
@@ -32,22 +36,18 @@ from ._kernels import (
     _A50, _A51, _A52, _A53, _A54, _A60, _A62, _A63, _A64, _A65,
     _E0, _E2, _E3, _E4, _E5, _E6,
 )
-from ._rootfind import brent, newton_polish
 from .core import FlowParams, PhaseState, phase_vector_field
 from .errors import (
     DomainError,
     EventNotFound,
-    NoBracket,
     NumericalError,
     SteadyStateError,
     StepFailure,
 )
 
-# 64 points per decade, the bracketing density for turning-point scans
-_SCAN_FACTOR = 10.0 ** (1.0 / 64.0)
-_SCAN_MAX_STEPS = 64 * 300
-# the last scan grid built upward (True) and downward (False), see _scan
-_GRIDS = {True: [math.nan], False: [math.nan]}
+# next to the centre, where u0 (the half-width of the orbit in ln x) is
+# below this, turning points are solved from the centre's expansion
+_NEAR_CENTRE = 0.5
 
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
 # step error tolerance of closed_orbit; census periods come out within
@@ -92,6 +92,8 @@ class Orbit:
 
 
 def _radicand_funcs(p: FlowParams):
+    """R(x) = -2P - lam^2 x^2 + B x^alpha, whose zeros are the turning
+    points, with lam^2 and alpha = 2 - 2/lam."""
     lam2 = p.lam * p.lam
     alpha = 2.0 - 2.0 / p.lam
     B = p.B
@@ -103,120 +105,96 @@ def _radicand_funcs(p: FlowParams):
             v += B * x ** alpha
         return v
 
-    def dR(x: float) -> float:
-        v = -2.0 * lam2 * x
-        if B != 0.0:
-            v += B * alpha * x ** (alpha - 1.0)
-        return v
-
-    return R, dR, lam2, alpha
+    return R, lam2, alpha
 
 
-def _probe(R, x: float):
-    # R(x), or None where R raises (a power out of range)
+def _power(a: float, b: float) -> float:
+    # a ** b, inf where it overflows (or a = 0 underflowed and b < 0): a
+    # bracket end that is the smaller of two may come from an overflowing one
     try:
-        return R(x)
-    except ArithmeticError:
-        return None
+        return a ** b
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
-def _scan(R, start: float, up: bool):
-    """First grid point g_k, 1 <= k <= _SCAN_MAX_STEPS, where R raises or
-    R(g_k) <= 0.
+def _turning_point(R, lo: float, hi: float, x: float, rising: bool,
+                   P: float, lam2: float, alpha: float):
+    """(x, R(x)) at the zero that R, rising or falling, has in [lo, hi],
+    solved from x; the signs of R at lo and hi are known, not evaluated.
 
-    g_0 = start and g_k = g_{k-1} * _SCAN_FACTOR (up) or g_{k-1} /
-    _SCAN_FACTOR (down), so every g_k is the point a step-by-step scan
-    reaches.  From the last point known not to stop the scan, R is evaluated
-    1, 2, 4, ... grid steps on until it raises, is nan or is not positive,
-    then the index is bisected.  That finds the step-by-step scan's bracket
-    as long as R stays positive up to there, which holds for the strictly
-    monotone radicand of every scan find_intercepts starts.  A raise at the
-    point found is repeated.  A nan there does not stop the step-by-step
-    scan, so the gallop starts again from it, at the grid points after it
-    even where an earlier stride went past them: in floating point the
-    radicand turns nan (inf - inf) where both of its powers overflow, which
-    can come after its sign change or before a power raises.
-
-    The last grid built in each direction is kept and reused, extended as
-    needed, by the next scan from the same start: every elliptic scan at one
-    lam and B starts at the centre abscissa.
-
-    Returns (g_{k-1}, g_k, R(g_{k-1}), R(g_k)), or None without a sign
-    change.
+    Each step is Halley's in u = ln x (Newton's where Halley's correction is
+    large), taken as x e^(-s): dR/du and d2R/du2 follow from R(x) itself,
+    since B x^alpha = R + 2P + lam^2 x^2.  A step that leaves the bracket,
+    or is not below half the step before the last one, is a bisection in u
+    instead.  Each evaluation shrinks the bracket, and the solve stops at an
+    exact zero, at a step that cannot move x, once the rate of the last two
+    steps leaves no error, or at adjacent doubles.  Then x moves to an
+    adjacent double while that has a smaller |R|.  Raises OverflowError
+    where R is nan (inf - inf: both powers overflow).
     """
-    grid = _GRIDS[up]
-    if grid[0] != start:
-        grid = _GRIDS[up] = [start]
-    lo, f_lo = 0, R(start)
+    P2 = 2.0 * P
+    dx = dx_old = math.log(hi) - math.log(lo)
+    last, final = 1.0, False
     while True:
-        stride = 1
-        while True:
-            hi = min(lo + stride, _SCAN_MAX_STEPS)
-            g = grid[-1]
-            for _ in range(hi + 1 - len(grid)):
-                g = g * _SCAN_FACTOR if up else g / _SCAN_FACTOR
-                grid.append(g)
-            f_hi = _probe(R, grid[hi])
-            if f_hi is None or not f_hi > 0.0:
+        f = R(x)
+        if f != f:
+            raise OverflowError(f"the radicand is nan at x={x!r}")
+        if f == 0.0:
+            return x, f
+        if final:
+            break
+        lo, hi = (lo, x) if (f > 0.0) == rising else (x, hi)
+        # dR/du = 2 d1 and d2R/du2 = 4 d2, which do not overflow where the
+        # terms of R are close to the largest double
+        t2 = lam2 * x * x
+        tb = f + P2 + t2
+        d1 = 0.5 * alpha * tb - t2
+        s = math.inf
+        if abs(f) < math.inf and 0.0 < abs(d1) < math.inf:
+            s = 0.5 * f / d1
+            h = 1.0 - s * (0.25 * alpha * alpha * tb - t2) / d1  # d2 / d1
+            if h > 0.5:
+                s /= h
+        if abs(s) <= min(0.5 * abs(dx_old), 700.0):
+            xn = x * math.exp(-s)
+            if xn == x:
                 break
-            if hi == _SCAN_MAX_STEPS:
-                return None
-            lo, f_lo = hi, f_hi
-            stride *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            f = _probe(R, grid[mid])
-            if f is None or not f > 0.0:
-                hi, f_hi = mid, f
-            else:
-                lo, f_lo = mid, f
-        if f_hi is None:
-            f_hi = R(grid[hi])  # raises as the step-by-step scan does
-        if f_hi <= 0.0:
-            return grid[lo], grid[hi], f_lo, f_hi
-        if hi == _SCAN_MAX_STEPS:
-            return None
-        lo, f_lo = hi, f_hi
+            if lo < xn < hi:
+                final = abs(s) * (s / last) ** 2 <= 2.0 ** -53
+                dx_old, dx, last, x = dx, s, s, xn
+                continue
+        xn = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < xn < hi:
+            break
+        dx_old, dx, x = dx, 0.5 * (math.log(hi) - math.log(lo)), xn
+    for toward in (math.inf, 0.0):
+        xn, moved = math.nextafter(x, toward), False
+        while abs(fn := R(xn)) < abs(f):
+            x, f, moved = xn, fn, True
+            xn = math.nextafter(x, toward)
+        if moved:
+            break
+    return x, f
 
 
-def _march_up(R, start: float):
-    out = _scan(R, start, True)
-    if out is None:
-        raise NoBracket(f"no sign change found scanning up from {start!r}")
-    return out
-
-
-def _march_down(R, start: float):
-    out = _scan(R, start, False)
-    if out is None:
-        raise NoBracket(f"no sign change found scanning down from {start!r}")
-    b, a, fb, fa = out
-    return a, b, fa, fb
-
-
-def _refine_root(R, dR, a, b, fa, fb, lam2, alpha, B, P) -> float:
-    x = brent(R, a, b, fa, fb, xtol=1e-15 * max(abs(b), 1e-30))
-    x = newton_polish(R, dR, x, a, b)
+def _check_residual(x: float, f: float, lam2: float, alpha: float, B: float,
+                    P: float) -> None:
+    """NumericalError unless f = R(x) is within 1e-12 of R's largest term."""
     scale = max(lam2 * x * x, abs(B) * x ** alpha if B != 0.0 else 0.0,
-                2.0 * abs(P), 1.0)
-    if abs(R(x)) > 1e-12 * scale:
+                2.0 * abs(P))
+    if abs(f) > 1e-12 * scale:
         raise NumericalError(
-            f"turning point residual {R(x):.3e} exceeds tolerance at x={x!r}")
-    return x
+            f"turning point residual {f:.3e} exceeds tolerance at x={x!r}")
 
 
 def find_intercepts(p: FlowParams) -> Intercepts:
     """Locate the y = 0 points of the level curve of pressure_hamiltonian.
 
-    Roots are bracketed on a geometric grid (64 points per decade) around the
-    natural radicand scales, then refined by Brent iteration and a safeguarded
-    Newton polish to 1e-13.  The grid is searched by galloping: the radicand
-    is evaluated 1, 2, 4, ... grid steps from the start until its sign
-    changes, then the step index is bisected.  The grid points are the ones
-    a step-by-step scan walks through, each one factor from the last, so
-    the bracket, and the root refined from it, are the same bit for bit;
-    the radicand is strictly monotone along every scan, so the first sign
-    change is found in O(log k) evaluations instead of k.
+    The signs of R(x) = -2P - lam^2 x^2 + B x^alpha give the kind and a
+    bracket for each turning point.  Each is solved in ln x from the
+    asymptote: x_c e^(+-u0) next to the centre x_c, otherwise the bracket
+    end where one balance dominates.  Each turning point is a local
+    minimiser of |R| over the doubles, within 1e-12 of R's largest term.
 
     Parameters
     ----------
@@ -233,12 +211,10 @@ def find_intercepts(p: FlowParams) -> Intercepts:
     ------
     DomainError
         If P exceeds P_max in the focusing regime (lam > 1, B > 0), or a
-        power of the radicand overflows a double.
-    NoBracket
-        If scanning cannot bracket a root that the sign analysis promises;
-        signals inconsistent parameters.
+        bracket end, or a power of the radicand, overflows or underflows a
+        double.
     NumericalError
-        If a refined turning point misses its residual tolerance.
+        If a turning point misses its residual tolerance.
 
     Each of these errors names (lam, P, B).
     """
@@ -246,7 +222,7 @@ def find_intercepts(p: FlowParams) -> Intercepts:
         return _intercepts(p)
     except OverflowError:
         exc = DomainError("a power in the radicand overflows a double")
-    except (NoBracket, NumericalError) as e:
+    except (DomainError, NumericalError) as e:
         exc = e
     raise type(exc)(f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
                     f" {exc}") from None
@@ -254,12 +230,28 @@ def find_intercepts(p: FlowParams) -> Intercepts:
 
 def _intercepts(p: FlowParams) -> Intercepts:
     lam, P, B = p.lam, p.P, p.B
-    R, dR, lam2, alpha = _radicand_funcs(p)
+    R, lam2, alpha = _radicand_funcs(p)
 
-    aB = alpha * B
-    if aB > 0.0:
+    def root(lo, hi, x, rising):
+        if not (0.0 < lo and hi < math.inf):
+            flow = "underflows" if lo == 0.0 else "overflows"
+            raise DomainError(f"a turning point's bracket {flow} a double")
+        x, f = _turning_point(R, lo, hi, min(max(x, lo), hi), rising, P,
+                              lam2, alpha)
+        _check_residual(x, f, lam2, alpha, B, P)
+        return x
+
+    single = InterceptKind.HyperbolicSingle
+    if B > 0.0 and P < 0.0 and lam != 1.0:
+        # lam^2 x^2 balances -2P or B x^alpha at the lower end, and outgrows
+        # their sum at the upper end; the larger balance is the asymptote
+        lo = max(math.sqrt(-2.0 * P) / lam, _power(B / lam2, 0.5 * lam))
+        hi = max(2.0 * math.sqrt(-P) / lam, _power(2.0 * B / lam2, 0.5 * lam))
+        return Intercepts(single, root(lo, hi, lo, False))
+
+    if alpha * B > 0.0:
         # interior critical point (center candidate) exists
-        x_c = (aB / (2.0 * lam2)) ** (0.5 * lam)
+        x_c = (alpha * B / (2.0 * lam2)) ** (0.5 * lam)
         # B x_c^alpha = lam^3 x_c^2/(lam - 1) at the centre: this form does
         # not cancel, and no finite P is the centre where x_c^2 overflows
         P_crit = lam2 * x_c * x_c / (2.0 * (lam - 1.0))
@@ -271,45 +263,48 @@ def _intercepts(p: FlowParams) -> Intercepts:
                 raise DomainError(
                     f"P={P!r} exceeds P_max={P_crit!r}: empty level set")
             return Intercepts(InterceptKind.Empty)
-        # start the up-scan at the larger of the center and the pressure
-        # scale; a tiny B puts x_c hundreds of decades below the outer root
-        s = max(x_c, 1e-8 * math.sqrt(2.0 * abs(P)) / lam)
-        fs = R(s)
-        if fs <= 0.0:
-            x1 = _refine_root(R, dR, x_c, s, R(x_c), fs, lam2, alpha, B, P)
-        else:
-            x1 = _refine_root(R, dR, *_march_up(R, s), lam2, alpha, B, P)
-        # inner root exists iff the radicand is negative at the axis
-        axis_negative = (P > 0.0) if lam > 1.0 else True
-        if axis_negative:
-            x0 = _refine_root(R, dR, *_march_down(R, x_c), lam2, alpha, B, P)
+        # R(x_c e^u) = 2 (P_crit - P) - 2 lam x_c^2 u^2 (1 + (alpha + 2) u/3
+        # + ...): next to the centre the turning points are about u0 either
+        # side, shifted by -(alpha + 2) u0^2/6
+        u0 = math.sqrt((P_crit - P) / x_c / (lam * x_c))
+        near = u0 < _NEAR_CENTRE
+        shift = (alpha + 2.0) * u0 * u0 / 6.0
+        # the outer root: R <= -2P where lam^2 x^2 = B x^alpha (B > 0, so
+        # P >= 0 here), R <= -2P - lam^2 x^2 for B < 0
+        hi = (_power(B / lam2, 0.5 * lam) if B > 0.0
+              else math.sqrt(-2.0 * P) / lam)
+        x1 = root(x_c, hi, x_c * math.exp(u0 - shift) if near else hi, False)
+        # the inner root, where R is negative at the axis: R = -lam^2 x^2
+        # where B x^alpha = 2P
+        if P > 0.0 or lam < 1.0:
+            lo = _power(2.0 * P / B, 1.0 / alpha)
+            x0 = root(lo, x_c, x_c * math.exp(-u0 - shift) if near else lo,
+                      True)
             return Intercepts(InterceptKind.EllipticPair, x0, x1)
-        return Intercepts(InterceptKind.HyperbolicSingle, x1)
+        return Intercepts(single, x1)
 
-    # no interior critical point: R is strictly decreasing in x
+    # no interior critical point: R falls from c at the axis, or from +inf
+    # where lam < 1 and B > 0
+    c = B - 2.0 * P if lam == 1.0 else -2.0 * P
     if lam < 1.0 and B > 0.0:
-        r_axis = math.inf
-    elif lam == 1.0:
-        r_axis = B - 2.0 * P
+        # P >= 0, alpha < 0: R <= -2P where B x^alpha falls to lam^2 x^2,
+        # or to 2P; R >= 0 where it is at least twice both
+        hi = _power(B / lam2, 0.5 * lam)
+        lo = _power(0.5 * B / lam2, 0.5 * lam)
+        if P > 0.0:
+            hi = min(hi, _power(2.0 * P / B, 1.0 / alpha))
+            lo = min(lo, _power(4.0 * P / B, 1.0 / alpha))
+    elif c <= 0.0:
+        return Intercepts(InterceptKind.Empty)
     else:
-        r_axis = -2.0 * P
-    if r_axis <= 0.0:
-        return Intercepts(InterceptKind.Empty)
-    scales = [1e-300]
-    if P != 0.0:
-        scales.append(math.sqrt(2.0 * abs(P)) / lam)
-    if B != 0.0:
-        scales.append((abs(B) / lam2) ** (0.5 * lam))
-    x_ref = max(scales)
-    if x_ref <= 1e-300:
-        return Intercepts(InterceptKind.Empty)
-    lo = 1e-8 * x_ref
-    while R(lo) <= 0.0:
-        lo /= 10.0
-        if lo < 1e-290:
-            raise NoBracket("radicand positive region vanished near the axis")
-    x1 = _refine_root(R, dR, *_march_up(R, lo), lam2, alpha, B, P)
-    return Intercepts(InterceptKind.HyperbolicSingle, x1)
+        # R <= 0 where lam^2 x^2, or -B x^alpha, alone reaches c; R >= 0
+        # where both stay below c/2
+        hi = math.sqrt(c) / lam
+        lo = math.sqrt(0.5 * c) / lam
+        if B < 0.0 and lam != 1.0:
+            hi = min(hi, _power(-c / B, 1.0 / alpha))
+            lo = min(lo, _power(-0.5 * c / B, 1.0 / alpha))
+    return Intercepts(single, root(lo, hi, hi, False))
 
 
 def _uv_step(u, v, a, h, lam2, L, c):

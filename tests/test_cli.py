@@ -844,12 +844,13 @@ class TestExitCodes:
             assert row["T"] == pytest.approx(math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("argv,rc_want,parts", [
-        # the radicand is nan (-inf + inf) along the whole up-scan
+        # the radicand is nan (-inf + inf) between the centre and the outer
+        # bracket end
         (["phase-portrait", "--lambda", "1.5", "--pressure",
           "1.7735943027886556", "--b-values", "8.942593947789929e+262"], 2,
          ("turning points of lam=1.5, P=1.7735943027886556,"
-          " B=8.942593947789929e+262: no sign change found scanning up from"
-          " 3.904988901757974e+196",)),
+          " B=8.942593947789929e+262: a power in the radicand overflows a"
+          " double",)),
         # a mid-range period on a one-panel budget misses 1e-9
         (["period-scan", "--lambda", "5", "--p-min", "1e-12", "--p-max",
           "5e-08", "--n-points", "2"], 3,

@@ -199,8 +199,8 @@ class TestScalarKernelOracle:
                 assert got.hex() == float(np_integrand_ell(*args, phi)).hex()
                 assert got.hex() == K.ell_integrand(*args)(phi).hex()
         assert branches == {"near x0", "near x1", "interior"}
-        # coinciding turning points, as find_intercepts returns at lam = 30,
-        # P = (1 - 1e-6) P_max: every panel node divides by zero (den == 0)
+        # coinciding turning points (x0 == x1): every panel node divides by
+        # zero (den == 0)
         args = (900.0, 1.0, 2.0 - 2.0 / 30.0, 0.0, 2.9e-45, 2.9e-45)
         f = K.ell_integrand(*args)
         for phi in (-np.pi / 2, -0.3, 0.0, 0.9, np.pi / 2):

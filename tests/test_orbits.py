@@ -1,7 +1,10 @@
 """Turning points and orbit integration."""
 
+import argparse
 import math
 import re
+import statistics
+import time
 
 import mpmath
 import numpy as np
@@ -11,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from homoeuler import (
     DomainError,
     FlowParams,
-    NoBracket,
+    NumericalError,
     SingularEndpoint,
     SteadyStateError,
     steady_state,
 )
 from homoeuler import orbits
+from homoeuler.cli import _scan_grid
 from homoeuler.orbits import (
     InterceptKind,
     Orbit,
@@ -130,208 +134,195 @@ class TestFindIntercepts:
         assert abs(radicand_residual(p, ic.x0)) <= 1e-12 * scale
 
 
-# Test-only copies of the step-by-step turning-point scans: one radicand
-# evaluation per grid point.  The galloping scans must give the same bracket
-# bit for bit, and the same exception where these raise.
-def step_march_up(R, start):
-    a, fa = start, R(start)
-    for _ in range(orbits._SCAN_MAX_STEPS):
-        b = a * orbits._SCAN_FACTOR
-        fb = R(b)
-        if fb <= 0.0:
-            return a, b, fa, fb
-        a, fa = b, fb
-    raise NoBracket(f"no sign change found scanning up from {start!r}")
+def sign_kind(p):
+    """The kind the signs of R = -2P - lam^2 x^2 + B x^alpha give: R at the
+    axis, and at its maximum x_c where alpha B > 0.  DomainError where P
+    exceeds P_max (lam > 1), None where x_c or P_max is out of range."""
+    lam, P, B = p.lam, p.P, p.B
+    alpha = 2.0 - 2.0 / lam
+    if alpha * B > 0.0:
+        try:
+            x_c = (alpha * B / (2.0 * lam * lam)) ** (0.5 * lam)
+        except OverflowError:
+            return None
+        p_max = lam * lam * x_c * x_c / (2.0 * (lam - 1.0))
+        if not math.isfinite(p_max):
+            return None
+        if abs(P - p_max) <= 1e-13 * (abs(p_max) + 1e-300):
+            return InterceptKind.Center
+        if P > p_max:
+            return DomainError if lam > 1.0 else InterceptKind.Empty
+        if P > 0.0 or lam < 1.0:
+            return InterceptKind.EllipticPair
+        return InterceptKind.HyperbolicSingle
+    if lam < 1.0 and B > 0.0:
+        axis = math.inf
+    else:
+        axis = B - 2.0 * P if lam == 1.0 else -2.0 * P
+    if axis > 0.0:
+        return InterceptKind.HyperbolicSingle
+    return InterceptKind.Empty
 
 
-def step_march_down(R, start):
-    b, fb = start, R(start)
-    for _ in range(orbits._SCAN_MAX_STEPS):
-        a = b / orbits._SCAN_FACTOR
-        fa = R(a)
-        if fa <= 0.0:
-            return a, b, fa, fb
-        b, fb = a, fa
-    raise NoBracket(f"no sign change found scanning down from {start!r}")
-
-
-def outcome(fn, *args):
+def intercepts_outcome(p):
+    """find_intercepts(p) within 5 s: its kind, whose turning points are
+    local minimisers of |R| over the doubles and within 1e-12 of the largest
+    term of R, or the name of the DomainError (NoBracket included) or
+    NumericalError it raised, whose message names (lam, P, B)."""
+    t0 = time.perf_counter()
     try:
-        out = fn(*args)
-    except Exception as exc:  # the type and text must match too
-        return type(exc).__name__, str(exc)
-    if isinstance(out, tuple):
-        return tuple(float(v).hex() for v in out)
-    return out.kind, float(out.x0).hex(), out.x1 and float(out.x1).hex()
+        ic = find_intercepts(p)
+    except (DomainError, NumericalError) as exc:
+        assert time.perf_counter() - t0 < 5.0, p
+        assert f"lam={p.lam!r}, P={p.P!r}, B={p.B!r}" in str(exc), exc
+        return type(exc).__name__
+    assert time.perf_counter() - t0 < 5.0, p
+    want = sign_kind(p)
+    assert want is None or ic.kind is want, (p, ic)
+    R, lam2, alpha = orbits._radicand_funcs(p)
+    if ic.kind is InterceptKind.EllipticPair:
+        assert 0.0 < ic.x0 < ic.x1, (p, ic)
+        points = (ic.x0, ic.x1)
+    elif ic.kind is InterceptKind.HyperbolicSingle:
+        assert ic.x0 > 0.0 and ic.x1 is None, (p, ic)
+        points = (ic.x0,)
+    else:
+        points = ()
+    for x in points:
+        r = abs(R(x))
+        assert r <= abs(R(math.nextafter(x, math.inf))), (p, x)
+        assert r <= abs(R(math.nextafter(x, 0.0))), (p, x)
+        scale = max(lam2 * x * x, abs(p.B) * x ** alpha if p.B else 0.0,
+                    2.0 * abs(p.P))
+        assert r <= 1e-12 * scale, (p, x)
+    return ic.kind
 
 
-class TestGallopingScanOracle:
+def sweep_triples():
+    """lam in (0.51, 1000], |P| and |B| in [1e-300, 1e300] with either
+    sign; three draws in ten are pulled into lam < 30, |P|, |B| in
+    [1e-3, 1e3]."""
+    def triple(usual, lam, log_p, log_b, sp, sb):
+        if usual:
+            lam = 0.51 + lam % 29.49
+            log_p, log_b = log_p / 100.0, log_b / 100.0
+        return FlowParams(lam, sp * 10.0 ** log_p, sb * 10.0 ** log_b)
+    return st.builds(
+        triple, st.integers(0, 9).map(lambda k: k < 3),
+        st.floats(0.51, 1000.0, exclude_min=True),
+        st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+        st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
+
+
+class TestTurningPointSolve:
+    """One bracketed solve per turning point: whatever the triple,
+    find_intercepts returns the kind of the sign analysis with turning
+    points that pass the residual check and minimise |R| locally, or raises
+    a typed error naming (lam, P, B)."""
+
     @staticmethod
     def params():
         rng = np.random.default_rng(23)
         for lam in (1.2, 1.5, 2.0, 3.0, 5.0, 13.0, 30.0):
             for B in (1.0, float(10.0 ** rng.uniform(-3.0, 3.0))):
-                # alpha B > 0: elliptic pairs (up-scan from the centre and
-                # down-scan to the inner root) from mid-range to next to the
+                # alpha B > 0: elliptic pairs from mid-range to next to the
                 # centre, and hyperbolic arches
                 p_max = steady_state(lam, B).P_max
                 for frac in (0.5, 1e-8, 1.0 - 1e-6, 1.0 - 1e-12, -1.0, -1e6):
                     yield FlowParams(lam, frac * p_max, B)
-            # alpha B < 0: the up-scan from 8 decades below the root
+            # alpha B < 0: R falls from the axis
             yield FlowParams(lam, -float(10.0 ** rng.uniform(-6.0, 6.0)),
                              -float(10.0 ** rng.uniform(-3.0, 3.0)))
         for lam, P, B in ((0.7, 1.0, -1.0), (0.7, -1.0, 2.0), (1.0, -1.0, 0.5),
                           (0.4, -3.0, -0.2), (3.0, -2.0, 0.0)):
             yield FlowParams(lam, P, B)
-        # no sign change within the scan's 300 decades, and a scan whose
-        # radicand is nan (-inf + inf) at every grid point
-        yield FlowParams(1.2, 1.1528751225399146e-168, 1.0)
-        yield FlowParams(1.5, 1.7735943027886556, 8.942593947789929e+262)
-        # radicands that turn nan (inf - inf) past their sign change, and
-        # before a power overflows
-        yield FlowParams(1.8330589507873012, -3.3574442582157416e+306,
-                         2.1131570852463014e+168)
-        yield FlowParams(2.62181196233299, 1.0, 9.61855365421427e+141)
 
-    def test_scans_match_step_by_step(self, monkeypatch):
-        scans = []
-        marches = {"up": orbits._march_up, "down": orbits._march_down}
-        for way, march in marches.items():
-            def record(R, start, way=way, march=march):
-                scans.append((way, R, start))
-                return march(R, start)
-            monkeypatch.setattr(orbits, f"_march_{way}", record)
-        for p in self.params():
-            outcome(find_intercepts, p)
-        steps = {"up": step_march_up, "down": step_march_down}
-        kinds = set()
-        for way, R, start in scans:
-            want = outcome(steps[way], R, start)
-            assert outcome(marches[way], R, start) == want, (way, start)
-            kinds.add((way, want[0] == "NoBracket"))
-        assert kinds == {("up", False), ("down", False), ("up", True),
-                         ("down", True)}
+    # an inner turning point below the smallest double, a radicand that is
+    # nan (-inf + inf) between the centre and the outer bracket end, one
+    # whose terms come within a factor of two of the largest double at its
+    # turning point, and one whose terms overflow there
+    EXTREMES = {
+        FlowParams(1.2, 1.1528751225399146e-168, 1.0):
+            ("DomainError", "bracket underflows a double"),
+        FlowParams(1.5, 1.7735943027886556, 8.942593947789929e+262):
+            ("DomainError", "radicand overflows"),
+        FlowParams(1.8330589507873012, -3.3574442582157416e+306,
+                   2.1131570852463014e+168):
+            (InterceptKind.HyperbolicSingle, None),
+        FlowParams(2.62181196233299, 1.0, 9.61855365421427e+141):
+            ("DomainError", "radicand overflows"),
+    }
 
-    def test_intercepts_match_step_by_step(self, monkeypatch):
-        got = [outcome(find_intercepts, p) for p in self.params()]
-        monkeypatch.setattr(orbits, "_march_up", step_march_up)
-        monkeypatch.setattr(orbits, "_march_down", step_march_down)
-        assert got == [outcome(find_intercepts, p) for p in self.params()]
+    def test_parameter_list(self):
+        kinds = [intercepts_outcome(p) for p in self.params()]
+        assert kinds.count(InterceptKind.EllipticPair) == 57
+        assert kinds.count(InterceptKind.HyperbolicSingle) == 38
+        assert kinds.count(InterceptKind.Empty) == 1
 
-    @pytest.mark.parametrize("way", ["up", "down"])
-    def test_synthetic_radicands(self, way):
-        march = {"up": orbits._march_up, "down": orbits._march_down}[way]
-        step = {"up": step_march_up, "down": step_march_down}[way]
-        # 20 and 40 decades from the start, in the direction of the scan
-        near, far = (1e20, 1e40) if way == "up" else (1e-20, 1e-40)
+    @pytest.mark.parametrize("p", EXTREMES, ids=[
+        "inner-underflow", "nan-radicand", "largest-double", "overflow"])
+    def test_extremes(self, p):
+        kind, text = self.EXTREMES[p]
+        assert intercepts_outcome(p) == kind
+        if text is not None:
+            with pytest.raises(DomainError, match=text):
+                find_intercepts(p)
 
-        def past(x, edge):
-            return x > edge if way == "up" else x < edge
+    @given(p=sweep_triples())
+    @settings(max_examples=400, deadline=None)
+    def test_sweep(self, p):
+        intercepts_outcome(p)
 
-        def overflow(x):
-            # positive until a power of a large (up) or tiny (down) x
-            # overflows
-            return 1.0 + 0.0 * (x ** 8.0 if way == "up" else x ** -8.0)
-
-        def nan_gap(x):
-            # nan over 20 decades of the grid, then negative: the step scan
-            # goes on through the nan
-            if not past(x, near):
-                return 1.0
-            return -1.0 if past(x, far) else math.nan
-
-        def sign_then_nan(x):
-            # negative for a grid point or two past 20 decades, then nan
-            if not past(x, near):
-                return 1.0
-            return -1.0 if not past(x, near ** 1.001) else math.nan
-
-        def nan_then_raise(x):
-            # nan from 20 decades on, a power overflows from 40 decades on,
-            # and nan again from 60 decades, as at an infinite grid point
-            if past(x, far ** 1.5):
-                return math.nan
-            if past(x, far):
-                raise OverflowError("power out of range")
-            return 1.0 if not past(x, near) else math.nan
-
-        for R, expect in ((lambda x: 1.0, "NoBracket"),
-                          (overflow, "OverflowError"),
-                          (nan_gap, (-1.0).hex()),
-                          (sign_then_nan, (-1.0).hex()),
-                          (nan_then_raise, "OverflowError"),
-                          (lambda x: -1.0 if past(x, far) else 1.0,
-                           (-1.0).hex())):
-            want = outcome(step, R, 1.0)
-            assert expect in want
-            assert outcome(march, R, 1.0) == want
-
-    @pytest.mark.parametrize("way", ["up", "down"])
-    def test_nan_gap_ending_inside_a_stride(self, way):
-        # nan from grid index 100 to 119, then negative: the gallop from 64
-        # lands on 128, past the gap, and the bisection stops at the first
-        # nan; the restart from there must probe the points after it, not
-        # 128 again
-        march = {"up": orbits._march_up, "down": orbits._march_down}[way]
-        step = {"up": step_march_up, "down": step_march_down}[way]
-        sign = 1.0 if way == "up" else -1.0
-
-        def R(x):
-            k = sign * math.log(x) / math.log(orbits._SCAN_FACTOR)
-            if k < 99.5:
-                return 1.0
-            return -1.0 if k > 119.5 else math.nan
-        want = outcome(step, R, 1.0)
-        assert (-1.0).hex() in want
-        assert outcome(march, R, 1.0) == want
+    def test_residual_check_is_relative(self):
+        # lam = 30, B = 1 next to the centre: every term of R is about
+        # 1e-87, so the check's former floor of 1.0 passed any x; a turning
+        # point 1e-6 off now fails it
+        p = FlowParams(30.0, (1.0 - 1e-6) * steady_state(30.0, 1.0).P_max, 1.0)
+        ic = find_intercepts(p)
+        R, lam2, alpha = orbits._radicand_funcs(p)
+        for x in (ic.x0, ic.x1):
+            orbits._check_residual(x, R(x), lam2, alpha, p.B, p.P)
+            bad = x * (1.0 + 1e-6)
+            with pytest.raises(NumericalError, match="residual"):
+                orbits._check_residual(bad, R(bad), lam2, alpha, p.B, p.P)
 
 
-def step_grid(start, up, n):
-    """g_0 .. g_{n-1} of a scan from start, one product after the other."""
-    grid = [start]
-    for _ in range(n - 1):
-        g = grid[-1]
-        grid.append(g * orbits._SCAN_FACTOR if up else g / orbits._SCAN_FACTOR)
-    return grid
+def scan_rows(lam, region, sign, p_max=None):
+    ps, B = _scan_grid(argparse.Namespace(
+        lam=lam, n_points=200, region=region, p_min=None, p_max=p_max,
+        b_sign=sign))
+    return [FlowParams(lam, P, B) for P in ps]
 
 
-class TestScanGridReuse:
-    """_scan keeps the last grid of each direction and extends it across
-    calls; its points must be the step-by-step loop's bits."""
+def test_evaluations_per_turning_point(monkeypatch):
+    # the radicand evaluations of each turning point, counted the way the
+    # tracer contract counts kernel calls, over the period-scan tables of
+    # benchmarks/bench_kernels.py and two near-centre scans
+    calls = [0]
 
-    @staticmethod
-    def stop_after(start, up, k):
-        # positive up to grid index k - 1 of the scan from start, then -1
-        edge = step_grid(start, up, k + 1)[k]
-        if up:
-            return lambda x: -1.0 if x >= edge else 1.0
-        return lambda x: -1.0 if x <= edge else 1.0
+    def counting(p):
+        R, lam2, alpha = radicand_funcs(p)
 
-    def test_grids_match_step_by_step(self, monkeypatch):
-        monkeypatch.setattr(orbits, "_GRIDS",
-                            {True: [math.nan], False: [math.nan]})
-        steps = {True: step_march_up, False: step_march_down}
-        marches = {True: orbits._march_up, False: orbits._march_down}
-        s1, s2 = 0.7234512, 3.1e-5
-        # a fresh start, the same start again (reused, then extended across
-        # calls), another start (rebuilt), then the first one again, in
-        # both directions and interleaved
-        calls = [(s1, True, 5), (s1, True, 3), (s1, True, 300),
-                 (s1, False, 40), (s1, True, 2000), (s2, True, 17),
-                 (s1, False, 1), (s1, False, 900), (s2, False, 64),
-                 (s1, True, 129), (s1, True, 7000)]
-        lengths = {True: 0, False: 0}
-        for start, up, k in calls:
-            R = self.stop_after(start, up, k)
-            want = outcome(steps[up], R, start)
-            assert outcome(marches[up], R, start) == want, (start, up, k)
-            grid = orbits._GRIDS[up]
-            assert grid[0] == start
-            assert ([g.hex() for g in grid]
-                    == [g.hex() for g in step_grid(start, up, len(grid))])
-            lengths[up] = max(lengths[up], len(grid))
-        # the longest scans built grids far past one gallop stride
-        assert lengths[True] > 7000 and lengths[False] > 900
+        def counted(x):
+            calls[0] += 1
+            return R(x)
+        return counted, lam2, alpha
+
+    radicand_funcs = orbits._radicand_funcs
+    monkeypatch.setattr(orbits, "_radicand_funcs", counting)
+    rows = (scan_rows(5.0, "elliptic", "plus")
+            + scan_rows(3.0, "hyperbolic", "plus")
+            + scan_rows(3.0, "hyperbolic", "minus"))
+    for lam in (3.0, 5.0):
+        rows += scan_rows(lam, "elliptic", "plus",
+                          (1.0 - 1e-6) * steady_state(lam, 1.0).P_max)
+    per_point = []
+    for p in rows:
+        calls[0] = 0
+        span_any(p)
+        # an elliptic period solves both turning points, an arch its apex
+        per_point.append(calls[0] / (2 if p.P > 0.0 else 1))
+    assert statistics.median(per_point) <= 10.0
 
 
 # (lam, n): P* at B = 1 of the census roots, frozen from an earlier

@@ -19,7 +19,13 @@ from homoeuler import (
     periods,
     steady_state,
 )
-from homoeuler.orbits import closed_orbit, find_intercepts, integrate_orbit
+from homoeuler.orbits import (
+    InterceptKind,
+    Intercepts,
+    closed_orbit,
+    find_intercepts,
+    integrate_orbit,
+)
 from homoeuler.periods import (
     SpanMethod,
     _scaled_bernoulli,
@@ -177,12 +183,14 @@ class TestSpanAny:
     def test_arch_whose_rescaling_underflows(self):
         # |B|**lam underflows a double, so the unit-B rescaling refuses
         # these arches; span_any integrates them unscaled
-        # the value is 8e-15 from mpmath's 3.1107262042308923, the span at
-        # the C = B x0^(-2/lam) of the computed x0 (whose radicand is formed
-        # in subnormals)
+        # the value is 7e-15 from mpmath's 3.1106803159511073, the span at
+        # the C = B x0^(-2/lam) of the computed x0 = 3.1123e-162.  The
+        # radicand is formed in subnormals and is exactly 0 from 2.70e-162
+        # to 3.48e-162, so x0 is 3.2e-3 from the exact 3.1222e-162, and T
+        # 1.2e-6 from the exact span 3.1106791153384443
         r = span_any(FlowParams(1.01, -5e-324, 1e-322))
         want = span_quadrature(1.01, -5e-324, 1e-322)
-        assert r.T.hex() == want.T.hex() == (3.1107262042308843).hex()
+        assert r.T.hex() == want.T.hex() == (3.1106803159511007).hex()
         assert (r.method, r.est_error) == (want.method, want.est_error)
         r = span_any(FlowParams(1.5, -1.0, 1e-250))
         assert r.T == pytest.approx(math.pi / 1.5, abs=1e-12)
@@ -237,11 +245,36 @@ class TestSpanQuadratureRefusals:
             span_quadrature(0.01, -1.0, 0.0)
 
     def test_coinciding_turning_points(self):
-        # lam = 30 next to the centre: find_intercepts returns x0 == x1
-        P = (1.0 - 1e-6) * steady_state(30.0, 1.0).P_max
+        # an elliptic pair with x0 == x1 (at the centre abscissa, where the
+        # radicand is positive) integrates to T = 0, which is not a period
+        info = steady_state(30.0, 1.0)
+        ic = Intercepts(InterceptKind.EllipticPair, info.x_s, info.x_s)
         with pytest.raises(QuadratureFailure,
                            match=r"lam=30\.0 gave T=0\.0 with error estimate"):
-            span_quadrature(30.0, P, 1.0)
+            periods._quadrature(30.0, (1.0 - 1e-6) * info.P_max, 1.0, ic,
+                                1e-10)
+
+    def test_next_to_the_centre_at_unit_B(self):
+        # lam = 30, B = 1: every term of the radicand is about 1e-87, and
+        # the turning points are 1.4e-3 apart in ln x at 1 - P/P_max = 1e-6.
+        # T - 2 pi/sqrt(2 lam) is linear in 1 - P/P_max, as the expansion
+        # about the centre requires, and agrees with the centre-normalised
+        # period
+        lam = 30.0
+        p_max = steady_state(lam, 1.0).P_max
+        t_c = 2.0 * math.pi / math.sqrt(2.0 * lam)
+
+        def offset(eps):
+            T = span_quadrature(lam, (1.0 - eps) * p_max, 1.0).T
+            assert T == pytest.approx(
+                span_any(FlowParams(lam, (1.0 - eps) * p_max, 1.0)).T,
+                rel=1e-13, abs=0.0)
+            return T - t_c
+
+        slope = offset(1e-6) / 1e-6
+        assert 0.0 < slope < 1.0
+        for eps in (1e-5, 1e-8):
+            assert abs(offset(eps) - slope * eps) <= 1e-9
 
     def test_missed_target_names_the_callers_parameters(self, monkeypatch):
         # on a one-panel budget the estimate misses 1e-9; the message names
