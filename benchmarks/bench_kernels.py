@@ -119,7 +119,7 @@ def _workloads():
 
     def near_centre_periods():
         for lam, P in near_centre:
-            period_elliptic(lam, P)
+            period_elliptic(lam, P, 1.0)
 
     # apex-to-axis arches, which end in the axis event
     arch_starts = []

@@ -3,27 +3,28 @@
 These are the hot loops, written as scalar code on Python floats (math.*,
 tuple rule constants, an unrolled Dormand-Prince step), since NumPy scalar
 indexing and ufuncs on single floats cost several times the arithmetic.
-Every result is bit-identical to the array-and-loop form kept as an oracle
-in tests/test_kernels.py, except that a _dp_step trial stage whose x**beta
-overflows raises OverflowError instead of going on with inf.  The callers
-here look _gk_panel, _dp_step and _dp_substeps up as module globals, so a
-rebinding (the perfbench tracer counts calls that way) sees every call.
-Nothing here may call scipy.
+_gk_panel, _dp_step and hyp_integrand are bit-identical to the
+array-and-loop forms kept as oracles in tests/test_kernels.py, except that
+a _dp_step trial stage whose x**beta overflows raises OverflowError instead
+of going on with inf.  The callers here look _gk_panel, _dp_step and
+_dp_substeps up as module globals, so a rebinding (the perfbench tracer
+counts calls that way) sees every call.  Nothing here may call scipy.
 
 Quadrature integrands
 ---------------------
 The quadrature takes the integrand as a callable f(phi).  The factories
-ell_integrand and hyp_integrand build one closure per orbit: what depends
-only on the orbit (rho, pi/2, the near-end limits, and the Taylor terms of
-R at either turning point, formed on their first use) is computed once, by
-the same expressions as a per-call evaluation would use, so each value is
-the same float.  The span integrals are regularized by trigonometric
-substitutions so that the integrands are smooth on the open interval:
+period_integrand and hyp_integrand build one closure per orbit, which
+computes what depends only on the orbit once.  The span integrals are
+regularized by trigonometric substitutions so that the integrands are
+smooth on the open interval:
 
-* ell_integrand(a2, ac, alpha, c, x0, x1)(phi):
-  T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(m + rho sin phi))
-  where R(x) = c - a2 x^2 + ac x^alpha has simple roots x0 < x1,
-  m = (x0+x1)/2, rho = (x1-x0)/2, and g = R/((x-x0)(x1-x)) > 0.
+* period_integrand(lam2, C, beta, u1)(phi), beta = 2/lam:
+  T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(u)),  u = (u1/2)(1 + sin phi),
+  where u = ln(x/x0), V(u) = (y/x)^2 = lam2 expm1(-2u)
+  - C e^(-beta u) expm1((beta - 2) u) has the simple zeros 0 < u1, and
+  g = V/(u (u1 - u)) > 0.  Past u1/2, V is formed about u1 instead, as
+  A1 expm1(2 d) + C1 expm1(beta d) with d = u1 - u and A1 + C1 = lam2;
+  each form vanishes exactly at its own end, so neither cancels there.
 * hyp_integrand(lam2, C, alpha, d0)(phi):
   T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
   xi = sin phi, D(xi) = lam2 (1+xi) - C q_alpha(xi),
@@ -112,77 +113,44 @@ def _q_alpha(u: float, alpha: float) -> float:
     return -math.expm1(alpha * math.log1p(-u)) / u
 
 
-def _radicand(x: float, a2: float, ac: float, alpha: float, c: float) -> float:
-    """R(x) = c - a2 x^2 + ac x^alpha; y^2 = R(x) on the level curve."""
-    if ac == 0.0:
-        return c - a2 * x * x
-    if x > 0.0:
-        return c - a2 * x * x + ac * x ** alpha
-    if alpha > 0.0:
-        return c
-    if alpha == 0.0:
-        return c + ac
-    return -math.inf if ac < 0.0 else math.inf
-
-
-def _taylor(a2, ac, alpha, x):
-    """(r1, r2 / 2, r3 / 6, r4), r_k the k-th derivative of R at x, as the
-    near-end expansions of ell_integrand use them."""
-    r1 = -2.0 * a2 * x + ac * alpha * x ** (alpha - 1.0)
-    r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x ** (alpha - 2.0)
-    r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x ** (alpha - 3.0)
-    r4 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) * x ** (alpha - 4.0)
-    return r1, 0.5 * r2, r3 / 6.0, r4
-
-
-def ell_integrand(a2, ac, alpha, c, x0, x1):
-    """The elliptic span integrand f(phi) of the orbit with turning points
-    x0 < x1 of R(x) = c - a2 x^2 + ac x^alpha."""
-    rho = 0.5 * (x1 - x0)
-    tr = 2.0 * rho
+def period_integrand(lam2, cc, beta, u1):
+    """The elliptic period integrand f(phi) in u = ln(x/x0), of the orbit
+    with C = cc and beta = 2/lam whose outer turning point is u1 > 0."""
     hpi = 0.5 * math.pi
-    near0 = 1.0e-3 * min(rho, x0)
-    near1 = 1.0e-3 * min(rho, x1)
+    # V about u1 is A1 expm1(2 d) + C1 expm1(beta d), d = u1 - u, with
+    # A1 = (lam2 - C) e^(-2 u1) and C1 = C e^(-beta u1).  The smaller of
+    # the two is formed directly and the other as lam2 minus it: V then
+    # vanishes at d = 0, and the smaller keeps the digits that lam2 minus
+    # the larger would cancel away (next to the separatrix A1 is 1e-9 of
+    # lam2)
+    a1 = (lam2 - cc) * math.exp(-2.0 * u1)
+    c1 = cc * math.exp(-beta * u1)
+    if abs(a1) < abs(c1):
+        c1 = lam2 - a1
+    else:
+        a1 = lam2 - c1
+    gam = beta - 2.0
     # closure cells load faster than math.* lookups on every node
-    sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
-    t0 = t1 = None
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    exp, expm1 = math.exp, math.expm1
 
     def f(phi):
-        nonlocal t0, t1
         z = 0.5 * (hpi - phi)
         sz = sin(z)
         cz = cos(z)
-        d1 = tr * sz * sz          # x1 - x, exact near phi = +pi/2
-        d0 = tr * cz * cz          # x - x0, exact near phi = -pi/2
-        if d0 < near0:
-            # 4-term Taylor of R about x0 removes the 0/0 in
-            # R/((x-x0)(x1-x)).  Its terms are formed on first use: a power
-            # in them may overflow, and that raises only where this branch
-            # is taken.
-            if t0 is None:
-                t0 = _taylor(a2, ac, alpha, x0)
-            r1, h2, s3, r4 = t0
-            num = r1 + d0 * (h2 + d0 * (s3 + d0 * r4 / 24.0))
-            den = d1
-        elif d1 < near1:
-            if t1 is None:
-                t1 = _taylor(a2, ac, alpha, x1)
-            r1, h2, s3, r4 = t1
-            num = -r1 + d1 * (h2 + d1 * (-s3 + d1 * r4 / 24.0))
-            den = d0
+        d1 = u1 * sz * sz          # u1 - u, exact near phi = +pi/2
+        d0 = u1 * cz * cz          # u, exact near phi = -pi/2
+        if d0 <= d1:
+            v = lam2 * expm1(-2.0 * d0) - cc * exp(-beta * d0) * expm1(
+                gam * d0)
         else:
-            x = x0 + d0
-            if ac != 0.0 and x > 0.0:
-                num = c - a2 * x * x + ac * x ** alpha
-            else:
-                num = _radicand(x, a2, ac, alpha, c)
-            den = d0 * d1
-        # den = 0 when the turning points coincide (find_intercepts can
-        # return x0 == x1); num / 0 raises, so take the IEEE +-inf, or nan
-        # for 0/0
-        g = num / den if den != 0.0 else num * math.copysign(inf, den)
-        if g <= 0.0:
-            return inf
+            v = a1 * expm1(2.0 * d1) + c1 * expm1(beta * d1)
+        try:
+            g = v / (d0 * d1)
+        except ZeroDivisionError:
+            g = 0.0                # a node on an end, or u1 = 0
+        if not g > 0.0:
+            return math.inf
         return 1.0 / sqrt(g)
     return f
 

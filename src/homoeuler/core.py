@@ -1,4 +1,4 @@
-"""Parameter domain, phase-plane Hamiltonian, steady state, rescalings, conjugacy.
+"""Parameter domain, phase-plane Hamiltonian, steady state, conjugacy.
 
 A homogeneous stationary 2D Euler flow has stream function Psi = r^lam psi(theta)
 and pressure p = r^(2 lam - 2) P.  In phase variables (x, y) = (psi, psi') the
@@ -28,8 +28,6 @@ __all__ = [
     "power0",
     "pressure_hamiltonian",
     "steady_state",
-    "rescale_to_unit_P",
-    "rescale_to_unit_B",
     "conjugate",
     "phase_vector_field",
 ]
@@ -149,51 +147,6 @@ def steady_state(lam: float, B: float) -> SteadyStateInfo:
     # P_max = lam^2/(2 (lam-1)) * x_s^2, stable for x_s far below 1.
     p_max = lam * lam / (2.0 * (lam - 1.0)) * x_s * x_s
     return SteadyStateInfo(x_s=x_s, P_max=p_max)
-
-
-def rescale_to_unit_P(p: FlowParams) -> tuple[FlowParams, float]:
-    """Rescale so that |P| = 1; life-spans are unchanged.
-
-    Returns the rescaled parameters (lam, sign P, B/|P|^(1/lam)) and the
-    state scale factor sqrt(|P|): states map as (x, y) -> (x, y)/sqrt(|P|).
-    """
-    if p.P == 0.0:
-        raise DomainError("rescale_to_unit_P requires P != 0")
-    a = abs(p.P)
-    scale = math.sqrt(a)
-    return (
-        FlowParams(p.lam, math.copysign(1.0, p.P), p.B / math.pow(a, 1.0 / p.lam)),
-        scale,
-    )
-
-
-def rescale_to_unit_B(p: FlowParams) -> tuple[FlowParams, float]:
-    """Rescale so that |B| = 1; life-spans are unchanged.
-
-    Returns (lam, P/|B|^lam, sign B) and the state scale |B|^(lam/2).
-
-    Raises
-    ------
-    DomainError
-        If B = 0, or |B|^lam overflows or underflows a double.
-    """
-    if p.B == 0.0:
-        raise DomainError("rescale_to_unit_B requires B != 0")
-    a = abs(p.B)
-    try:
-        b_lam = math.pow(a, p.lam)
-    except OverflowError:
-        raise DomainError(
-            f"unit-B rescaling of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
-            " |B|**lam overflows a double") from None
-    if b_lam == 0.0:
-        raise DomainError(
-            f"unit-B rescaling of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
-            " |B|**lam underflows a double")
-    return (
-        FlowParams(p.lam, p.P / b_lam, math.copysign(1.0, p.B)),
-        math.pow(a, 0.5 * p.lam),
-    )
 
 
 def conjugate(p: FlowParams) -> FlowParams:

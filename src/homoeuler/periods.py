@@ -4,23 +4,32 @@ numerical monotonicity certificate.
 One body, `_quadrature`, evaluates every span and period from (lam, P, B)
 and the turning points, after substitutions that remove the
 inverse-square-root endpoint singularities and the corners, so the kernel
-only ever sees smooth integrands:
+only ever sees smooth integrands.  Both span integrands see B only as
+C = B x0^(-2/lam), the Bernoulli constant in units of the turning point x0
+(`_scaled_bernoulli`), so no magnitude of B, P or x0 enters them (the
+near-centre series below works in x, with the raw B):
 
 * hyperbolic arch (single turning point x0):
   T/2 = int_0^1 dxi / sqrt(lam^2 (1 - xi^2) - C (1 - xi^alpha)),  xi = x/x0,
-  C = B x0^(-2/lam), then xi = sin phi, then phi = (pi/2) s^3 on [0, 1]
-  (`_arch`).  The last step removes the corner phi^alpha at the axis that
-  adaptive GK would otherwise bisect toward; next to the axis the
-  radicand is formed from lam^2 - C = -2P/x0^2 (`arch_integrand`), which
-  does not cancel next to the separatrix;
-* elliptic orbit (turning points x0 < x1): the radicand is factored as
-  (x - x0)(x1 - x) g(x) with g smooth and positive, and x = m + rho sin phi.
-  For a near-circular orbit, rho <= m/64, g is not formed from R, which
-  cancels there, but summed as a series in sin phi from the second divided
-  difference of x^alpha about the centre (`_centre`).
+  then xi = sin phi, then phi = (pi/2) s^3 on [0, 1] (`_arch`).  The last
+  step removes the corner phi^alpha at the axis that adaptive GK would
+  otherwise bisect toward; next to the axis the radicand is formed from
+  lam^2 - C = -2P/x0^2 (`arch_integrand`), which does not cancel next to
+  the separatrix;
+* elliptic orbit (turning points x0 < x1): in u = ln(x/x0),
+  T = 2 int_0^u1 du / sqrt(V(u)) with
+  V = (y/x)^2 = lam^2 expm1(-2u) - C e^(-2u/lam) expm1(-2u (lam-1)/lam),
+  which vanishes at u = 0 without cancelling.  Its zero u1 is solved on
+  this V (`_outer_end`), and u = (u1/2)(1 + sin phi)
+  (`_kernels.period_integrand`).  For a near-circular orbit,
+  (x1 - x0)/2 <= m/64 about its centre m, the integrand is not formed
+  from V, which cancels there, but summed as a series in sin phi from the
+  second divided difference of x^alpha about the centre (`_centre`).
 
 Routing: lam > 1 computes directly; lam < 1 conjugates to 1/lam and scales
-the span; lam = 1 is the parallel shear closed form pi.
+the span; lam = 1 is the parallel shear closed form pi.  A span whose
+quadrature misses its target, or runs out of its panel budget, is a
+QuadratureFailure naming (lam, P, B).
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import FlowParams, conjugate, rescale_to_unit_B, steady_state
+from .core import FlowParams, conjugate
 from .errors import (
     DomainError,
     InconsistentParams,
@@ -65,20 +74,13 @@ class LimitValues:
     T_infinity: float
 
 
-def _check_simple_zero(dR_val: float, scale: float, where: str) -> None:
-    # the substitution needs simple turning points; a vanishing derivative
-    # means the parameters sit on an excluded boundary (center/separatrix)
-    if abs(dR_val) < 1e-8 * scale:
-        raise QuadratureFailure(
-            f"turning point at {where} is not simple; parameters sit on a"
-            " degenerate boundary")
-
-
-def _finish(given: tuple, two_v: float, two_e: float,
-            method: SpanMethod) -> SpanResult:
-    lam, P, B = given
-    # a nan estimate passes the target test, and coinciding turning points
-    # give T = 0; neither is a span
+def _finish(lam: float, P: float, B: float, v: float, e: float,
+            status: int, method: SpanMethod) -> SpanResult:
+    """The span 2 v, with estimate 2 e, of adaptive_gk's half-span result
+    (v, e, status), or a QuadratureFailure naming (lam, P, B)."""
+    two_v, two_e = 2.0 * v, 2.0 * e
+    # a nan estimate passes the target test, and an inf or zero T (a
+    # zero-width orbit, or nodes where the integrand overflows) is no span
     if not (0.0 < two_v < math.inf and math.isfinite(two_e)):
         raise QuadratureFailure(
             f"quadrature at lam={lam!r} gave T={two_v!r} with error estimate"
@@ -87,16 +89,21 @@ def _finish(given: tuple, two_v: float, two_e: float,
         raise QuadratureFailure(
             f"quadrature at lam={lam!r}, P={P!r}, B={B!r}: error estimate"
             f" {two_e:.3e} misses the 1e-9 target")
+    if status:
+        raise QuadratureFailure(
+            f"quadrature at lam={lam!r}, P={P!r}, B={B!r}: the"
+            f" {_MAX_PANELS}-panel budget ran out at error estimate"
+            f" {two_e:.3e}, short of its target")
     return SpanResult(float(two_v), method, float(two_e))
 
 
-def _scaled_bernoulli(lam: float, B: float, x0: float, given: tuple) -> float:
-    """C = B x0^(-2/lam) of the arch integrand.
+def _scaled_bernoulli(lam: float, P: float, B: float, x0: float) -> float:
+    """C = B x0^(-2/lam), the Bernoulli constant in units of the turning
+    point x0, which both span integrands take.
 
     The direct power is kept wherever it does not raise; where x0^(-2/lam)
     alone overflows, C is taken from logs with the sign of B.  A C that is
-    still not finite is a DomainError naming given, the caller's
-    (lam, P, B).
+    still not finite is a DomainError naming (lam, P, B).
     """
     try:
         C = B * x0 ** (-2.0 / lam)
@@ -105,11 +112,31 @@ def _scaled_bernoulli(lam: float, B: float, x0: float, given: tuple) -> float:
         # exp overflows a double from log(max) = 709.78
         C = math.copysign(math.exp(log_c) if log_c < 709.0 else math.inf, B)
     if not math.isfinite(C):
-        lam_g, P_g, B_g = given
         raise DomainError(
-            f"arch integrand at lam={lam_g!r}, P={P_g!r}, B={B_g!r}:"
+            f"span integrand at lam={lam!r}, P={P!r}, B={B!r}:"
             f" C = B x0^(-2/lam) overflows a double (x0={x0!r})")
     return C
+
+
+def _outer_end(lam2: float, C: float, beta: float, u: float) -> float:
+    """The zero u1 > 0 of V(u) = lam2 expm1(-2u) - C e^(-beta u)
+    expm1((beta - 2) u), by Newton steps from u = ln(x1/x0).
+
+    ln(x1/x0) carries the rounding of both turning points in x.  Solved on
+    V itself, u1 leaves V(u1) at the rounding of V's terms, which is what
+    period_integrand's form of V about u1 takes for zero.
+    """
+    exp, expm1 = math.exp, math.expm1
+    for _ in range(8):
+        eb = exp(-beta * u)
+        dv = -2.0 * (lam2 - C) * exp(-2.0 * u) - beta * C * eb
+        if not dv < 0.0:
+            break                  # no simple zero: u1 = 0, the centre
+        s = (lam2 * expm1(-2.0 * u) - C * eb * expm1((beta - 2.0) * u)) / dv
+        u -= s
+        if not abs(s) > 2.0 ** -50 * u:
+            break
+    return u
 
 
 def arch_integrand(lam: float, P: float, C: float, x0: float):
@@ -207,27 +234,26 @@ def _centre(a2: float, ac: float, alpha: float, x0: float, x1: float):
 
 
 def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
-                tol: float, given: tuple | None = None) -> SpanResult:
+                tol: float) -> SpanResult:
     """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
-    points ic: a full period over an elliptic pair, else the whole arch.
-
-    A failure names given, the (lam, P, B) the caller was asked for, which
-    defaults to the triple integrated here."""
-    given = given or (lam, P, B)
+    points ic: a full period over an elliptic pair, else the whole arch."""
     alpha = 2.0 - 2.0 / lam
     a2 = lam * lam
     x0 = ic.x0
     if ic.kind is InterceptKind.EllipticPair:
         f = _centre(a2, B, alpha, x0, ic.x1)
         if f is None:
-            f = _kernels.ell_integrand(a2, B, alpha, -2.0 * P, x0, ic.x1)
-        v, e, _st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
-                                         0.5 * tol, _MAX_PANELS)
-        return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureElliptic)
-    C = _scaled_bernoulli(lam, B, x0, given) if B != 0.0 else 0.0
+            C = _scaled_bernoulli(lam, P, B, x0)
+            beta = 2.0 / lam
+            u1 = _outer_end(a2, C, beta, math.log(ic.x1) - math.log(x0))
+            f = _kernels.period_integrand(a2, C, beta, u1)
+        v, e, st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
+                                        0.5 * tol, _MAX_PANELS)
+        return _finish(lam, P, B, v, e, st, SpanMethod.QuadratureElliptic)
+    C = _scaled_bernoulli(lam, P, B, x0) if B != 0.0 else 0.0
     f = _arch(arch_integrand(lam, P, C, x0))
-    v, e, _st = _kernels.adaptive_gk(f, 0.0, 1.0, 0.5 * tol, _MAX_PANELS)
-    return _finish(given, 2.0 * v, 2.0 * e, SpanMethod.QuadratureHyperbolic)
+    v, e, st = _kernels.adaptive_gk(f, 0.0, 1.0, 0.5 * tol, _MAX_PANELS)
+    return _finish(lam, P, B, v, e, st, SpanMethod.QuadratureHyperbolic)
 
 
 def span_hyperbolic(lam: float, P: float, B: float,
@@ -268,50 +294,54 @@ def span_hyperbolic(lam: float, P: float, B: float,
     return _quadrature(lam, P, B, ic, tol)
 
 
-def period_elliptic(lam: float, P: float, tol: float = 1e-10) -> SpanResult:
-    """Full period of the closed orbit at unit B.
+def period_elliptic(lam: float, P: float, B: float,
+                    tol: float = 1e-10) -> SpanResult:
+    """Full period of the closed orbit of (lam, P, B).
 
-    Works in center-normalized coordinates X = x/x_s, where the radicand
-    becomes c0 - lam^2 X^2 + (lam^3/(lam-1)) X^alpha with the center at
-    X = 1; this keeps all magnitudes O(1) even when P_max is tiny (large
-    lam).  The time integral is invariant under the normalization.
+    The period is T = 2 int_0^u1 du / sqrt(V(u)) in u = ln(x/x0), x0 the
+    inner turning point, where V = (y/x)^2 depends on lam and
+    C = B x0^(-2/lam) alone, so no magnitude of B, P or x enters
+    (_kernels.period_integrand); a near-circular orbit takes the series
+    about its centre instead (_centre).
+
+    Parameters
+    ----------
+    lam : float
+        Exponent, lam > 1.
+    P : float
+        Pressure constant, 0 < P < P_max(B).
+    B : float
+        Bernoulli constant, B > 0.
+    tol : float, optional
+        Quadrature error target for the half-period integral.
 
     Raises
     ------
     DomainError
-        If P is outside (0, P_max) or lam <= 1.
+        If lam <= 1, the level set is not a closed orbit, or a turning
+        point or C overflows a double.
+    SteadyStateError
+        If (P, B) sits at the centre.
     QuadratureFailure
-        If the error target is missed after max refinement.
+        If the error target is missed.
     """
     if lam <= 1.0:
         raise DomainError(f"period_elliptic requires lam > 1, got {lam!r}")
-    p_max = steady_state(lam, 1.0).P_max
-    if not 0.0 < P < p_max:
-        raise DomainError(
-            f"elliptic regime requires P in (0, P_max={p_max!r}), got {P!r}")
-    a2 = lam * lam
-    ac = lam ** 3 / (lam - 1.0)
-    alpha = 2.0 - 2.0 / lam
-    # the normalized triple has c0 = -2 P_n exactly (power-of-two scalings)
-    P_n = 0.5 * (a2 / (lam - 1.0)) * (P / p_max)
-    ic = find_intercepts(FlowParams(lam, P_n, ac))
+    ic = find_intercepts(FlowParams(lam, P, B))
     if ic.kind is InterceptKind.Center:
         raise SteadyStateError("parameters sit at the center; no orbit")
     if ic.kind is not InterceptKind.EllipticPair:
         raise DomainError(f"expected two turning points, got {ic.kind}")
-    for xr in (ic.x0, ic.x1):
-        dval = -2.0 * a2 * xr + ac * alpha * xr ** (alpha - 1.0)
-        _check_simple_zero(dval, a2 * max(xr, 1.0), f"X={xr!r}")
-    return _quadrature(lam, P_n, ac, ic, tol, given=(lam, P, 1.0))
+    return _quadrature(lam, P, B, ic, tol)
 
 
 def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
     """Life-span/period dispatch over the whole parameter plane.
 
-    lam > 1 goes to direct quadrature (after unit-B rescaling, or without
-    it for an arch whose rescaled triple is out of range), lam < 1 is
-    conjugated to 1/lam and the span scaled by 1/lam, lam = 1 is the parallel
-    shear closed form pi.
+    lam > 1 goes to direct quadrature of (lam, P, B) as given: an arch
+    (P < 0) to span_hyperbolic, a closed orbit (P, B > 0) to
+    period_elliptic; lam < 1 is conjugated to 1/lam and the span scaled by
+    1/lam, lam = 1 is the parallel shear closed form pi.
 
     Raises
     ------
@@ -321,6 +351,9 @@ def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
         If B < 0 with P >= 0 (empty level set).
     NoSolution
         If no orbit exists (B = 0 with P >= 0).
+    DomainError
+        If P exceeds P_max, or a turning point or the scaled Bernoulli
+        constant overflows a double.
     """
     lam = p.lam
     if lam == 1.0:
@@ -333,27 +366,15 @@ def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
                           lam_t * inner.est_error)
     if p.B == 0.0 and p.P >= 0.0:
         raise NoSolution("B = 0 with P >= 0 admits no arch")
-    # B = 0 arches are harmonic; span_hyperbolic returns their closed form
-    try:
-        p2 = rescale_to_unit_B(p)[0] if p.B != 0.0 else p
-    except DomainError:
-        # |B|**lam, or P/|B|**lam, is out of range.  An arch's integrand
-        # needs only C = B x0^(-2/lam), so it is integrated unscaled; a
-        # closed orbit's period is computed at unit B only, and stays
-        # refused.
-        if p.P >= 0.0:
-            raise
+    if p.P < 0.0:
+        # B = 0 arches are harmonic; span_hyperbolic returns their closed
+        # form
         return span_hyperbolic(lam, p.P, p.B, tol)
-    if p2.P < 0.0:
-        return span_hyperbolic(lam, p2.P, p2.B, tol)
-    if p2.B > 0.0:
-        if p2.P == 0.0:
+    if p.B > 0.0:
+        if p.P == 0.0:
             # separatrix: the parallel shear arch with span pi
             return SpanResult(math.pi, SpanMethod.ClosedForm, 0.0)
-        p_max = steady_state(lam, 1.0).P_max
-        if abs(p2.P - p_max) <= 1e-12 * p_max:
-            raise SteadyStateError("parameters at the center (P = P_max)")
-        return period_elliptic(lam, p2.P, tol=tol)
+        return period_elliptic(lam, p.P, p.B, tol)
     raise InconsistentParams(
         f"B < 0 with P >= 0 has an empty level set (lam={lam!r})")
 

@@ -813,9 +813,8 @@ class TestExitCodes:
         # (alpha B/(2 lam^2))^(lam/2), the centre abscissa, overflows
         (["phase-portrait", "--lambda", "200", "--pressure=-1",
           "--b-values", "1e300"], "lam=200.0, P=-1.0, B=1e+300", "overflows"),
-        # lam = 0.02 is conjugated to lam = 50, B = -2P/lam^4 = 1.25e306, and
-        # |B|^50 overflows in the unit-B rescaling, and the unscaled arch's
-        # radicand overflows too
+        # lam = 0.02 is conjugated to lam = 50, B = -2P/lam^4 = 1.25e306,
+        # and the arch's radicand overflows
         (["period-scan", "--lambda", "0.02", "--region", "hyperbolic",
           "--b-sign", "plus", "--p-min=-1e300", "--p-max=-1e299",
           "--n-points", "3"], "lam=50.0, P=-3125000.0, B=1.25e+306",
@@ -830,9 +829,9 @@ class TestExitCodes:
         assert params in err and f"{flow} a double" in err
 
     def test_arch_whose_rescaling_underflows_has_a_span(self, capsys):
-        # at tiny |P| the conjugate's B = -2P/lam^4 is 1.25e-293 and |B|^50
-        # underflows in the unit-B rescaling; the arch is integrated
-        # unscaled instead, and is all but harmonic: (pi/50) * 50
+        # at tiny |P| the conjugate's B = -2P/lam^4 is 1.25e-293, and |B|^50
+        # underflows, which no span needs; the arch is all but harmonic:
+        # (pi/50) * 50
         rc, out, err = run(capsys, "period-scan", "--lambda", "0.02",
                            "--region", "hyperbolic", "--b-sign", "plus",
                            "--p-min=-1e-299", "--p-max=-1e-300",
@@ -860,13 +859,13 @@ class TestExitCodes:
         (["construct", "--lambda", "100", "--elliptic-n", "3"], 3,
          ("no pressure bracket at lam = 100.0, n = 3: P_max = 0.0"
           " underflows",)),
-        # the conjugate arch's x0^(-2/lam) overflowed in the quadrature,
-        # and so does C = -x0^(-2/lam) at unit B
+        # the conjugate arch's x0^(-2/lam) overflows, and so does
+        # C = B x0^(-2/lam)
         (["construct", "--lambda", "0.6667", "--pressure",
           "0.03727290792156944", "--specs=1.0152015702437511e-159:+,"
           "1.0152015702437511e-159:-,1.0152015702437511e-159:+"], 2,
          ("(lam=0.6667, P=0.03727290792156944, B=1.0152015702437511e-159)"
-          " admits no arc: arch integrand at lam=1.4999250037498126,",
+          " admits no arc: span integrand at lam=1.4999250037498126,",
           "C = B x0^(-2/lam) overflows a double")),
     ])
     def test_solver_failures_name_their_inputs(self, capsys, monkeypatch,

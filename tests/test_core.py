@@ -1,4 +1,4 @@
-"""Parameter records, the pressure Hamiltonian, and the exact parameter maps."""
+"""Parameter records, the pressure Hamiltonian, and the conjugacy map."""
 
 import math
 
@@ -13,12 +13,9 @@ from homoeuler import (
     conjugate,
     phase_vector_field,
     pressure_hamiltonian,
-    rescale_to_unit_B,
-    rescale_to_unit_P,
     steady_state,
 )
 
-lam_st = st.floats(min_value=0.3, max_value=8.0, allow_nan=False)
 val_st = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
@@ -97,43 +94,6 @@ class TestSteadyState:
             steady_state(0.9, 1.0)
         with pytest.raises(DomainError):
             steady_state(2.0, -1.0)
-
-
-class TestRescalings:
-    def test_unit_P_anchor(self):
-        p2, scale = rescale_to_unit_P(FlowParams(2.0, 4.0, 8.0))
-        assert p2.P == 1.0
-        assert p2.B == pytest.approx(4.0, rel=1e-14)
-        assert scale == pytest.approx(2.0, rel=1e-14)
-
-    def test_unit_B_anchor(self):
-        p2, scale = rescale_to_unit_B(FlowParams(2.0, 1.5, 8.0))
-        assert p2.B == 1.0
-        assert p2.P == pytest.approx(1.5 / 64.0, rel=1e-14)
-        assert scale == pytest.approx(8.0, rel=1e-14)
-
-    @given(lam=lam_st, P=val_st, B=val_st)
-    def test_unit_P_roundtrip(self, lam, P, B):
-        if abs(P) < 1e-6:
-            return
-        p2, scale = rescale_to_unit_P(FlowParams(lam, P, B))
-        assert abs(p2.P) == 1.0
-        assert p2.B * abs(P) ** (1.0 / lam) == pytest.approx(B, rel=1e-12, abs=1e-12)
-        assert scale == pytest.approx(math.sqrt(abs(P)), rel=1e-14)
-
-    @given(lam=lam_st, P=val_st, B=val_st)
-    def test_unit_B_roundtrip(self, lam, P, B):
-        if abs(B) < 1e-6:
-            return
-        p2, scale = rescale_to_unit_B(FlowParams(lam, P, B))
-        assert abs(p2.B) == 1.0
-        assert p2.P * abs(B) ** lam == pytest.approx(P, rel=1e-12, abs=1e-12)
-
-    def test_rescale_rejects_zero(self):
-        with pytest.raises(DomainError):
-            rescale_to_unit_P(FlowParams(2.0, 0.0, 1.0))
-        with pytest.raises(DomainError):
-            rescale_to_unit_B(FlowParams(2.0, 1.0, 0.0))
 
 
 class TestConjugacy:

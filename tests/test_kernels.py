@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from homoeuler import _kernels as K
-from homoeuler.core import FlowParams
+from homoeuler import periods
+from homoeuler.core import FlowParams, steady_state
 from homoeuler.errors import EventNotFound, SingularEndpoint, StepFailure
 from homoeuler.orbits import find_intercepts
 
@@ -30,6 +31,22 @@ def elliptic_roots(lam, P, B):
     x0 = brentq(R, 1e-14, xs, xtol=1e-15)
     x1 = brentq(R, xs, 10 * xs + 10, xtol=1e-15)
     return x0, x1
+
+
+def period_args(lam, P, B):
+    """period_integrand's arguments (lam^2, C, 2/lam, u1) for the closed
+    orbit of (lam, P, B): the turning points by brentq in x, then u1 by
+    brentq on V(u) in u = ln(x/x0)."""
+    from scipy.optimize import brentq
+    x0, x1 = elliptic_roots(lam, P, B)
+    C = B * x0 ** (-2.0 / lam)
+    beta = 2.0 / lam
+
+    def V(u):
+        return (lam * lam * math.expm1(-2.0 * u)
+                - C * math.exp(-beta * u) * math.expm1((beta - 2.0) * u))
+    u = math.log(x1 / x0)
+    return lam * lam, C, beta, brentq(V, 0.5 * u, 2.0 * u, xtol=1e-15)
 
 
 class TestRuleConstants:
@@ -75,34 +92,6 @@ def loop_dp_step(x, y, h, lam, B):
         ex += K._DP_E[i] * kx[i]
         ey += K._DP_E[i] * ky[i]
     return x5, y5, h * ex, h * ey
-
-
-def np_integrand_ell(a2, ac, alpha, c, x0, x1, phi):
-    rho = 0.5 * (x1 - x0)
-    z = 0.5 * (0.5 * np.pi - phi)
-    sz = np.sin(z)
-    cz = np.cos(z)
-    d1 = 2.0 * rho * sz * sz
-    d0 = 2.0 * rho * cz * cz
-    if d0 < 1.0e-3 * min(rho, x0):
-        r1 = -2.0 * a2 * x0 + ac * alpha * x0 ** (alpha - 1.0)
-        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x0 ** (alpha - 2.0)
-        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x0 ** (alpha - 3.0)
-        r4 = (ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
-              * x0 ** (alpha - 4.0))
-        g = (r1 + d0 * (0.5 * r2 + d0 * (r3 / 6.0 + d0 * r4 / 24.0))) / d1
-    elif d1 < 1.0e-3 * min(rho, x1):
-        r1 = -2.0 * a2 * x1 + ac * alpha * x1 ** (alpha - 1.0)
-        r2 = -2.0 * a2 + ac * alpha * (alpha - 1.0) * x1 ** (alpha - 2.0)
-        r3 = ac * alpha * (alpha - 1.0) * (alpha - 2.0) * x1 ** (alpha - 3.0)
-        r4 = (ac * alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
-              * x1 ** (alpha - 4.0))
-        g = (-r1 + d1 * (0.5 * r2 + d1 * (-r3 / 6.0 + d1 * r4 / 24.0))) / d0
-    else:
-        g = K._radicand(x0 + d0, a2, ac, alpha, c) / (d0 * d1)
-    if g <= 0.0:
-        return np.inf
-    return 1.0 / np.sqrt(g)
 
 
 def np_integrand_hyp(lam2, cc, alpha, d0, phi):
@@ -167,77 +156,49 @@ class TestScalarKernelOracle:
 
     @staticmethod
     def ell_params():
-        rng = np.random.default_rng(5)
-        for lam, P in ((1.5, 0.01), (3.0, 5e-4), (5.0, 5e-8), (8.0, 2e-15)):
-            x0, x1 = elliptic_roots(lam, P, 1.0)
-            args = (lam * lam, 1.0, 2.0 - 2.0 / lam, -2.0 * P, x0, x1)
-            eps = rng.uniform(0.0, 0.02, 20)
-            phis = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 40),
-                                   -np.pi / 2 + eps, np.pi / 2 - eps,
-                                   [-np.pi / 2, np.pi / 2, 0.0]])
-            yield args, [float(p) for p in phis]
-
-    @staticmethod
-    def ell_branch(args, phi):
-        x0, x1 = args[4], args[5]
-        rho = 0.5 * (x1 - x0)
-        z = 0.5 * (0.5 * np.pi - phi)
-        if 2.0 * rho * np.cos(z) ** 2 < 1e-3 * min(rho, x0):
-            return "near x0"
-        if 2.0 * rho * np.sin(z) ** 2 < 1e-3 * min(rho, x1):
-            return "near x1"
-        return "interior"
+        # orbits from next to the centre (half-width 1/26 of it) to next
+        # to the separatrix (u1 = 12.6, where C = 1485 against lam^2 = 64)
+        for lam, P in ((1.5, 0.01), (3.0, 5e-4), (5.0, 5e-8), (8.0, 2e-15),
+                       (3.0, 9.1266e-4), (8.0, 3e-23)):
+            yield period_args(lam, P, 1.0)
 
     def test_integrand_ell(self):
-        branches = set()
-        for args, phis in self.ell_params():
-            # one closure per orbit, as the quadrature uses it
-            f = K.ell_integrand(*args)
-            for phi in phis:
-                branches.add(self.ell_branch(args, phi))
-                got = f(phi)
-                assert got.hex() == float(np_integrand_ell(*args, phi)).hex()
-                assert got.hex() == K.ell_integrand(*args)(phi).hex()
-        assert branches == {"near x0", "near x1", "interior"}
-        # coinciding turning points (x0 == x1): every panel node divides by
-        # zero (den == 0)
-        args = (900.0, 1.0, 2.0 - 2.0 / 30.0, 0.0, 2.9e-45, 2.9e-45)
-        f = K.ell_integrand(*args)
-        for phi in (-np.pi / 2, -0.3, 0.0, 0.9, np.pi / 2):
-            got = f(phi)
-            assert got.hex() == float(np_integrand_ell(*args, phi)).hex()
+        # period_integrand against 1/sqrt(V/(u (u1 - u))) at 40 digits,
+        # from nodes 1e-12 from either end to the form switch at phi = 0
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rng = np.random.default_rng(5)
+        for args in self.ell_params():
+            lam2, C, beta, u1 = (mp.mpf(a) for a in args)
 
-    def test_integrand_ell_taylor_terms_cached(self):
-        # one closure whose Taylor branches about x0 and x1 are taken in
-        # turn, three times over: the terms formed on first use give the
-        # oracle's bits on every later use
-        args, _phis = next(self.ell_params())
-        f = K.ell_integrand(*args)
-        phis = (-np.pi / 2, np.pi / 2 - 1e-4, 0.3, -np.pi / 2 + 2e-4,
-                np.pi / 2)
-        assert [self.ell_branch(args, phi) for phi in phis] == [
-            "near x0", "near x1", "interior", "near x0", "near x1"]
-        for phi in phis * 3:
-            assert f(phi).hex() == float(np_integrand_ell(*args, phi)).hex()
+            def V(u):
+                return (lam2 * mp.expm1(-2 * u)
+                        - C * mp.exp(-beta * u) * mp.expm1((beta - 2) * u))
+            u1 = mp.findroot(V, u1)
+            f = K.period_integrand(*args)
+            eps = 10.0 ** rng.uniform(-12.0, -1.0, 20)
+            phis = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 40),
+                                   -np.pi / 2 + eps, np.pi / 2 - eps,
+                                   [0.0, 1e-9, -1e-9]])
+            for phi in phis.tolist():
+                u = u1 / 2 * (1 + mp.sin(phi))
+                want = 1 / mp.sqrt(V(u) / (u * (u1 - u)))
+                assert f(phi) == pytest.approx(float(want), rel=1e-13,
+                                               abs=0.0), (args, phi)
 
-    def test_integrand_ell_overflow_only_in_taylor_branch(self):
-        # x0 ** (alpha - 4) and x1 ** (alpha - 4) overflow (1e-100 ** -3.33):
-        # building the closure and evaluating it inside must not raise, and
-        # each Taylor-branch node raises OverflowError, as the oracle does,
-        # every time it is evaluated
-        args = (2.25, 1.0, 2.0 - 2.0 / 1.5, 0.0, 1e-100, 3e-100)
-        f = K.ell_integrand(*args)
-        for _ in range(2):
-            for phi in (0.0, 0.5, -0.5):
-                assert self.ell_branch(args, phi) == "interior"
-                assert (f(phi).hex()
-                        == float(np_integrand_ell(*args, phi)).hex())
-            for phi in (-np.pi / 2, np.pi / 2, -np.pi / 2 + 1e-3):
-                assert self.ell_branch(args, phi) != "interior"
-                with pytest.raises(OverflowError):
-                    np_integrand_ell(*args, phi)
-                with pytest.raises(OverflowError):
-                    f(phi)
+    def test_integrand_ell_forms_meet(self):
+        # V is formed about u = 0 up to u1/2 and about u1 past it; next to
+        # the switch both forms give the direct V about 0, in floats.  Next
+        # to the centre V's terms cancel to a few percent of themselves,
+        # and the forms differ by up to 1.2e-14 there (4e-16 elsewhere)
+        for lam2, C, beta, u1 in self.ell_params():
+            f = K.period_integrand(lam2, C, beta, u1)
+            for phi in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3):
+                u = 0.5 * u1 * (1.0 + math.sin(phi))
+                v = (lam2 * math.expm1(-2.0 * u) - C * math.exp(-beta * u)
+                     * math.expm1((beta - 2.0) * u))
+                assert f(phi) == pytest.approx(
+                    1.0 / math.sqrt(v / (u * (u1 - u))), rel=1e-13, abs=0.0)
 
     def test_integrand_hyp(self):
         rng = np.random.default_rng(6)
@@ -270,14 +231,13 @@ class TestScalarKernelOracle:
 
     def test_gk_panel(self):
         rng = np.random.default_rng(9)
-        for args, _phis in self.ell_params():
+        for args in self.ell_params():
             cuts = np.sort(rng.uniform(-np.pi / 2, np.pi / 2, 6))
             edges = [-np.pi / 2, *cuts, np.pi / 2]
-            f = K.ell_integrand(*args)
-            f_np = functools.partial(np_integrand_ell, *args)
+            f = K.period_integrand(*args)
             for a, b in zip(edges[:-1], edges[1:]):
                 got = K._gk_panel(f, float(a), float(b))
-                assert hexes(got) == hexes(loop_gk_panel(f_np, a, b))
+                assert hexes(got) == hexes(loop_gk_panel(f, a, b))
         for args in ((4.0, 1.2, 1.0, 2.8), (0.64, 2.0, -0.5, -1.36),
                      (0.0025, 1.0, -38.0, -0.9975)):
             f = K.hyp_integrand(*args)
@@ -362,15 +322,16 @@ class TestPanelSelectionOracle:
     @staticmethod
     def sweep(rng):
         # yields (kind, args, whether to run the 1024-panel budget): elliptic
-        # periods in period_elliptic's centre-normalised coordinates from
-        # P/P_max = 0.3 to 1 - 1e-6, and hyperbolic arches with C of both signs
+        # periods in u = ln(x/x0) at B = 1 from P/P_max = 0.3 to 1 - 1e-6,
+        # and hyperbolic arches with C of both signs
         for lam in (1.5, 3.0, 5.0, 13.0):
-            ac = lam ** 3 / (lam - 1.0)
+            p_max = steady_state(lam, 1.0).P_max
             for frac in (0.3, 1.0 - 1e-4, 1.0 - 1e-6):
-                P = 0.5 * lam * lam / (lam - 1.0) * frac
-                ic = find_intercepts(FlowParams(lam, P, ac))
-                f = K.ell_integrand(lam * lam, ac, 2.0 - 2.0 / lam,
-                                    -2.0 * P, ic.x0, ic.x1)
+                ic = find_intercepts(FlowParams(lam, frac * p_max, 1.0))
+                C = ic.x0 ** (-2.0 / lam)
+                u1 = periods._outer_end(lam * lam, C, 2.0 / lam,
+                                        math.log(ic.x1 / ic.x0))
+                f = K.period_integrand(lam * lam, C, 2.0 / lam, u1)
                 yield ("ell", (f, -np.pi / 2, np.pi / 2),
                        lam > 4.0 and frac > 0.99999)
         for lam, cc in ((0.7, 1.3), (1.5, -0.8), (2.0, 2.5), (5.0, 4.0)):
@@ -491,8 +452,7 @@ class TestQAlpha:
 class TestEllipticQuadrature:
     def test_lam_two_flat_period(self):
         for P in (0.001, 0.01, 0.03):
-            x0, x1 = elliptic_roots(2.0, P, 1.0)
-            f = K.ell_integrand(4.0, 1.0, 1.0, -2 * P, x0, x1)
+            f = K.period_integrand(*period_args(2.0, P, 1.0))
             v, e, st = K.adaptive_gk(f, -np.pi / 2, np.pi / 2, 1e-12, 512)
             assert st == 0
             assert 2 * v == pytest.approx(np.pi, abs=1e-11)
@@ -500,16 +460,16 @@ class TestEllipticQuadrature:
     @pytest.mark.parametrize("lam,P,B", [(3.0, 5e-4, 1.0), (1.5, 0.01, 1.0),
                                          (5.0, 5e-8, 1.0)])
     def test_against_scipy(self, lam, P, B):
+        # the half period in u against scipy's quad of dx/sqrt(R) in x
         x0, x1 = elliptic_roots(lam, P, B)
-        f = K.ell_integrand(lam * lam, B, 2 - 2 / lam, -2 * P, x0, x1)
+        f = K.period_integrand(*period_args(lam, P, B))
         v, e, st = K.adaptive_gk(f, -np.pi / 2, np.pi / 2, 1e-12, 512)
         ref = raw_halfspan(lam, P, B, x0, x1)
         assert st == 0
         assert v == pytest.approx(ref, rel=5e-9)
 
     def test_error_estimate_honest_when_budget_exhausted(self):
-        x0, x1 = elliptic_roots(3.0, 5e-4, 1.0)
-        args = (K.ell_integrand(9.0, 1.0, 2 - 2 / 3.0, -1e-3, x0, x1),
+        args = (K.period_integrand(*period_args(3.0, 5e-4, 1.0)),
                 -np.pi / 2, np.pi / 2)
         v, e, st = K.adaptive_gk(*args, 1e-30, 4)
         assert st == 1

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homoeuler import (
     DomainError,
@@ -103,43 +104,55 @@ class TestSpanHyperbolic:
 class TestPeriodElliptic:
     def test_lam2_flat(self):
         for P in np.linspace(1e-4, 1 / 32 - 1e-4, 10):
-            r = period_elliptic(2.0, float(P))
+            r = period_elliptic(2.0, float(P), 1.0)
             assert abs(r.T - math.pi) <= 1e-8
 
     def test_frozen_value_lam3(self):
         pm = steady_state(3.0, 1.0).P_max
-        r = period_elliptic(3.0, pm / 2)
+        r = period_elliptic(3.0, pm / 2, 1.0)
         assert r.T == pytest.approx(FROZEN[(3.0, "pm_half", 1.0)], abs=1e-10)
 
     def test_frozen_value_lam15(self):
         pm = steady_state(1.5, 1.0).P_max
-        r = period_elliptic(1.5, 0.3 * pm)
+        r = period_elliptic(1.5, 0.3 * pm, 1.0)
         assert r.T == pytest.approx(FROZEN[(1.5, "pm_03", 1.0)], abs=1e-10)
 
     @pytest.mark.parametrize("lam", [3.0, 5.0, 8.0])
     def test_center_limit(self, lam):
         pm = steady_state(lam, 1.0).P_max
-        r = period_elliptic(lam, pm * (1 - 1e-6))
+        r = period_elliptic(lam, pm * (1 - 1e-6), 1.0)
         assert abs(r.T - 2 * math.pi / math.sqrt(2 * lam)) <= 1e-3
 
     def test_separatrix_approach_rate(self):
         # pi - T ~ C (P/P_max)^(1/(2 lam - 2)); frozen 40-digit references
         pm = steady_state(2.5, 1.0).P_max
-        r = period_elliptic(2.5, pm * 1e-8)
+        r = period_elliptic(2.5, pm * 1e-8, 1.0)
         assert math.pi - r.T == pytest.approx(1.060348e-3, rel=1e-5)
         pm = steady_state(5.0, 1.0).P_max
-        r = period_elliptic(5.0, pm * 1e-8)
+        r = period_elliptic(5.0, pm * 1e-8, 1.0)
         assert math.pi - r.T == pytest.approx(0.119266135838588, rel=1e-9)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            period_elliptic(2.0, 0.05)
+            period_elliptic(2.0, 0.05, 1.0)
         with pytest.raises(DomainError):
-            period_elliptic(2.0, -0.01)
+            period_elliptic(2.0, -0.01, 1.0)
 
     def test_est_error_bound(self):
         pm = steady_state(3.0, 1.0).P_max
-        assert period_elliptic(3.0, pm / 3).est_error <= 1e-9
+        assert period_elliptic(3.0, pm / 3, 1.0).est_error <= 1e-9
+
+    def test_panels_on_the_default_scans(self, monkeypatch):
+        # the 200-row default period-scan grids of the survey benchmark,
+        # (1 - 1e-4) P_max down to 1e-4 P_max: 8,766 panels when periods
+        # were integrated in x, 4,698 in u = ln(x/x0)
+        counts = _count_panels(monkeypatch)
+        for lam in (1.5, 3.0, 5.0, 8.0, 13.0):
+            pm = steady_state(lam, 1.0).P_max
+            for P in np.geomspace((1.0 - 1e-4) * pm, 1e-4 * pm, 200):
+                span_any(FlowParams(lam, float(P), 1.0))
+        assert counts["panels"] <= 7000
+        assert counts["budget_hits"] == 0
 
 
 class TestSpanAny:
@@ -181,8 +194,8 @@ class TestSpanAny:
             span_any(FlowParams(3.0, 1.0, 0.0))
 
     def test_arch_whose_rescaling_underflows(self):
-        # |B|**lam underflows a double, so the unit-B rescaling refuses
-        # these arches; span_any integrates them unscaled
+        # |B|**lam underflows a double, so no unit-B rescaling of these
+        # arches exists; span_any integrates every span as given
         # the value is 7e-15 from mpmath's 3.1106803159511073, the span at
         # the C = B x0^(-2/lam) of the computed x0 = 3.1123e-162.  The
         # radicand is formed in subnormals and is exactly 0 from 2.70e-162
@@ -195,9 +208,21 @@ class TestSpanAny:
         r = span_any(FlowParams(1.5, -1.0, 1e-250))
         assert r.T == pytest.approx(math.pi / 1.5, abs=1e-12)
 
+    def test_closed_orbit_at_large_B(self):
+        # |B|**lam = 1e330 overflows a double, which no span needs: the
+        # period depends on lam and C = B x0^(-2/lam) alone, and equals
+        # the one at unit B and P/B**lam
+        lam, B = 30.0, 1e11
+        T = span_any(FlowParams(lam, 0.5 * steady_state(lam, B).P_max, B)).T
+        want = span_any(FlowParams(lam, 0.5 * steady_state(lam, 1.0).P_max,
+                                   1.0)).T
+        assert T == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_closed_orbit_whose_rescaling_overflows(self):
-        # periods are computed at unit B only: still refused
-        with pytest.raises(DomainError, match="overflows a double"):
+        # |B|**lam overflows, and so does the centre x_s = (2 B/27)**1.5:
+        # refused by the turning-point solve, and no OverflowError escapes
+        with pytest.raises(DomainError, match="turning points of lam=3.0, P"
+                           r"=1e-300, B=1e\+300: .* overflows a double"):
             span_any(FlowParams(3.0, 1e-300, 1e300))
 
     @pytest.mark.parametrize("p,method", [
@@ -245,12 +270,13 @@ class TestSpanQuadratureRefusals:
             span_quadrature(0.01, -1.0, 0.0)
 
     def test_coinciding_turning_points(self):
-        # an elliptic pair with x0 == x1 (at the centre abscissa, where the
-        # radicand is positive) integrates to T = 0, which is not a period
+        # an elliptic pair with x0 == x1 (at the centre abscissa) has
+        # u1 = 0: every node of the zero-width orbit is inf, which is not a
+        # period
         info = steady_state(30.0, 1.0)
         ic = Intercepts(InterceptKind.EllipticPair, info.x_s, info.x_s)
         with pytest.raises(QuadratureFailure,
-                           match=r"lam=30\.0 gave T=0\.0 with error estimate"):
+                           match=r"lam=30\.0 gave T=inf with error estimate"):
             periods._quadrature(30.0, (1.0 - 1e-6) * info.P_max, 1.0, ic,
                                 1e-10)
 
@@ -258,7 +284,7 @@ class TestSpanQuadratureRefusals:
         # lam = 30, B = 1: every term of the radicand is about 1e-87, and
         # the turning points are 1.4e-3 apart in ln x at 1 - P/P_max = 1e-6.
         # T - 2 pi/sqrt(2 lam) is linear in 1 - P/P_max, as the expansion
-        # about the centre requires, and agrees with the centre-normalised
+        # about the centre requires, and span_any routes to the same
         # period
         lam = 30.0
         p_max = steady_state(lam, 1.0).P_max
@@ -278,15 +304,25 @@ class TestSpanQuadratureRefusals:
 
     def test_missed_target_names_the_callers_parameters(self, monkeypatch):
         # on a one-panel budget the estimate misses 1e-9; the message names
-        # lam, P and B = 1 as passed, not the centre-normalised triple that
-        # is integrated
+        # lam, P and B as passed
         monkeypatch.setattr(periods, "_MAX_PANELS", 1)
         P = 0.5 * steady_state(5.0, 1.0).P_max
         with pytest.raises(QuadratureFailure) as info:
-            period_elliptic(5.0, P)
+            period_elliptic(5.0, P, 1.0)
         assert str(info.value).startswith(
             f"quadrature at lam=5.0, P={P!r}, B=1.0: error estimate ")
         assert str(info.value).endswith(" misses the 1e-9 target")
+
+    def test_budget_hit_within_the_acceptance_raises(self, monkeypatch):
+        # on a two-panel budget this arch's estimate, 1.16e-10, is inside
+        # the 1e-9 acceptance but misses the 1e-10 target: the budget ran
+        # out, so the span is refused rather than returned
+        monkeypatch.setattr(periods, "_MAX_PANELS", 2)
+        with pytest.raises(QuadratureFailure) as info:
+            span_any(FlowParams(1.5, -1.0, -1.0))
+        assert str(info.value) == (
+            "quadrature at lam=1.5, P=-1.0, B=-1.0: the 2-panel budget ran"
+            " out at error estimate 1.159e-10, short of its target")
 
 
 class TestScaledBernoulli:
@@ -297,7 +333,7 @@ class TestScaledBernoulli:
     @pytest.mark.parametrize("lam,B,x0", [
         (1.5, -1.0, 0.37), (3.0, 2.5, 1e-100), (1.01, 1e-100, 3.1e-51)])
     def test_direct_power_where_it_does_not_raise(self, lam, B, x0):
-        assert (_scaled_bernoulli(lam, B, x0, self.GIVEN)
+        assert (_scaled_bernoulli(lam, -1.0, B, x0)
                 == B * x0 ** (-2.0 / lam))
 
     @pytest.mark.parametrize("B", [1e-322, -1e-322, 1e-300])
@@ -308,7 +344,7 @@ class TestScaledBernoulli:
         with localcontext() as ctx:
             ctx.prec = 40
             want = Decimal(B) * Decimal(x0) ** Decimal(-2.0 / lam)
-        C = _scaled_bernoulli(lam, B, x0, self.GIVEN)
+        C = _scaled_bernoulli(lam, self.GIVEN[1], B, x0)
         assert math.copysign(1.0, C) == math.copysign(1.0, B)
         assert C == pytest.approx(float(want), rel=1e-12)
 
@@ -320,9 +356,9 @@ class TestScaledBernoulli:
 
     def test_infinite_C_names_the_triple(self):
         with pytest.raises(DomainError) as info:
-            _scaled_bernoulli(1.5, -1.0, 3.1e-237, (1.5, -1e-158, -1.0))
+            _scaled_bernoulli(1.5, -1e-158, -1.0, 3.1e-237)
         assert str(info.value).startswith(
-            "arch integrand at lam=1.5, P=-1e-158, B=-1.0: C = B x0^(-2/lam)"
+            "span integrand at lam=1.5, P=-1e-158, B=-1.0: C = B x0^(-2/lam)"
             " overflows a double")
 
 
@@ -349,14 +385,14 @@ class TestMonotonicity:
     @pytest.mark.parametrize("lam", [2.5, 3.0, 5.0])
     def test_elliptic_period_increases_as_P_drops_above_lam2(self, lam):
         pm = steady_state(lam, 1.0).P_max
-        Ts = [period_elliptic(lam, float(P)).T for P in self.grid(pm)]
+        Ts = [period_elliptic(lam, float(P), 1.0).T for P in self.grid(pm)]
         # descending P = reversed grid; T must rise toward pi
         assert all(a > b for a, b in zip(Ts, Ts[1:]))
 
     @pytest.mark.parametrize("lam", [1.5, 1.8])
     def test_elliptic_period_decreases_as_P_drops_below_lam2(self, lam):
         pm = steady_state(lam, 1.0).P_max
-        Ts = [period_elliptic(lam, float(P)).T for P in self.grid(pm)]
+        Ts = [period_elliptic(lam, float(P), 1.0).T for P in self.grid(pm)]
         assert all(a < b for a, b in zip(Ts, Ts[1:]))
 
     @pytest.mark.parametrize("lam", [2.0, 3.0])
@@ -563,11 +599,23 @@ class TestNearCentreOracle:
         gaps = []
         for k in range(4, 11):
             P = p_max * (1.0 - 10.0 ** -k)
-            T = period_elliptic(lam, P).T
+            T = period_elliptic(lam, P, 1.0).T
             assert T == pytest.approx(self.reference(lam, P), rel=1e-14,
                                       abs=0.0), k
             gaps.append(abs(T - t_centre))
         assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+    @pytest.mark.parametrize("lam", [1.5, 5.0, 13.0, 24.0])
+    def test_just_outside_the_series(self, lam):
+        # half-widths 1/43 to 1/26 of the centre, past the series' 1/64:
+        # the radicand in x cancelled there and left periods 1.2e-12 to
+        # 3.5e-11 off; V in u = ln(x/x0) does not
+        p_max = steady_state(lam, 1.0).P_max
+        for gap in (1e-3, 3e-3):
+            P = p_max * (1.0 - gap)
+            T = span_any(FlowParams(lam, P, 1.0)).T
+            assert T == pytest.approx(self.reference(lam, P), rel=1e-12,
+                                      abs=0.0), gap
 
     def test_no_budget_hit_on_the_near_centre_scan(self, monkeypatch):
         # the survey benchmark's near-centre scans: 200 rows from
@@ -576,5 +624,35 @@ class TestNearCentreOracle:
         for lam in (3.0, 5.0):
             p_max = steady_state(lam, 1.0).P_max
             for P in np.geomspace((1.0 - 1e-6) * p_max, 1e-4 * p_max, 200):
-                period_elliptic(lam, float(P))
+                period_elliptic(lam, float(P), 1.0)
         assert counts["budget_hits"] == 0
+
+
+class TestScaleInvariance:
+    """x -> c x maps the level set of (lam, P, B) onto that of
+    (lam, c^2 P, c^(2/lam) B) and keeps y dt = dx, so every span is
+    invariant; the quadrature sees B only as C = B x0^(-2/lam).  lam stays
+    0.1 away from 1, where C overflows next to the separatrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.floats(1.1, 30.0), log_frac=st.floats(-8.0, -1e-6),
+           log_c=st.floats(-3.0, 3.0))
+    def test_elliptic(self, lam, log_frac, log_c):
+        P = 10.0 ** log_frac * steady_state(lam, 1.0).P_max
+        c = 10.0 ** log_c
+        T = span_any(FlowParams(lam, P, 1.0)).T
+        assert span_any(FlowParams(lam, c * c * P, c ** (2.0 / lam))).T \
+            == pytest.approx(T, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.one_of(st.floats(0.55, 0.9), st.floats(1.1, 30.0)),
+           log_p=st.floats(-4.0, 4.0), sign=st.sampled_from([1.0, -1.0]),
+           log_c=st.floats(-3.0, 3.0))
+    def test_hyperbolic(self, lam, log_p, sign, log_c):
+        # below lam = 1 a level set with B < 0 is a closed orbit or empty
+        B = sign if lam > 1.0 else 1.0
+        P = -(10.0 ** log_p)
+        c = 10.0 ** log_c
+        T = span_any(FlowParams(lam, P, B)).T
+        assert span_any(FlowParams(lam, c * c * P, B * c ** (2.0 / lam))).T \
+            == pytest.approx(T, rel=1e-13, abs=0.0)
