@@ -1,11 +1,12 @@
-"""Kernel-level timings: quadrature, scan rows, turning points, orbits,
-census roots, arcs, and the break-even of period-scan's fan-out.
+"""Kernel-level timings: quadrature, scan rows (batched and one by one),
+turning points, orbits, census roots and arcs.
 
 Each workload runs once as a warmup, then --reps times; the best time is
-printed, in seconds.  Then come the radicand evaluations per turning point
-over the period-scan rows, and a line that derives the fork round trip, the
-row cost and the row count from which a second worker pays, the basis of
-`cli._ROWS_PER_WORKER`.
+printed, in seconds.  The period-scan rows are timed both as period-scan
+evaluates them, one `span_rows` call per 200-row table, and as a loop over
+`span_any`.  Then come the radicand evaluations per turning point over the
+period-scan rows, and the Gauss-Kronrod panels each way evaluates over the
+same rows.
 
     python3 benchmarks/bench_kernels.py --reps 5
 """
@@ -22,8 +23,6 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-# row counts of the fan-out break-even scans
-FAN_OUT_ROWS = (8, 16, 32, 64, 256)
 # the default 200-point tables of period-scan: elliptic at lam = 5, and
 # hyperbolic with either sign of B at lam = 3 (lam, region, B sign, and the
 # upper end of the pressures as a fraction of P_max, None for the default)
@@ -35,18 +34,26 @@ NEAR_CENTRE_SCANS = ((3.0, "elliptic", "plus", 1.0 - 1e-6),
                      (5.0, "elliptic", "plus", 1.0 - 1e-6))
 
 
-def _scan_rows_params(scans):
+def _scan_tables(scans):
+    """(lam, pressures, B) of each scan's 200 rows."""
     from homoeuler.cli import _scan_grid
-    from homoeuler.core import FlowParams, steady_state
+    from homoeuler.core import steady_state
 
-    rows = []
+    tables = []
     for lam, region, sign, frac in scans:
         p_max = None if frac is None else frac * steady_state(lam, 1.0).P_max
         ps, B = _scan_grid(argparse.Namespace(
             lam=lam, n_points=200, region=region, p_min=None, p_max=p_max,
             b_sign=sign))
-        rows += [FlowParams(lam, P, B) for P in ps]
-    return rows
+        tables.append((lam, ps, B))
+    return tables
+
+
+def _scan_rows_params(scans):
+    from homoeuler.core import FlowParams
+
+    return [FlowParams(lam, P, B) for lam, ps, B in _scan_tables(scans)
+            for P in ps]
 
 
 def _evaluations_per_turning_point() -> str:
@@ -82,10 +89,43 @@ def _evaluations_per_turning_point() -> str:
             f" max {max(per_point):.1f} over {len(per_point)} rows")
 
 
+def _panels_per_route() -> str:
+    """Gauss-Kronrod panels over the rows of the default period-scan
+    tables: span_any row by row (counted at _kernels._gk_panel) and
+    span_rows per table (counted at _rows._gk_rows)."""
+    from homoeuler import _kernels, _rows
+    from homoeuler.core import FlowParams
+    from homoeuler.periods import span_any
+
+    count = [0, 0]
+    gk_panel, gk_rows = _kernels._gk_panel, _rows._gk_rows
+
+    def panel(*args):
+        count[0] += 1
+        return gk_panel(*args)
+
+    def panels(f, a, b, rows):
+        count[1] += a.shape[0]
+        return gk_rows(f, a, b, rows)
+
+    tables = _scan_tables(DEFAULT_SCANS)
+    _kernels._gk_panel, _rows._gk_rows = panel, panels
+    try:
+        for lam, ps, B in tables:
+            for P in ps:
+                span_any(FlowParams(lam, P, B))
+            _rows.span_rows(lam, ps, B)
+    finally:
+        _kernels._gk_panel, _rows._gk_rows = gk_panel, gk_rows
+    n = sum(len(ps) for _lam, ps, _B in tables)
+    return (f"panels over the {n} default scan rows: span_any loop"
+            f" {count[0]}, span_rows {count[1]}")
+
+
 def _workloads():
+    from homoeuler._rows import span_rows
     from homoeuler.assemble import elliptic_arc, hyperbolic_arc
     from homoeuler.classify import solve_elliptic
-    from homoeuler.cli import _scan_grid, _scan_rows
     from homoeuler.core import FlowParams, steady_state
     from homoeuler.orbits import closed_orbit, find_intercepts, integrate_orbit
     from homoeuler.periods import period_elliptic, span_any, span_quadrature
@@ -98,11 +138,16 @@ def _workloads():
             for P in (-0.5, -2.0):
                 span_quadrature(lam, P, 1.0)
 
-    scan_rows = _scan_rows_params(DEFAULT_SCANS)
+    scan_tables = _scan_tables(DEFAULT_SCANS)
 
     def period_scan_rows():
-        for p in scan_rows:
-            span_any(p)
+        for lam, ps, B in scan_tables:
+            for P in ps:
+                span_any(FlowParams(lam, P, B))
+
+    def period_scan_tables():
+        for table in scan_tables:
+            span_rows(*table)
 
     # B < 0 arches: the apex is bracketed where lam^2 x^2, or -B x^alpha,
     # alone reaches -2P and where both stay below -P
@@ -161,39 +206,16 @@ def _workloads():
         hyperbolic_arc(2.0 / 3.0, 1.0, 3.5)
         elliptic_arc(2.0, 1.5, 8.0)
 
-    # one lam = 5 elliptic scan of n rows, in-process and on two processes
-    def fan_out(n, workers):
-        ps, B = _scan_grid(argparse.Namespace(
-            lam=5.0, n_points=n, region="elliptic", p_min=None, p_max=None,
-            b_sign="plus"))
-        return lambda: _scan_rows(5.0, ps, B, workers)
-
-    scans = [(f"scan {n} rows, {w} proc", fan_out(n, w))
-             for n in FAN_OUT_ROWS for w in (1, 2)]
-
     return [("span quadrature x21", spans),
             ("period-scan rows x600", period_scan_rows),
+            ("span_rows tables x3", period_scan_tables),
             ("turning points x20", turning_points),
             ("near-centre period x3", near_centre_periods),
             ("orbit events x2", events),
             ("census orbit, x0 (u,v) x3", census_orbits),
             ("census roots x4", census_roots),
             ("elliptic arc x2", elliptic_arcs),
-            ("arc construction x3", arcs)] + scans
-
-
-def _break_even(best: dict) -> str:
-    """Fork round trip, row cost and break-even row count of the fan-out.
-
-    A scan of n rows costs n r in-process and about f + n r / 2 on two
-    processes, so a second worker pays from n = 2 f / r rows on.  r comes
-    from the largest in-process scan, f from the smallest forked one.
-    """
-    n_lo, n_hi = FAN_OUT_ROWS[0], FAN_OUT_ROWS[-1]
-    r = best[f"scan {n_hi} rows, 1 proc"] / n_hi
-    f = best[f"scan {n_lo} rows, 2 proc"] - best[f"scan {n_lo} rows, 1 proc"] / 2
-    return (f"fan-out: fork round trip {1e3 * f:.2f} ms, row {1e3 * r:.3f} ms,"
-            f" break-even {2.0 * f / r:.0f} rows")
+            ("arc construction x3", arcs)]
 
 
 def _best_of(fn, reps: int) -> float:
@@ -216,7 +238,7 @@ def main(argv=None) -> int:
         best[name] = _best_of(fn, args.reps)
         print(f"{name:<26} {best[name]:.6f} s")
     print(_evaluations_per_turning_point())
-    print(_break_even(best))
+    print(_panels_per_route())
     return 0
 
 

@@ -1,8 +1,10 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature and an embedded RK45.
 
-These are the hot loops, written as scalar code on Python floats (math.*,
-tuple rule constants, an unrolled Dormand-Prince step), since NumPy scalar
-indexing and ufuncs on single floats cost several times the arithmetic.
+These are the one-span hot loops, written as scalar code on Python floats
+(math.*, tuple rule constants, an unrolled Dormand-Prince step), since
+NumPy scalar indexing and ufuncs on single floats cost several times the
+arithmetic.  The spans of a whole period-scan table are the exception:
+_rows evaluates them together, with array forms of the integrands here.
 _gk_panel, _dp_step and hyp_integrand are bit-identical to the
 array-and-loop forms kept as oracles in tests/test_kernels.py, except that
 a _dp_step trial stage whose x**beta overflows raises OverflowError instead
@@ -13,10 +15,10 @@ counts calls that way) sees every call.  Nothing here may call scipy.
 Quadrature integrands
 ---------------------
 The quadrature takes the integrand as a callable f(phi).  The factories
-period_integrand and hyp_integrand build one closure per orbit, which
-computes what depends only on the orbit once.  The span integrals are
-regularized by trigonometric substitutions so that the integrands are
-smooth on the open interval:
+period_integrand, centre_integrand and hyp_integrand build one closure per
+orbit, which computes what depends only on the orbit once.  The span
+integrals are regularized by trigonometric substitutions so that the
+integrands are smooth on the open interval:
 
 * period_integrand(lam2, C, beta, u1)(phi), beta = 2/lam:
   T/2 = int_{-pi/2}^{pi/2} dphi / sqrt(g(u)),  u = (u1/2)(1 + sin phi),
@@ -25,6 +27,9 @@ smooth on the open interval:
   g = V/(u (u1 - u)) > 0.  Past u1/2, V is formed about u1 instead, as
   A1 expm1(2 d) + C1 expm1(beta d) with d = u1 - u and A1 + C1 = lam2;
   each form vanishes exactly at its own end, so neither cancels there.
+* centre_integrand(e0, ..., e9)(phi) = 1/sqrt(g), g = sum_n e_n sin^n phi:
+  the same period of a near-circular orbit, with g summed from the series
+  about its centre (periods._centre), where V cancels.
 * hyp_integrand(lam2, C, alpha, d0)(phi):
   T/2 = int_0^{pi/2} sqrt(1+xi)/sqrt(D(xi)) dphi with
   xi = sin phi, D(xi) = lam2 (1+xi) - C q_alpha(xi),
@@ -113,22 +118,26 @@ def _q_alpha(u: float, alpha: float) -> float:
     return -math.expm1(alpha * math.log1p(-u)) / u
 
 
+def _about_u1(lam2, cc, beta, u1):
+    """(A1, C1) of V about u1: V = A1 expm1(2 d) + C1 expm1(beta d),
+    d = u1 - u, with A1 = (lam2 - C) e^(-2 u1) and C1 = C e^(-beta u1).
+
+    The smaller of the two is formed directly and the other as lam2 minus
+    it: V then vanishes at d = 0, and the smaller keeps the digits that
+    lam2 minus the larger would cancel away (next to the separatrix A1 is
+    1e-9 of lam2)."""
+    a1 = (lam2 - cc) * math.exp(-2.0 * u1)
+    c1 = cc * math.exp(-beta * u1)
+    if abs(a1) < abs(c1):
+        return a1, lam2 - a1
+    return lam2 - c1, c1
+
+
 def period_integrand(lam2, cc, beta, u1):
     """The elliptic period integrand f(phi) in u = ln(x/x0), of the orbit
     with C = cc and beta = 2/lam whose outer turning point is u1 > 0."""
     hpi = 0.5 * math.pi
-    # V about u1 is A1 expm1(2 d) + C1 expm1(beta d), d = u1 - u, with
-    # A1 = (lam2 - C) e^(-2 u1) and C1 = C e^(-beta u1).  The smaller of
-    # the two is formed directly and the other as lam2 minus it: V then
-    # vanishes at d = 0, and the smaller keeps the digits that lam2 minus
-    # the larger would cancel away (next to the separatrix A1 is 1e-9 of
-    # lam2)
-    a1 = (lam2 - cc) * math.exp(-2.0 * u1)
-    c1 = cc * math.exp(-beta * u1)
-    if abs(a1) < abs(c1):
-        c1 = lam2 - a1
-    else:
-        a1 = lam2 - c1
+    a1, c1 = _about_u1(lam2, cc, beta, u1)
     gam = beta - 2.0
     # closure cells load faster than math.* lookups on every node
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
@@ -181,6 +190,20 @@ def hyp_integrand(lam2, cc, alpha, d0):
         if not d > 0.0:
             return math.inf
         return sqrt(2.0 - u) / sqrt(d)
+    return f
+
+
+def centre_integrand(e0, e1, e2, e3, e4, e5, e6, e7, e8, e9):
+    """The near-circular period integrand f(phi) = 1/sqrt(g(sin phi)), g
+    the polynomial with the coefficients e0, ..., e9 from the series about
+    the centre (periods._centre)."""
+    sin, sqrt, inf = math.sin, math.sqrt, math.inf
+
+    def f(phi):
+        y = sin(phi)
+        g = e0 + y * (e1 + y * (e2 + y * (e3 + y * (e4 + y * (e5 + y * (
+            e6 + y * (e7 + y * (e8 + y * e9))))))))
+        return 1.0 / sqrt(g) if g > 0.0 else inf
     return f
 
 

@@ -15,11 +15,8 @@ import functools
 import io
 import json
 import math
-import os
 import re
-import struct
 import sys
-import threading
 
 import numpy as np
 
@@ -55,7 +52,6 @@ from .orbits import (
     find_intercepts,
     integrate_orbit,
 )
-from .periods import span_any
 
 __all__ = ["main", "serialize_solution", "solution_to_json", "parse_solution"]
 
@@ -425,95 +421,13 @@ def _verdict(ts) -> str:
     return "not monotone"
 
 
-# A scan of n rows runs on min(usable CPUs, n // _ROWS_PER_WORKER)
-# processes.  On a 2-CPU host one fork, pipe and wait round trip costs
-# 3.2-6.2 ms and a lam = 5 elliptic row 0.11-0.20 ms, so a second worker
-# pays from 40-86 rows on, about 52 in the median of 14 runs of
-# benchmarks/bench_kernels.py; the same host read 29-77 rows, median 57,
-# before turning points became one bracketed solve each.
-_ROWS_PER_WORKER = 20
-_ROW = struct.Struct("dd")  # (T, est_error) as a child sends it
-
-
-def _scan_workers(n: int) -> int:
-    """Processes for an n-row scan: one per usable CPU and per
-    _ROWS_PER_WORKER rows, and 1 where a fork is unavailable or unsafe (a
-    forked child holds only the calling thread)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n // _ROWS_PER_WORKER))
-
-
-def _scan_rows(lam: float, ps, B: float, workers: int):
-    """(T, est_error) of span_any at each pressure of ps, in order.
-
-    With w = workers >= 2 the parent forks w - 1 children; worker k takes
-    the rows i = k (mod w), so the costly rows next to the separatrix are
-    spread evenly, and the parent takes stripe 0.  A child sends its rows
-    down a pipe as raw doubles, stops at its first exception and always
-    leaves by os._exit, so it never flushes the parent's stdio or returns
-    into the caller.  Every row left without a value (a child's or the
-    parent's first failure, a child that died) is then evaluated here in
-    row order.  The rows are deterministic, so a failing scan raises the
-    exception the sequential loop raises, at the same row.
-    """
-    n = len(ps)
-    rows = [None] * n
-
-    def row(i):
-        r = span_any(FlowParams(lam, ps[i], B))
-        return r.T, r.est_error
-
-    kids = []
-    try:
-        for k in range(1, workers):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                # keep the child's collector off the parent's objects: it
-                # would copy their pages and could run the finalizers of
-                # the parent's garbage, such as a buffered file's flush
-                import gc
-                gc.freeze()
-                try:
-                    os.close(rfd)
-                    for i in range(k, n, workers):
-                        os.write(wfd, _ROW.pack(*row(i)))
-                finally:
-                    os._exit(0)
-            os.close(wfd)
-            kids.append((k, pid, rfd))
-        for i in range(0, n, workers):
-            rows[i] = row(i)
-    except Exception:
-        pass  # the rows left empty are evaluated again below
-    finally:
-        for k, pid, rfd in kids:
-            with os.fdopen(rfd, "rb") as fh:
-                data = fh.read()
-            os.waitpid(pid, 0)
-            got = _ROW.iter_unpack(data[:len(data) - len(data) % _ROW.size])
-            for i, tv in zip(range(k, n, workers), got):
-                rows[i] = tv
-    for i in range(n):
-        if rows[i] is None:
-            rows[i] = row(i)
-    return rows
-
-
 def _cmd_period_scan(args) -> int:
+    # the batched rows serve this command alone; the others never load them
+    from ._rows import span_rows
+
     ps, B = _scan_grid(args)
-    vals = _scan_rows(args.lam, ps, B, _scan_workers(len(ps)))
-    rows = [(P, T, e) for P, (T, e) in zip(ps, vals)]
+    spans = span_rows(args.lam, ps, B)
+    rows = [(P, r.T, r.est_error) for P, r in zip(ps, spans)]
     verdict = _verdict([t for _, t, _ in rows])
     if args.format == "json":
         text = ('{"lambda": %s, "B": %s, "rows": %s, "monotonicity": %s}\n'

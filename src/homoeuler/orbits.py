@@ -49,6 +49,12 @@ from .errors import (
 # below this, turning points are solved from the centre's expansion
 _NEAR_CENTRE = 0.5
 
+# the smallest normal double: a power x^alpha below it has lost digits
+_MIN_NORMAL = 2.0 ** -1022
+# where 2|P| and |B| are both below this, find_intercepts checks whether
+# the radicand's terms are subnormal at a turning point
+_TINY_TERMS = 2.0 ** -960
+
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
 # step error tolerance of closed_orbit; census periods come out within
 # about 5e-13 of the quadrature
@@ -93,16 +99,28 @@ class Orbit:
 
 def _radicand_funcs(p: FlowParams):
     """R(x) = -2P - lam^2 x^2 + B x^alpha, whose zeros are the turning
-    points, with lam^2 and alpha = 2 - 2/lam."""
+    points, with lam^2 and alpha = 2 - 2/lam.
+
+    Where x^alpha is subnormal or zero, B x^alpha is formed as
+    (B x^(alpha/2)) x^(alpha/2), so a large |B| does not multiply the few
+    digits left in x^alpha.  (Formed from logs it would be off by about
+    |alpha ln x| 2^-53, 1e-13 at x = 1e-257.)"""
     lam2 = p.lam * p.lam
     alpha = 2.0 - 2.0 / p.lam
+    half = 0.5 * alpha
     B = p.B
     P2 = 2.0 * p.P
+    tiny = _MIN_NORMAL
 
     def R(x: float) -> float:
         v = -P2 - lam2 * x * x
         if B != 0.0:
-            v += B * x ** alpha
+            pw = x ** alpha
+            if pw < tiny:
+                pw = x ** half
+                v += B * pw * pw
+            else:
+                v += B * pw
         return v
 
     return R, lam2, alpha
@@ -180,8 +198,15 @@ def _turning_point(R, lo: float, hi: float, x: float, rising: bool,
 def _check_residual(x: float, f: float, lam2: float, alpha: float, B: float,
                     P: float) -> None:
     """NumericalError unless f = R(x) is within 1e-12 of R's largest term."""
-    scale = max(lam2 * x * x, abs(B) * x ** alpha if B != 0.0 else 0.0,
-                2.0 * abs(P))
+    pw = 0.0
+    if B != 0.0:
+        pw = x ** alpha
+        if pw < _MIN_NORMAL:      # as R forms it
+            pw = x ** (0.5 * alpha)
+            pw *= abs(B) * pw
+        else:
+            pw *= abs(B)
+    scale = max(lam2 * x * x, pw, 2.0 * abs(P))
     if abs(f) > 1e-12 * scale:
         raise NumericalError(
             f"turning point residual {f:.3e} exceeds tolerance at x={x!r}")
@@ -217,15 +242,54 @@ def find_intercepts(p: FlowParams) -> Intercepts:
         If a turning point misses its residual tolerance.
 
     Each of these errors names (lam, P, B).
+
+    Where 2|P| and |B| are below 2^-960 and all three terms of R are
+    subnormal at the (inner) turning point x0 found, R cannot resolve it.
+    There the turning points are those of the rescaled level set
+    (_rescaled) over its scale s = 2^h.  A centre or an empty level set
+    stands as found.
     """
     try:
-        return _intercepts(p)
+        ic = _intercepts(p)
+        if not 0.0 < max(2.0 * abs(p.P), abs(p.B)) < _TINY_TERMS:
+            return ic
+        x0 = ic.x0
+        if (ic.kind in (InterceptKind.Center, InterceptKind.Empty)
+                or max(p.lam * p.lam * x0 * x0, 2.0 * abs(p.P),
+                       abs(p.B) * _power(x0, 2.0 - 2.0 / p.lam))
+                >= _MIN_NORMAL):
+            return ic
+        q, h = _rescaled(p)
+        ic = _intercepts(q)
+        return Intercepts(ic.kind, math.ldexp(ic.x0, -h),
+                          None if ic.x1 is None else math.ldexp(ic.x1, -h))
     except OverflowError:
         exc = DomainError("a power in the radicand overflows a double")
     except (DomainError, NumericalError) as e:
         exc = e
     raise type(exc)(f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
                     f" {exc}") from None
+
+
+def _rescaled(p: FlowParams):
+    """(q, h): the level set of p in X = 2^h x, q = (lam, s^2 P, s^(2 - alpha)
+    B) with s = 2^h, whose R is s^2 times that of p, and h chosen to bring
+    s^2 2|P| or s^(2 - alpha) |B|, the smaller scale, to about 1.
+
+    s^2 P is exact.  s^(2 - alpha) = 2^(h e) with e = 2 - alpha as R forms
+    alpha: e is split into a 41-bit head, whose product with h is exact,
+    and a tail, so the exponent is not rounded at its magnitude, about
+    1000, and q's B is within about two ulps of the exact one.
+    """
+    e = 2.0 - (2.0 - 2.0 / p.lam)
+    h = -math.frexp(p.P)[1] // 2 if p.P != 0.0 else 1100
+    if p.B != 0.0:
+        h = min(h, int(-math.frexp(p.B)[1] / e))
+    head = math.floor(e * 2.0 ** 40) / 2.0 ** 40
+    t = h * head
+    n = math.floor(t)
+    b = math.ldexp(p.B, n) * 2.0 ** ((t - n) + h * (e - head))
+    return FlowParams(p.lam, math.ldexp(p.P, 2 * h), b), h
 
 
 def _intercepts(p: FlowParams) -> Intercepts:

@@ -139,11 +139,11 @@ def _outer_end(lam2: float, C: float, beta: float, u: float) -> float:
     return u
 
 
-def arch_integrand(lam: float, P: float, C: float, x0: float):
-    """The arch's span integrand f(phi), _kernels.hyp_integrand at its
+def _arch_args(lam: float, P: float, C: float, x0: float):
+    """_kernels.hyp_integrand's (lam^2, C, alpha, d0) for the arch with
     turning point x0 and C = B x0^(-2/lam).
 
-    Its d0 = lam^2 - C is the radicand over x0^2 at the axis, where
+    d0 = lam^2 - C is the radicand over x0^2 at the axis, where
     R(x0) = 0 makes it -2P/x0^2 as well.  For C >= lam^2/2 the difference
     is exact, but next to the separatrix the rounding of C alone exceeds
     it, so d0 is -2P/x0^2 there.  Below, lam^2 - C loses nothing and agrees
@@ -152,11 +152,18 @@ def arch_integrand(lam: float, P: float, C: float, x0: float):
     """
     a2 = lam * lam
     d0 = a2 - C if C < 0.5 * a2 else -2.0 * P / x0 / x0
-    return _kernels.hyp_integrand(a2, C, 2.0 - 2.0 / lam, d0)
+    return a2, C, 2.0 - 2.0 / lam, d0
+
+
+def arch_integrand(lam: float, P: float, C: float, x0: float):
+    """The arch's span integrand f(phi), _kernels.hyp_integrand at its
+    turning point x0 and C = B x0^(-2/lam)."""
+    return _kernels.hyp_integrand(*_arch_args(lam, P, C, x0))
 
 
 def _arch(f):
-    """The arch integrand f(phi) on s in [0, 1], phi = (pi/2) s^3.
+    """The arch integrand f(phi) on s in [0, 1], phi = (pi/2) s^3, for a
+    scalar integrand f(phi) or an array one f(phi, rows).
 
     Next to the axis f(phi) = a + b phi^alpha, a corner at phi = 0 that
     adaptive GK bisects toward geometrically unless alpha = 1.  In s the
@@ -166,15 +173,17 @@ def _arch(f):
     hpi = 0.5 * math.pi
     w = 1.5 * math.pi
 
-    def g(s):
+    def g(s, *rows):
         s2 = s * s
-        return f(hpi * s2 * s) * (w * s2)
+        return f(hpi * s2 * s, *rows) * (w * s2)
     return g
 
 
 def _centre(a2: float, ac: float, alpha: float, x0: float, x1: float):
-    """The elliptic integrand 1/sqrt(g(m + rho sin phi)) of a near-circular
-    orbit, free of cancellation, or None where it does not apply.
+    """The coefficients (e0, ..., e9) of the elliptic integrand
+    1/sqrt(g(m + rho sin phi)) of a near-circular orbit as a polynomial in
+    sin phi (_kernels.centre_integrand), free of cancellation, or None
+    where the series does not apply.
 
     R(X) = c - a2 X^2 + ac X^alpha vanishes at m - rho and m + rho, so
     g = R/((X - m + rho)(m + rho - X)) = a2 - ac h[m - rho, m + rho, X],
@@ -185,7 +194,8 @@ def _centre(a2: float, ac: float, alpha: float, x0: float, x1: float):
         c_k = binom(alpha, k+2) m^(alpha-k-2) rho^k,
 
     since the divided difference of t^(k+2) at (-rho, rho, rho y) is
-    rho^k (y^k + y^(k-2) + ...).  Ten terms leave (rho/m)^10 <= 8.7e-19
+    rho^k (y^k + y^(k-2) + ...), and g = sum_n e_n y^n with e_n = -ac D_n
+    and a2 added to e0.  Ten terms leave (rho/m)^10 <= 8.7e-19
     of g for rho <= m/64 and |alpha| <= 2 (lam >= 1/2), where
     binom(alpha, k) grows at most linearly in k; other orbits, and the
     coinciding turning points rho = 0, get None.
@@ -220,40 +230,56 @@ def _centre(a2: float, ac: float, alpha: float, x0: float, x1: float):
     for k in range(10):
         cs.append(bn[k + 2] * ck)
         ck *= r
-    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9 = (
-        math.fsum(cs[n::2]) for n in range(10))
-    e0 += a2
-    sin, sqrt, inf = math.sin, math.sqrt, math.inf
+    e = [math.fsum(cs[n::2]) for n in range(10)]
+    e[0] += a2
+    return tuple(e)
 
-    def f(phi):
-        y = sin(phi)
-        g = e0 + y * (e1 + y * (e2 + y * (e3 + y * (e4 + y * (e5 + y * (
-            e6 + y * (e7 + y * (e8 + y * e9))))))))
-        return 1.0 / sqrt(g) if g > 0.0 else inf
-    return f
+
+@dataclass(frozen=True, eq=False)
+class _Kind:
+    """A span integrand: the factory that builds it from _plan's
+    arguments, its interval, and the method it reports."""
+    integrand: object
+    a: float
+    b: float
+    method: SpanMethod
+
+
+_ELLIPTIC = _Kind(_kernels.period_integrand, -0.5 * math.pi, 0.5 * math.pi,
+                  SpanMethod.QuadratureElliptic)
+_CENTRE = _Kind(_kernels.centre_integrand, -0.5 * math.pi, 0.5 * math.pi,
+                SpanMethod.QuadratureElliptic)
+_ARCH = _Kind(lambda *a: _arch(_kernels.hyp_integrand(*a)), 0.0, 1.0,
+              SpanMethod.QuadratureHyperbolic)
+
+
+def _plan(lam: float, P: float, B: float, ic: Intercepts):
+    """(kind, args): the span integrand of the radicand -2P - lam^2 x^2
+    + B x^alpha at its turning points ic, a full period over an elliptic
+    pair, else the whole arch."""
+    alpha = 2.0 - 2.0 / lam
+    a2 = lam * lam
+    x0 = ic.x0
+    if ic.kind is InterceptKind.EllipticPair:
+        e = _centre(a2, B, alpha, x0, ic.x1)
+        if e is not None:
+            return _CENTRE, e
+        C = _scaled_bernoulli(lam, P, B, x0)
+        beta = 2.0 / lam
+        u1 = _outer_end(a2, C, beta, math.log(ic.x1) - math.log(x0))
+        return _ELLIPTIC, (a2, C, beta, u1)
+    C = _scaled_bernoulli(lam, P, B, x0) if B != 0.0 else 0.0
+    return _ARCH, _arch_args(lam, P, C, x0)
 
 
 def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
                 tol: float) -> SpanResult:
     """Span of the radicand -2P - lam^2 x^2 + B x^alpha at its turning
     points ic: a full period over an elliptic pair, else the whole arch."""
-    alpha = 2.0 - 2.0 / lam
-    a2 = lam * lam
-    x0 = ic.x0
-    if ic.kind is InterceptKind.EllipticPair:
-        f = _centre(a2, B, alpha, x0, ic.x1)
-        if f is None:
-            C = _scaled_bernoulli(lam, P, B, x0)
-            beta = 2.0 / lam
-            u1 = _outer_end(a2, C, beta, math.log(ic.x1) - math.log(x0))
-            f = _kernels.period_integrand(a2, C, beta, u1)
-        v, e, st = _kernels.adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
-                                        0.5 * tol, _MAX_PANELS)
-        return _finish(lam, P, B, v, e, st, SpanMethod.QuadratureElliptic)
-    C = _scaled_bernoulli(lam, P, B, x0) if B != 0.0 else 0.0
-    f = _arch(arch_integrand(lam, P, C, x0))
-    v, e, st = _kernels.adaptive_gk(f, 0.0, 1.0, 0.5 * tol, _MAX_PANELS)
-    return _finish(lam, P, B, v, e, st, SpanMethod.QuadratureHyperbolic)
+    kind, args = _plan(lam, P, B, ic)
+    v, e, st = _kernels.adaptive_gk(kind.integrand(*args), kind.a, kind.b,
+                                    0.5 * tol, _MAX_PANELS)
+    return _finish(lam, P, B, v, e, st, kind.method)
 
 
 def span_hyperbolic(lam: float, P: float, B: float,

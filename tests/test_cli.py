@@ -8,17 +8,15 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
 import pytest
 from test_assemble import cusp3, ell5, harmonic4, lam3, quad15
 
-from homoeuler import assemble, classify, cli, periods
+from homoeuler import _rows, assemble, classify, cli, periods
 from homoeuler._field import field_grid
 from homoeuler.assemble import GridSpec
 from homoeuler.cli import (
@@ -28,8 +26,9 @@ from homoeuler.cli import (
     serialize_solution,
     solution_to_json,
 )
-from homoeuler.core import steady_state
+from homoeuler.core import FlowParams, steady_state
 from homoeuler.errors import DomainError, NumericalError
+from homoeuler.periods import span_any
 
 TWO_PI = 2.0 * math.pi
 
@@ -453,13 +452,13 @@ class TestPeriodScan:
         assert all(row["est_error"] <= 1e-9 for row in rows)
 
 
-# period-scan rows on forked workers: a scan of 200 rows at lam = 3 or 5
-# runs on two processes on a 2-CPU host; the tests set the usable CPUs the
-# fan-out sees, so they fork on any host
+# period-scan evaluates the rows of a table together (periods.span_rows):
+# one batched quadrature per integrand kind, in one process, and span_any
+# again row by row only where a row fails
 
 # elliptic, next to the centre, hyperbolic with either sign of B, and
 # lam < 1 (conjugated to lam = 4/3)
-FAN_OUT_SCANS = {
+SCANS = {
     "elliptic": ["--lambda", "5", "--n-points", "200"],
     "near-centre": ["--lambda", "3", "--n-points", "201",
                     f"--p-max={(1.0 - 1e-6) * steady_state(3.0, 1.0).P_max!r}"],
@@ -473,174 +472,140 @@ FAN_OUT_SCANS = {
 }
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids the fan-out forks; after each test no child is left."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def scan_params(argv):
+    args = cli.build_parser().parse_args(["period-scan", *argv])
+    ps, B = cli._scan_grid(args)
+    return [FlowParams(args.lam, P, B) for P in ps]
 
 
-def scan_on(capsys, monkeypatch, cpus, argv):
-    """period-scan with `cpus` usable CPUs: (exit code, stdout, stderr)."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    rc, out, err = run(capsys, "period-scan", *argv)
-    # every child was reaped before the table was written
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return rc, out, err
-
-
-def scan_pressures(argv):
-    return cli._scan_grid(cli.build_parser().parse_args(
-        ["period-scan", *argv]))[0]
+def scalar_scan(capsys, monkeypatch, argv):
+    """period-scan with its rows from a loop over span_any: (exit code,
+    stdout, stderr)."""
+    with monkeypatch.context() as m:
+        m.setattr(_rows, "span_rows", lambda lam, ps, B: [
+            span_any(FlowParams(lam, P, B)) for P in ps])
+        return run(capsys, "period-scan", *argv)
 
 
 def failing_at(monkeypatch, argv, bad_rows, exc_type=NumericalError):
-    """Make cli.span_any raise at the given rows of the scan `argv`."""
-    ps = scan_pressures(argv)
-    bad = {ps[i] for i in bad_rows}
-    real = cli.span_any
+    """Make the turning points of the given rows of the scan `argv` raise,
+    for span_rows' row set-up and span_any alike."""
+    bad = {scan_params(argv)[i].P for i in bad_rows}
+    real = periods.find_intercepts
 
-    def span_any(p):
+    def find_intercepts(p):
         if p.P in bad:
             raise exc_type(f"row at P={p.P!r} fails")
         return real(p)
 
-    monkeypatch.setattr(cli, "span_any", span_any)
+    monkeypatch.setattr(periods, "find_intercepts", find_intercepts)
 
 
-class TestScanFanOut:
+def table_rows(out, fmt):
+    """(P, T, est_error) of each row and the verdict of a table."""
+    if fmt == "json":
+        d = json.loads(out)
+        return ([(r["P"], r["T"], r["est_error"]) for r in d["rows"]],
+                d["monotonicity"])
+    lines = out.splitlines()
+    if fmt == "csv":
+        rows = [tuple(map(float, ln.split(","))) for ln in lines[1:-1]]
+        return rows, lines[-1].removeprefix("# monotonicity: ")
+    rows = [tuple(map(float, ln.split())) for ln in lines[1:-1]]
+    return rows, lines[-1].removeprefix("monotonicity: ")
+
+
+class TestBatchedScan:
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    @pytest.mark.parametrize("name", list(FAN_OUT_SCANS))
-    def test_same_bytes_as_one_process(self, capsys, monkeypatch, forks,
-                                       name, fmt):
-        argv = FAN_OUT_SCANS[name] + ["--format", fmt]
-        want = scan_on(capsys, monkeypatch, 1, argv)
-        assert forks == [] and want[0] == 0 and want[2] == ""
-        assert scan_on(capsys, monkeypatch, 2, argv) == want
-        assert len(forks) == 1
-        assert scan_on(capsys, monkeypatch, 3, argv) == want
-        assert len(forks) == 3
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_rows_match_span_any(self, capsys, monkeypatch, name, fmt):
+        # every row within 2e-15 of span_any (5.0e-16 at most measured on
+        # these tables: NumPy's expm1, log1p and power differ from math's
+        # in the last ulp, and the panel values are summed in another
+        # order), with the same verdict; no row falls back to span_any
+        argv = SCANS[name] + ["--format", fmt]
+        want = [span_any(p) for p in scan_params(argv)]
+        want_verdict = cli._verdict([r.T for r in want])
+        with monkeypatch.context() as m:
+            m.setattr(periods, "span_any", None)
+            rc, out, err = run(capsys, "period-scan", *argv)
+        assert (rc, err) == (0, "")
+        rows, verdict = table_rows(out, fmt)
+        assert verdict == want_verdict != "not monotone"
+        assert len(rows) == len(want)
+        for (P, T, e), r in zip(rows, want):
+            assert T == pytest.approx(r.T, rel=2e-15, abs=0.0), P
+            assert 0.0 <= e <= 1e-9
 
-    def test_few_rows_stay_in_process(self, capsys, monkeypatch, forks):
-        n = 2 * cli._ROWS_PER_WORKER
-        argv = ["--lambda", "5", "--n-points", str(n - 1)]
-        assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
-        assert forks == []
-        argv[-1] = str(n)
-        assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
-        assert len(forks) == 1
-
-    def test_threads_keep_the_scan_in_process(self, capsys, monkeypatch,
-                                              forks):
-        # a forked child would hold only the calling thread
-        stop = threading.Event()
-        t = threading.Thread(target=stop.wait)
-        t.start()
-        try:
-            rc = scan_on(capsys, monkeypatch, 2, FAN_OUT_SCANS["elliptic"])[0]
-        finally:
-            stop.set()
-            t.join()
-        assert rc == 0 and forks == []
-
-    @pytest.mark.parametrize("cpus,bad_rows", [
-        (2, [5]),          # one row of the child's stripe
-        (2, [10, 7]),      # the child's row comes first
-        (2, [9, 4]),       # the parent's row comes first
-        (2, [0]),          # the parent's first row
-        (3, [199, 8, 12]), # stripes 1, 2 and 0 of three
-    ])
+    @pytest.mark.parametrize("bad_rows", [[5], [10, 7], [9, 4], [0],
+                                          [199, 8, 12]])
     @pytest.mark.parametrize("exc_type,rc_want", [(NumericalError, 3),
                                                   (DomainError, 2)])
-    def test_failing_row_as_in_one_process(self, capsys, monkeypatch, forks,
-                                           cpus, bad_rows, exc_type,
-                                           rc_want):
-        argv = FAN_OUT_SCANS["elliptic"]
+    def test_failing_row_as_scalar_loop(self, capsys, monkeypatch, bad_rows,
+                                        exc_type, rc_want):
+        argv = SCANS["elliptic"]
         failing_at(monkeypatch, argv, bad_rows, exc_type)
-        want = scan_on(capsys, monkeypatch, 1, argv)
-        P = scan_pressures(argv)[min(bad_rows)]
+        want = scalar_scan(capsys, monkeypatch, argv)
+        P = scan_params(argv)[min(bad_rows)].P
         assert want[0] == rc_want and want[1] == ""
         assert f"row at P={P!r} fails" in want[2]
-        assert scan_on(capsys, monkeypatch, cpus, argv) == want
-        assert len(forks) == cpus - 1
+        assert run(capsys, "period-scan", *argv) == want
 
-    def test_untyped_exception_as_in_one_process(self, capsys, monkeypatch,
-                                                 forks):
-        argv = FAN_OUT_SCANS["elliptic"]
-        failing_at(monkeypatch, argv, [13], ZeroDivisionError)
-        P = scan_pressures(argv)[13]
-        for cpus in (1, 2):
-            with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
-                scan_on(capsys, monkeypatch, cpus, argv)
-        assert len(forks) == 1
+    def test_untyped_error_as_scalar_loop(self, capsys, monkeypatch):
+        argv = SCANS["elliptic"]
+        failing_at(monkeypatch, argv, [13, 150], ZeroDivisionError)
+        P = scan_params(argv)[13].P
+        with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
+            scalar_scan(capsys, monkeypatch, argv)
+        with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
+            run(capsys, "period-scan", *argv)
 
-    def test_one_panel_budget_on_two_processes(self, capsys, monkeypatch,
-                                               forks):
-        # the _MAX_PANELS case of test_solver_failures_name_their_inputs,
-        # on enough rows to fork
+    def test_one_panel_budget(self, capsys, monkeypatch):
+        # the _MAX_PANELS case of test_solver_failures_name_their_inputs:
+        # no batched row can meet its target in one panel, and the rows
+        # evaluated again by span_any raise at the first one
         monkeypatch.setattr(periods, "_MAX_PANELS", 1)
         argv = ["--lambda", "5", "--p-min", "1e-12", "--p-max", "5e-08",
                 "--n-points", "64"]
-        want = scan_on(capsys, monkeypatch, 1, argv)
+        want = scalar_scan(capsys, monkeypatch, argv)
         assert want[:2] == (3, "")
         assert ("quadrature at lam=5.0, P=5e-08, B=1.0: error estimate"
                 in want[2])
-        assert scan_on(capsys, monkeypatch, 2, argv) == want
-        assert len(forks) == 1
+        assert run(capsys, "period-scan", *argv) == want
 
-    def test_rows_of_a_dead_child_are_computed_again(self, capsys,
-                                                     monkeypatch, forks):
-        argv = FAN_OUT_SCANS["hyperbolic plus"]
-        want = scan_on(capsys, monkeypatch, 1, argv)
-        ps = scan_pressures(argv)
-        parent = os.getpid()
-        real = cli.span_any
+    def test_failed_batch_takes_span_any(self, capsys, monkeypatch):
+        # a row whose batched quadrature fails, though span_any meets its
+        # target, gets span_any's rows: the table is the scalar loop's
+        argv = SCANS["hyperbolic plus"]
+        real = _rows.adaptive_gk_rows
 
-        def span_any(p):
-            if p.P == ps[51] and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(p)
+        def failing(f, a, b, tol, max_panels):
+            v, e = real(f, a, b, tol, max_panels)
+            e[17] = 2.0 * tol[17]
+            return v, e
 
-        monkeypatch.setattr(cli, "span_any", span_any)
-        assert scan_on(capsys, monkeypatch, 2, argv) == want
-        assert len(forks) == 1
+        monkeypatch.setattr(_rows, "adaptive_gk_rows", failing)
+        want = scalar_scan(capsys, monkeypatch, argv)
+        assert want[0] == 0
+        assert run(capsys, "period-scan", *argv) == want
 
-    def test_table_written_once(self):
-        # a child leaves by os._exit: neither the text the parent buffered
-        # before the scan nor the table is written by a child
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        # stdout on a pipe is block-buffered unless PYTHONUNBUFFERED is set
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = src
+    def test_never_forks(self, capsys, monkeypatch):
+        def fork():
+            raise AssertionError("period-scan forked")
+        monkeypatch.setattr(os, "fork", fork)
+        for argv in SCANS.values():
+            assert run(capsys, "period-scan", *argv)[0] == 0
+
+    def test_runs_as_a_script(self, capsys):
         argv = ["period-scan", "--lambda", "5", "--n-points", "200"]
-        script = ("import os, sys\n"
-                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                  "from homoeuler.cli import main\n"
-                  "sys.stdout.write('before the scan\\n')\n"
-                  f"sys.exit(main({argv!r}))\n")
-        forked = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, timeout=60)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
         plain = subprocess.run([sys.executable, "-m", "homoeuler.cli",
                                 *argv], env=env, capture_output=True,
                                timeout=60)
-        assert forked.returncode == plain.returncode == 0
-        assert forked.stderr == plain.stderr == b""
-        assert forked.stdout == b"before the scan\n" + plain.stdout
+        assert (plain.returncode, plain.stderr) == (0, b"")
+        assert plain.stdout.decode() == run(capsys, *argv)[1]
         assert plain.stdout.count(b"monotonicity:") == 1
-        assert plain.stdout.count(b"est_error") == 1
 
 
 class TestFieldExport:

@@ -273,6 +273,42 @@ class TestTurningPointSolve:
     def test_sweep(self, p):
         intercepts_outcome(p)
 
+    # radicands whose power term B x^alpha, or all of whose terms, are
+    # subnormal next to the turning point: the first raised NumericalError
+    # (B times the few digits left in x^alpha missed the residual check),
+    # the second put x0 3.2e-3 off (every term formed in subnormals)
+    SUBNORMAL = (FlowParams(2.5813, -1.1179e-256, -1.6854e59),
+                 FlowParams(1.01, -5e-324, 1e-322))
+
+    @staticmethod
+    def mp_turning_point(p, lo, hi):
+        """The zero of -2P - lam^2 x^2 + B x^alpha in [lo, hi] by 200
+        bisections in ln x at 60 digits, with alpha = 2 - 2/lam as R forms
+        it in doubles."""
+        with mpmath.workdps(60):
+            lam, P, B = (mpmath.mpf(v) for v in (p.lam, p.P, p.B))
+            alpha = mpmath.mpf(2.0 - 2.0 / p.lam)
+
+            def sign(u):
+                x = mpmath.exp(u)
+                return -2 * P - lam * lam * x * x + B * x ** alpha > 0
+
+            a, b = mpmath.log(lo), mpmath.log(hi)
+            s_a = sign(a)
+            for _ in range(200):
+                m = (a + b) / 2
+                a, b = (m, b) if sign(m) == s_a else (a, m)
+            return float(mpmath.exp(a))
+
+    @pytest.mark.parametrize("p", SUBNORMAL, ids=["power-term", "all-terms"])
+    def test_subnormal_terms(self, p):
+        ic = find_intercepts(p)
+        assert ic.kind is InterceptKind.HyperbolicSingle
+        want = self.mp_turning_point(p, 0.5 * ic.x0, 2.0 * ic.x0)
+        # within two ulps; the exact alpha moves the first root by 6.5e-15,
+        # its 1-ulp rounding times |alpha ln x| = 725
+        assert ic.x0 == pytest.approx(want, rel=4.5e-16, abs=0.0)
+
     def test_residual_check_is_relative(self):
         # lam = 30, B = 1 next to the centre: every term of R is about
         # 1e-87, so the check's former floor of 1.0 passed any x; a turning
