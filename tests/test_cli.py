@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -537,42 +538,6 @@ class TestBatchedScan:
             assert T == pytest.approx(r.T, rel=2e-15, abs=0.0), P
             assert 0.0 <= e <= 1e-9
 
-    @pytest.mark.parametrize("bad_rows", [[5], [10, 7], [9, 4], [0],
-                                          [199, 8, 12]])
-    @pytest.mark.parametrize("exc_type,rc_want", [(NumericalError, 3),
-                                                  (DomainError, 2)])
-    def test_failing_row_as_scalar_loop(self, capsys, monkeypatch, bad_rows,
-                                        exc_type, rc_want):
-        argv = SCANS["elliptic"]
-        failing_at(monkeypatch, argv, bad_rows, exc_type)
-        want = scalar_scan(capsys, monkeypatch, argv)
-        P = scan_params(argv)[min(bad_rows)].P
-        assert want[0] == rc_want and want[1] == ""
-        assert f"row at P={P!r} fails" in want[2]
-        assert run(capsys, "period-scan", *argv) == want
-
-    def test_untyped_error_as_scalar_loop(self, capsys, monkeypatch):
-        argv = SCANS["elliptic"]
-        failing_at(monkeypatch, argv, [13, 150], ZeroDivisionError)
-        P = scan_params(argv)[13].P
-        with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
-            scalar_scan(capsys, monkeypatch, argv)
-        with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
-            run(capsys, "period-scan", *argv)
-
-    def test_one_panel_budget(self, capsys, monkeypatch):
-        # the _MAX_PANELS case of test_solver_failures_name_their_inputs:
-        # no batched row can meet its target in one panel, and the rows
-        # evaluated again by span_any raise at the first one
-        monkeypatch.setattr(periods, "_MAX_PANELS", 1)
-        argv = ["--lambda", "5", "--p-min", "1e-12", "--p-max", "5e-08",
-                "--n-points", "64"]
-        want = scalar_scan(capsys, monkeypatch, argv)
-        assert want[:2] == (3, "")
-        assert ("quadrature at lam=5.0, P=5e-08, B=1.0: error estimate"
-                in want[2])
-        assert run(capsys, "period-scan", *argv) == want
-
     def test_failed_batch_takes_span_any(self, capsys, monkeypatch):
         # a row whose batched quadrature fails, though span_any meets its
         # target, gets span_any's rows: the table is the scalar loop's
@@ -589,23 +554,127 @@ class TestBatchedScan:
         assert want[0] == 0
         assert run(capsys, "period-scan", *argv) == want
 
-    def test_never_forks(self, capsys, monkeypatch):
-        def fork():
-            raise AssertionError("period-scan forked")
-        monkeypatch.setattr(os, "fork", fork)
-        for argv in SCANS.values():
-            assert run(capsys, "period-scan", *argv)[0] == 0
 
-    def test_runs_as_a_script(self, capsys):
-        argv = ["period-scan", "--lambda", "5", "--n-points", "200"]
+# period-scan has no fan-out: whatever the usable CPUs and threads, it runs
+# in one process, and a failing row raises what the scalar one-process loop
+# raises, at the same row
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The calls to os.fork; a call fails the test instead of forking."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise AssertionError("period-scan forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def scan_on(capsys, monkeypatch, cpus, argv):
+    """period-scan with `cpus` usable CPUs: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return run(capsys, "period-scan", *argv)
+
+
+class TestScanFanOut:
+    def test_few_rows_stay_in_process(self, capsys, monkeypatch, forks):
+        # few rows, many rows, and every kind of row, on four CPUs
+        for n in ("2", "3", "200"):
+            argv = ["--lambda", "5", "--n-points", n]
+            assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
+        for argv in SCANS.values():
+            assert scan_on(capsys, monkeypatch, 4, argv)[0] == 0
+        assert forks == []
+
+    def test_threads_keep_the_scan_in_process(self, capsys, monkeypatch,
+                                              forks):
+        stop = threading.Event()
+        t = threading.Thread(target=stop.wait)
+        t.start()
+        try:
+            rc = scan_on(capsys, monkeypatch, 2, SCANS["elliptic"])[0]
+        finally:
+            stop.set()
+            t.join()
+        assert rc == 0 and forks == []
+
+    @pytest.mark.parametrize("cpus,bad_rows", [
+        (2, [5]),
+        (2, [10, 7]),      # the first failing row listed last
+        (2, [9, 4]),
+        (2, [0]),          # the first row
+        (3, [199, 8, 12]), # the last row and two before it
+    ])
+    @pytest.mark.parametrize("exc_type,rc_want", [(NumericalError, 3),
+                                                  (DomainError, 2)])
+    def test_failing_row_as_in_one_process(self, capsys, monkeypatch, forks,
+                                           cpus, bad_rows, exc_type,
+                                           rc_want):
+        argv = SCANS["elliptic"]
+        failing_at(monkeypatch, argv, bad_rows, exc_type)
+        want = scalar_scan(capsys, monkeypatch, argv)
+        P = scan_params(argv)[min(bad_rows)].P
+        assert want[0] == rc_want and want[1] == ""
+        assert f"row at P={P!r} fails" in want[2]
+        assert scan_on(capsys, monkeypatch, cpus, argv) == want
+        assert forks == []
+
+    def test_untyped_exception_as_in_one_process(self, capsys, monkeypatch,
+                                                 forks):
+        argv = SCANS["elliptic"]
+        failing_at(monkeypatch, argv, [13, 150], ZeroDivisionError)
+        P = scan_params(argv)[13].P
+        with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
+            scalar_scan(capsys, monkeypatch, argv)
+        for cpus in (1, 2):
+            with pytest.raises(ZeroDivisionError, match=f"P={P!r}"):
+                scan_on(capsys, monkeypatch, cpus, argv)
+        assert forks == []
+
+    def test_one_panel_budget_on_two_processes(self, capsys, monkeypatch,
+                                               forks):
+        # the _MAX_PANELS case of test_solver_failures_name_their_inputs,
+        # on two CPUs: no batched row can meet its target in one panel,
+        # and the rows evaluated again by span_any raise at the first one
+        monkeypatch.setattr(periods, "_MAX_PANELS", 1)
+        argv = ["--lambda", "5", "--p-min", "1e-12", "--p-max", "5e-08",
+                "--n-points", "64"]
+        want = scalar_scan(capsys, monkeypatch, argv)
+        assert want[:2] == (3, "")
+        assert ("quadrature at lam=5.0, P=5e-08, B=1.0: error estimate"
+                in want[2])
+        assert scan_on(capsys, monkeypatch, 2, argv) == want
+        assert forks == []
+
+    def test_table_written_once(self, capsys):
+        # run as a script with two usable CPUs: the text buffered before
+        # the scan and the table are each written once, as in process
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        # stdout on a pipe is block-buffered unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        argv = ["period-scan", "--lambda", "5", "--n-points", "200"]
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from homoeuler.cli import main\n"
+                  "sys.stdout.write('before the scan\\n')\n"
+                  f"sys.exit(main({argv!r}))\n")
+        two = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, timeout=60)
         plain = subprocess.run([sys.executable, "-m", "homoeuler.cli",
                                 *argv], env=env, capture_output=True,
                                timeout=60)
-        assert (plain.returncode, plain.stderr) == (0, b"")
+        assert two.returncode == plain.returncode == 0
+        assert two.stderr == plain.stderr == b""
+        assert two.stdout == b"before the scan\n" + plain.stdout
         assert plain.stdout.decode() == run(capsys, *argv)[1]
         assert plain.stdout.count(b"monotonicity:") == 1
+        assert plain.stdout.count(b"est_error") == 1
 
 
 class TestFieldExport:
