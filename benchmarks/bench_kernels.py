@@ -5,8 +5,10 @@ Each workload runs once as a warmup, then --reps times; the best time is
 printed, in seconds.  The period-scan rows are timed both as period-scan
 evaluates them, one `span_rows` call per 200-row table, and as a loop over
 `span_any`.  Then come the radicand evaluations per turning point over the
-period-scan rows, and the Gauss-Kronrod panels each way evaluates over the
-same rows.
+period-scan rows, the Gauss-Kronrod panels each way evaluates over the
+same rows, and for each workload the number of `adaptive_gk` calls with a
+histogram of their final panel counts (1 + bisections; the panels are
+counted at `_kernels._gk_panel`, which evaluates 2n - 1 of them for n).
 
     python3 benchmarks/bench_kernels.py --reps 5
 """
@@ -17,6 +19,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -120,6 +123,42 @@ def _panels_per_route() -> str:
     n = sum(len(ps) for _lam, ps, _B in tables)
     return (f"panels over the {n} default scan rows: span_any loop"
             f" {count[0]}, span_rows {count[1]}")
+
+
+def _panels_per_call(workloads) -> list:
+    """Per workload, one untimed run's adaptive_gk calls and a histogram
+    {final panels: calls}, counted at _kernels._gk_panel: a call that
+    evaluates k panels ends with (k + 1)/2."""
+    from homoeuler import _kernels
+
+    gk, gk_panel = _kernels.adaptive_gk, _kernels._gk_panel
+    evaluated = [0]
+    finals = []
+
+    def panel(*args):
+        evaluated[0] += 1
+        return gk_panel(*args)
+
+    def adaptive(*args):
+        start = evaluated[0]
+        try:
+            return gk(*args)
+        finally:
+            finals.append((evaluated[0] - start + 1) // 2)
+
+    lines = []
+    _kernels._gk_panel, _kernels.adaptive_gk = panel, adaptive
+    try:
+        for name, fn in workloads:
+            finals.clear()
+            fn()
+            hist = " ".join(f"{n}:{c}" for n, c in sorted(
+                Counter(finals).items()))
+            line = f"{name:<26} {len(finals):5d} calls  {hist}"
+            lines.append(line.rstrip())
+    finally:
+        _kernels._gk_panel, _kernels.adaptive_gk = gk_panel, gk
+    return lines
 
 
 def _workloads():
@@ -233,12 +272,14 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=5,
                     help="timed repetitions per workload (best is kept)")
     args = ap.parse_args(argv)
-    best = {}
-    for name, fn in _workloads():
-        best[name] = _best_of(fn, args.reps)
-        print(f"{name:<26} {best[name]:.6f} s")
+    workloads = _workloads()
+    for name, fn in workloads:
+        print(f"{name:<26} {_best_of(fn, args.reps):.6f} s")
     print(_evaluations_per_turning_point())
     print(_panels_per_route())
+    print("adaptive_gk calls, histogram of final panels per call:")
+    for line in _panels_per_call(workloads):
+        print(line)
     return 0
 
 

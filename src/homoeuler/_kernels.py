@@ -166,7 +166,7 @@ def period_integrand(lam2, cc, beta, u1):
 
 def hyp_integrand(lam2, cc, alpha, d0):
     """The hyperbolic span integrand f(phi) with C = cc and d0 = lam2 - C,
-    which the caller forms without cancellation (periods.arch_integrand)."""
+    which the caller forms without cancellation (periods._arch_args)."""
     hpi = 0.5 * math.pi
     sin, sqrt, expm1, log1p = math.sin, math.sqrt, math.expm1, math.log1p
 
@@ -254,106 +254,43 @@ def _sum(xs):
     return total
 
 
-def _first(i, j, ee):
-    """Whether panel i is bisected before panel j: the larger error estimate
-    first, the lower index on ties."""
-    return ee[i] > ee[j] or (ee[i] == ee[j] and i < j)
-
-
-def _sift(heap, ee, pos):
-    """Move heap[pos] up or down to its place in the panel heap."""
-    n = len(heap)
-    i = heap[pos]
-    while pos > 0:
-        up = (pos - 1) // 2
-        if not _first(i, heap[up], ee):
-            break
-        heap[pos] = heap[up]
-        pos = up
-    c = 2 * pos + 1
-    while c < n:
-        if c + 1 < n and _first(heap[c + 1], heap[c], ee):
-            c += 1
-        if not _first(heap[c], i, ee):
-            break
-        heap[pos] = heap[c]
-        pos = c
-        c = 2 * c + 1
-    heap[pos] = i
-
-
-# 2^-52 >= u/(1 - u): one rounding moves a result by at most this fraction
-# of the rounded value (u = 2^-53, round to nearest)
-_ROUND = 2.0 ** -52
-
-
 def adaptive_gk(f, a, b, tol, max_panels):
     """Globally adaptive Gauss-Kronrod of f on [a, b], worst-panel-first
-    bisection.
+    bisection (QUADPACK's QAG, Piessens et al. 1983).
 
     Each pass bisects the panel with the largest error estimate, the lowest
-    index among equal ones; a binary heap of panel indices yields it in
-    O(log n).  The left half keeps the panel's index, the right half is
-    appended.  The loop goes on while S > tol, where S is the in-order sum
-    0.0 + e[0] + ... + e[n-1] of the panels' estimates, and stops at the
-    panel budget or at a panel narrower than the machine spacing.  S itself
-    is not formed each pass: a running total t is updated by - e_old + e1
-    + e2, and a bound d on its distance from the exact sum grows by 2^-52
-    of each rounded update.  S lies within d + n 2^-52 (|t| + d) of t (the
-    error of recursive summation of n terms of one sign), so when t is
-    farther than 3 d + 2 n 2^-52 |t| (at least twice that) from tol, t > tol
-    and S > tol agree; otherwise S is summed directly and t restarts from
-    it.  A nan or infinite t always takes the second way: the test is false
-    for a nan, and d is infinite with t.  The decisions, and so the panels,
-    are those of a loop that sums S every pass, nan and inf estimates
-    included.
+    index among equal ones, as a strict-> scan picks it; the left half
+    keeps the panel's index, the right half is appended.  The loop goes on
+    while the in-order sum 0.0 + e[0] + ... + e[n-1] of the panels'
+    estimates exceeds tol (a nan sum stops it), and stops at the panel
+    budget or at a panel narrower than the machine spacing.
 
     Returns (value, error_estimate, status): the in-order sums of the panel
     values and estimates, status 0 when the estimate met tol and 1 when the
-    panel budget ran out first (estimate still honest).
+    panel budget ran out first (estimate still honest).  With no bisection
+    the first estimate is returned as is (-0.0 included).
     """
     v, e = _gk_panel(f, a, b)
     ab = [(a, b)]
     vv = [v]
     ee = [e]
-    heap = [0]
-    n = 1
     total = e
-    drift = 0.0
-    while n < max_panels:
-        # the 1e-300 covers bound terms that underflow
-        gap = 3.0 * drift + 2.0 * n * _ROUND * abs(total) + 1e-300
-        if not abs(total - tol) > gap:
-            total = _sum(ee)
-            drift = n * _ROUND * abs(total)
-        if not total > tol:
-            break
-        iw = heap[0]
+    while total > tol and len(ee) < max_panels:
+        iw = ee.index(max(ee))
         am, bm = ab[iw]
         mid = 0.5 * (am + bm)
         if mid <= am or mid >= bm:
             break  # panel narrower than machine spacing
         v1, e1 = _gk_panel(f, am, mid)
         v2, e2 = _gk_panel(f, mid, bm)
-        # a split panel has am < bm, so the estimates |K - G| hw of its
-        # halves are >= 0 (or nan), and t1 + e1 lies between t1 and the new
-        # total
-        t1 = total - ee[iw]
-        total = t1 + e1 + e2
-        drift += 2.0 * _ROUND * (abs(t1) + abs(total))
         ab[iw] = (am, mid)
         vv[iw] = v1
         ee[iw] = e1
         ab.append((mid, bm))
         vv.append(v2)
         ee.append(e2)
-        _sift(heap, ee, 0)
-        heap.append(n)
-        _sift(heap, ee, n)
-        n += 1
-    # with no bisection the first estimate is returned as is (-0.0 included)
-    total_e = _sum(ee) if n > 1 else e
-    return _sum(vv), total_e, 0 if total_e <= tol else 1
+        total = _sum(ee)
+    return _sum(vv), total, 0 if total <= tol else 1
 
 
 def cumulative_theta(f, phis, tol, max_panels):

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, periods
 from ._field import field_grid
 from ._mesh import (
     arc_grading,
@@ -40,7 +40,7 @@ from .errors import (
     SpanMismatch,
 )
 from .orbits import InterceptKind, Orbit, closed_orbit, find_intercepts
-from .periods import arch_integrand, span_any
+from .periods import span_any
 
 TWO_PI = 2.0 * math.pi
 
@@ -354,8 +354,9 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
         raise InadmissibleArc(
             f"expected a single turning point, found {ic.kind}")
     x0 = ic.x0
-    alpha = 2.0 - 2.0 / lam
-    C = B * x0 ** (-2.0 / lam)
+    # the arch's integrand and its C = B x0^(-2/lam), as the span takes them
+    _kind, args = periods._plan(lam, P, B, ic)
+    _a2, C, alpha, _d0 = args
     m = n // 2
     if lam > 2.0:
         s = np.linspace(0.0, 1.0, m + 1)
@@ -366,7 +367,7 @@ def _quad_arc(lam: float, P: float, B: float, n: int) -> LocalArc:
         grade = arc_grading(lam)
         phi = 0.5 * math.pi * graded_fractions(m, grade)
         bp = 0.5 * math.pi * graded_weights(m, grade)
-    f = arch_integrand(lam, P, C, x0)
+    f = _kernels.hyp_integrand(*args)
     th_half, worst = _kernels.cumulative_theta(f, phi, _PANEL_TOL,
                                                _MAX_PANELS)
     if worst != 0:

@@ -14,7 +14,7 @@ near-centre series below works in x, with the raw B):
   then xi = sin phi, then phi = (pi/2) s^3 on [0, 1] (`_arch`).  The last
   step removes the corner phi^alpha at the axis that adaptive GK would
   otherwise bisect toward; next to the axis the radicand is formed from
-  lam^2 - C = -2P/x0^2 (`arch_integrand`), which does not cancel next to
+  lam^2 - C = -2P/x0^2 (`_arch_args`), which does not cancel next to
   the separatrix;
 * elliptic orbit (turning points x0 < x1): in u = ln(x/x0),
   T = 2 int_0^u1 du / sqrt(V(u)) with
@@ -153,12 +153,6 @@ def _arch_args(lam: float, P: float, C: float, x0: float):
     a2 = lam * lam
     d0 = a2 - C if C < 0.5 * a2 else -2.0 * P / x0 / x0
     return a2, C, 2.0 - 2.0 / lam, d0
-
-
-def arch_integrand(lam: float, P: float, C: float, x0: float):
-    """The arch's span integrand f(phi), _kernels.hyp_integrand at its
-    turning point x0 and C = B x0^(-2/lam)."""
-    return _kernels.hyp_integrand(*_arch_args(lam, P, C, x0))
 
 
 def _arch(f):

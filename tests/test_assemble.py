@@ -217,6 +217,20 @@ class TestLocalArc:
                            match=gate[builder] + re.escape(repr(shifted))):
             builder(*args)
 
+    def test_bernoulli_constant_where_the_power_overflows(self):
+        # next to the separatrix at lam = 1.01 the apex x0 is about 1e-160,
+        # so x0^(-2/lam) overflows a double while C = B x0^(-2/lam) does
+        # not; the arc takes C from the span's own plan (its log fallback)
+        for P, B in ((-2e-322, 1e-321), (-1e-320, 1e-318)):
+            with pytest.raises(OverflowError):
+                find_intercepts(FlowParams(1.01, P, B)).x0 ** (-2.0 / 1.01)
+        arc = hyperbolic_arc(1.01, -2e-322, 1e-321)
+        assert arc.span == span_any(FlowParams(1.01, -2e-322, 1e-321)).T
+        # this arc's mesh misses its Bernoulli gate: a typed error, not an
+        # OverflowError from the power
+        with pytest.raises(NumericalError, match="Bernoulli drift"):
+            hyperbolic_arc(1.01, -1e-320, 1e-318)
+
     def test_theta_budget_names_the_arc(self, monkeypatch):
         # a theta mesh that runs out of panels names the arc it was for
         def out_of_panels(f, phis, tol, max_panels):

@@ -265,8 +265,8 @@ class TestScalarKernelOracle:
 
 
 def linear_adaptive_gk(f, a, b, tol, max_panels):
-    """Test-only copy of adaptive_gk with the linear worst-panel scan and the
-    in-order total summed after every bisection."""
+    """Test-only restatement of adaptive_gk: an explicit strict-> scan for
+    the worst panel, and the in-order total summed after every bisection."""
     aa = np.empty(max_panels)
     bb = np.empty(max_panels)
     vv = np.empty(max_panels)
@@ -316,8 +316,10 @@ def gk_outcome(fn, *args):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's inf/nan
 class TestPanelSelectionOracle:
-    """adaptive_gk's heap and running total against the linear scan above,
-    by float.hex of value and estimate, and the status."""
+    """adaptive_gk's max/index panel choice and in-order total against the
+    explicit strict-> scan above, by float.hex of value and estimate, and
+    the status: the first of equal estimates is bisected, and only the
+    in-order sum of the estimates decides when the loop stops."""
 
     @staticmethod
     def sweep(rng):
@@ -397,8 +399,9 @@ class TestPanelSelectionOracle:
                         == gk_outcome(linear_adaptive_gk, *args))
 
     def test_stopping_test_at_the_rounding_level(self, monkeypatch):
-        # estimates of wildly different sizes make the running total drift
-        # from the in-order sum; with tol set to the in-order sum after k
+        # estimates of wildly different sizes make any other order of
+        # summation (or a running total) differ from the in-order sum in
+        # the last bits; with tol set to the in-order sum after k
         # bisections (or one ulp either side) only that sum decides when the
         # loop stops
         def panel(f, a, b):

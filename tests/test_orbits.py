@@ -3,6 +3,7 @@
 import argparse
 import math
 import re
+import signal
 import statistics
 import time
 
@@ -308,6 +309,36 @@ class TestTurningPointSolve:
         # within two ulps; the exact alpha moves the first root by 6.5e-15,
         # its 1-ulp rounding times |alpha ln x| = 725
         assert ic.x0 == pytest.approx(want, rel=4.5e-16, abs=0.0)
+
+    # triples below lam = 1 with subnormal B whose bracket end
+    # (B/lam^2)^(lam/2), formed from a subnormal quotient, misses the
+    # turning point by millions of doubles: the last step's walk toward the
+    # least |R| went on for minutes
+    LONG_WALK = (
+        FlowParams(0.6991776076681748, -2.614380699731755e-286, 1.47069e-317),
+        FlowParams(0.7171304726388666, 1.270491011477e-311, 5.4e-323),
+        FlowParams(0.7517996048365357, 1.2420616589977142e-293,
+                   2.0311067e-316))
+
+    @pytest.mark.parametrize("p", LONG_WALK,
+                             ids=["P<0", "P>0", "P>0-B-2e-316"])
+    def test_walk_is_bounded(self, p):
+        # a walk that is not bounded fails the test by the timer instead of
+        # hanging it (one bounded walk takes 1.1-1.6 s)
+        def too_long(signum, frame):
+            raise TimeoutError(f"find_intercepts({p}) ran past 10 s")
+
+        handler = signal.signal(signal.SIGALRM, too_long)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(NumericalError, match=re.escape(
+                    f"turning points of lam={p.lam!r}, P={p.P!r},"
+                    f" B={p.B!r}: |R| still falls {orbits._WALK_ULPS}"
+                    " doubles")):
+                find_intercepts(p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, handler)
 
     def test_residual_check_is_relative(self):
         # lam = 30, B = 1 next to the centre: every term of R is about
