@@ -15,8 +15,8 @@ under np.errstate(all="ignore").  Where the scalar integrands return inf
 for a nan radicand, these return nan, which fails the row.
 
 adaptive_gk_rows refines every row to its own target, as adaptive_gk does
-one span, and span_rows, period-scan's entry, routes and sets up the rows
-as span_any does and falls back to span_any where anything fails.
+one span, and span_rows, period-scan's entry, routes each row by
+span_any's own route and falls back to span_any where anything fails.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import numpy as np
 
 from . import periods
 from ._kernels import _WG, _WGK, _XGK, _about_u1
-from .core import FlowParams, conjugate
-from .errors import DomainError, QuadratureFailure
-from .orbits import InterceptKind
-from .periods import SpanMethod, SpanResult
+from .core import FlowParams
+from .errors import QuadratureFailure
+from .periods import SpanResult
 
 # the 15 Kronrod nodes of [-1, 1] in increasing order with their weights,
 # and the 7 Gauss weights of its odd-indexed nodes
@@ -262,14 +261,14 @@ _ARRAY = {
 }
 
 
-def span_rows(lam: float, ps, B: float, tol: float = 1e-10) -> list:
-    """span_any(FlowParams(lam, P, B), tol) at each pressure P of ps, in
-    order, with the quadratures of all rows evaluated together.
+def span_rows(lam: float, ps, B: float) -> list:
+    """span_any(FlowParams(lam, P, B)) at each pressure P of ps, in order,
+    with the quadratures of all rows evaluated together.
 
-    Each row is routed as span_any routes it: lam < 1 conjugated to 1/lam
-    with its tol and span scaled, closed forms and refusals by span_any
-    itself.  A quadrature row is set up by the scalar code (find_intercepts,
-    periods._plan), the rows of each integrand kind go through one
+    Each row is routed by span_any's own periods._route: its closed forms
+    and refusals, and for a quadrature its (lam, P, B), turning points,
+    target and conjugation scale.  A quadrature row is set up by
+    periods._plan, the rows of each integrand kind go through one
     adaptive_gk_rows call, each to its own target and panel budget, and
     each row then through periods._finish.  Where any row raises, or its
     batched quadrature fails, the rows are evaluated again in order by
@@ -277,53 +276,39 @@ def span_rows(lam: float, ps, B: float, tol: float = 1e-10) -> list:
     its row.
     """
     try:
-        return _span_rows(lam, ps, B, tol)
+        return _span_rows(lam, ps, B)
     except Exception:
-        return [periods.span_any(FlowParams(lam, P, B), tol) for P in ps]
+        return [periods.span_any(FlowParams(lam, P, B)) for P in ps]
 
 
-def _span_rows(lam: float, ps, B: float, tol: float) -> list:
-    # a row's own (lam, P, B) and the target of its half span, as span_any
-    # sets them: below lam = 1 conjugated, with the span scaled by the
-    # conjugate's lam
-    scale, t = 1.0, 0.5 * tol
-    if lam < 1.0:
-        def own(P):
-            return conjugate(FlowParams(lam, P, B))
-        scale = 1.0 / lam
-        t = 0.5 * (0.5 * tol / max(scale, 1.0))
-    else:
-        def own(P):
-            return FlowParams(lam, P, B)
+def _span_rows(lam: float, ps, B: float) -> list:
     out = [None] * len(ps)
-    # kind -> (row indices, flat integrand arguments): arrays of doubles,
-    # not per-row tuples, keep the working set of a scan small
+    # kind -> (row indices, flat integrand arguments, flat (lam, P, B, half
+    # target, scale) of the quadratures): arrays of doubles, not per-row
+    # tuples, keep the working set of a scan small
     jobs = {}
     for i, P in enumerate(ps):
-        q = own(P)
-        if (q.lam == 1.0 or q.P == 0.0 or q.B == 0.0
-                or (q.P > 0.0 and q.B < 0.0)):
-            out[i] = periods.span_any(FlowParams(lam, P, B), tol)
+        r, scale = periods._route(FlowParams(lam, P, B))
+        if isinstance(r, SpanResult):
+            out[i] = periods._scaled(r, scale)
             continue
-        ic = periods.find_intercepts(q)
-        want = (InterceptKind.EllipticPair if q.P > 0.0
-                else InterceptKind.HyperbolicSingle)
-        if ic.kind is not want:
-            raise DomainError(f"expected {want}, got {ic.kind}")
-        kind, a = periods._plan(q.lam, q.P, q.B, ic)
+        q_lam, q_P, q_B, ic, tol = r
+        kind, a = periods._plan(q_lam, q_P, q_B, ic)
         if kind not in jobs:
-            jobs[kind] = ([], array.array("d"))
-        jobs[kind][0].append(i)
-        jobs[kind][1].extend(a)
-    for kind, (rows, args) in jobs.items():
+            jobs[kind] = ([], array.array("d"), array.array("d"))
+        rows, args, own = jobs[kind]
+        rows.append(i)
+        args.extend(a)
+        own.extend((q_lam, q_P, q_B, 0.5 * tol, scale))
+    for kind, (rows, args, own) in jobs.items():
         args = np.frombuffer(args).reshape(len(rows), -1)
+        own = np.frombuffer(own).reshape(len(rows), 5)
         v, e = adaptive_gk_rows(_ARRAY[kind](args), kind.a, kind.b,
-                                np.full(len(rows), t), periods._MAX_PANELS)
-        for i, vi, ei in zip(rows, v.tolist(), e.tolist()):
+                                own[:, 3], periods._MAX_PANELS)
+        for i, vi, ei, (q_lam, q_P, q_B, t, scale) in zip(
+                rows, v.tolist(), e.tolist(), own.tolist()):
             if not ei <= t:
                 raise QuadratureFailure("a batched quadrature failed")
-            q = own(ps[i])
-            r = periods._finish(q.lam, q.P, q.B, vi, ei, 0, kind.method)
-            out[i] = (r if scale == 1.0 else SpanResult(
-                scale * r.T, SpanMethod.Conjugacy, scale * r.est_error))
+            r = periods._finish(q_lam, q_P, q_B, vi, ei, 0, kind.method)
+            out[i] = periods._scaled(r, scale)
     return out

@@ -39,6 +39,7 @@ from .errors import (
     QuadratureFailure,
     SpanMismatch,
 )
+from .families import WEAK_MODE_COUNT
 from .orbits import InterceptKind, Orbit, closed_orbit, find_intercepts
 from .periods import span_any
 
@@ -676,8 +677,9 @@ def h1_seminorm(g: GlobalSolution) -> float:
     return math.fsum(parts)
 
 
-def weak_residuals(g: GlobalSolution, modes: int = 8) -> list:
-    """Weak-form residuals against cos(k theta), sin(k theta), k = 1..modes.
+def weak_residuals(g: GlobalSolution) -> list:
+    """Weak-form residuals against cos(k theta), sin(k theta),
+    k = 1..WEAK_MODE_COUNT.
 
     Each residual is sum over arcs of
     int [-(2 lam - 1) (psi')^2 + lam^2 psi^2 - 2 (lam - 1) P] phi dtheta
@@ -696,7 +698,7 @@ def weak_residuals(g: GlobalSolution, modes: int = 8) -> list:
         parts.append((th + piece.offset, _arc_weights(piece.arc),
                       bulk, cross))
     out = []
-    for k in range(1, modes + 1):
+    for k in range(1, WEAK_MODE_COUNT + 1):
         for trig in ("cos", "sin"):
             acc = 0.0
             for th_g, w, bulk, cross in parts:

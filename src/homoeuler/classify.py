@@ -321,14 +321,14 @@ def _elliptic_orbit(lam: float, P: float) -> Orbit:
     return closed_orbit(p, find_intercepts(p).x0)
 
 
-def solve_all_elliptic(lam: float, *, tol: float = 1e-10) -> EllipticCatalog:
+def solve_all_elliptic(lam: float) -> EllipticCatalog:
     """count_elliptic plus solved (n, P_star, period) entries when Finite."""
     cat = count_elliptic(lam)
     if cat.count is not CountKind.Finite or cat.n == 0:
         return cat
     entries = []
     for n in range(3, 3 + cat.n):
-        res = solve_elliptic(lam, n, tol=tol)
+        res = solve_elliptic(lam, n)
         entries.append((n, res.P_star, res.orbit.measured_span))
     return EllipticCatalog(lam, cat.count, cat.n, tuple(entries))
 

@@ -26,10 +26,10 @@ near-centre series below works in x, with the raw B):
   from V, which cancels there, but summed as a series in sin phi from the
   second divided difference of x^alpha about the centre (`_centre`).
 
-Routing: lam > 1 computes directly; lam < 1 conjugates to 1/lam and scales
-the span; lam = 1 is the parallel shear closed form pi.  A span whose
-quadrature misses its target, or runs out of its panel budget, is a
-QuadratureFailure naming (lam, P, B).
+Routing (_route, for span_any and _rows alike): lam > 1 computes directly;
+lam < 1 conjugates to 1/lam and scales the span; lam = 1 is pi.  A span
+whose quadrature misses its target _TOL, or runs out of its panel budget,
+is a QuadratureFailure naming (lam, P, B).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .errors import (
 from .orbits import InterceptKind, Intercepts, find_intercepts
 
 _MAX_PANELS = 1024
+_TOL = 1e-10              # every span's target; half for adaptive_gk
 _ACCEPT_ERR = 1e-9
 
 
@@ -276,9 +277,82 @@ def _quadrature(lam: float, P: float, B: float, ic: Intercepts,
     return _finish(lam, P, B, v, e, st, kind.method)
 
 
-def span_hyperbolic(lam: float, P: float, B: float,
-                    tol: float = 1e-10) -> SpanResult:
-    """Life-span of the hyperbolic arch of (lam, P, B).
+def _turning_points(p: FlowParams, kind: InterceptKind) -> Intercepts:
+    """find_intercepts(p), refused unless it is of this kind."""
+    ic = find_intercepts(p)
+    if ic.kind is kind:
+        return ic
+    if kind is InterceptKind.HyperbolicSingle:
+        raise DomainError(f"expected a single turning point, got {ic.kind}")
+    if ic.kind is InterceptKind.Center:
+        raise SteadyStateError("parameters sit at the center; no orbit")
+    raise DomainError(f"expected two turning points, got {ic.kind}")
+
+
+def _route(p: FlowParams):
+    """(r, scale): span_any's route for p, with span_any's refusals.
+
+    r is a closed-form SpanResult, or the (lam, P, B, ic, tol) of the
+    _quadrature that gives it, and the span of p is scale times r's.  Below
+    lam = 1 that is the span of the conjugate at 1/lam, with scale 1/lam
+    and the target 0.5 _TOL / max(1/lam, 1); elsewhere scale is 1.0.
+    """
+    scale, tol = 1.0, _TOL
+    if p.lam < 1.0:
+        p = conjugate(p)
+        scale = p.lam
+        tol = 0.5 * _TOL / max(scale, 1.0)
+    lam, P, B = p.lam, p.P, p.B
+    if lam == 1.0 or (P == 0.0 and B > 0.0):
+        # parallel shear, and its arch on the separatrix P = 0
+        return SpanResult(math.pi, SpanMethod.ClosedForm, 0.0), scale
+    if B == 0.0:
+        if P >= 0.0:
+            raise NoSolution("B = 0 with P >= 0 admits no arch")
+        return SpanResult(math.pi / lam, SpanMethod.ClosedForm, 0.0), scale
+    if P >= 0.0 and B < 0.0:
+        raise InconsistentParams(
+            f"B < 0 with P >= 0 has an empty level set (lam={lam!r})")
+    kind = (InterceptKind.HyperbolicSingle if P < 0.0
+            else InterceptKind.EllipticPair)
+    return (lam, P, B, _turning_points(p, kind), tol), scale
+
+
+def _scaled(r: SpanResult, scale: float) -> SpanResult:
+    """The span of p from _route's (r, scale)."""
+    if scale == 1.0:
+        return r
+    return SpanResult(scale * r.T, SpanMethod.Conjugacy, scale * r.est_error)
+
+
+def span_any(p: FlowParams) -> SpanResult:
+    """Life-span/period dispatch over the whole parameter plane (_route).
+
+    lam > 1 goes to direct quadrature of (lam, P, B) as given, an arch
+    (P < 0) or a closed orbit (P, B > 0), unless a closed form applies;
+    lam < 1 is conjugated to 1/lam and the span scaled by 1/lam, lam = 1 is
+    the parallel shear closed form pi.
+
+    Raises
+    ------
+    SteadyStateError
+        If (P, B) sits at the center.
+    InconsistentParams
+        If B < 0 with P >= 0 (empty level set).
+    NoSolution
+        If no orbit exists (B = 0 with P >= 0).
+    DomainError
+        If P exceeds P_max, or a turning point or the scaled Bernoulli
+        constant overflows a double.
+    """
+    r, scale = _route(p)
+    if not isinstance(r, SpanResult):
+        r = _quadrature(*r)
+    return _scaled(r, scale)
+
+
+def span_hyperbolic(lam: float, P: float, B: float) -> SpanResult:
+    """Life-span of the hyperbolic arch of (lam, P, B), as span_any.
 
     Parameters
     ----------
@@ -288,12 +362,6 @@ def span_hyperbolic(lam: float, P: float, B: float,
         Pressure constant; P < 0.
     B : float
         Bernoulli constant; B = 0 returns the closed form pi/lam exactly.
-    tol : float, optional
-        Quadrature error target for the half-span integral.
-
-    Returns
-    -------
-    SpanResult
 
     Raises
     ------
@@ -306,16 +374,10 @@ def span_hyperbolic(lam: float, P: float, B: float,
         raise DomainError(f"span_hyperbolic requires lam > 1, got {lam!r}")
     if P >= 0.0:
         raise DomainError(f"hyperbolic regime requires P < 0, got {P!r}")
-    if B == 0.0:
-        return SpanResult(math.pi / lam, SpanMethod.ClosedForm, 0.0)
-    ic = find_intercepts(FlowParams(lam, P, B))
-    if ic.kind is not InterceptKind.HyperbolicSingle:
-        raise DomainError(f"expected a single turning point, got {ic.kind}")
-    return _quadrature(lam, P, B, ic, tol)
+    return span_any(FlowParams(lam, P, B))
 
 
-def period_elliptic(lam: float, P: float, B: float,
-                    tol: float = 1e-10) -> SpanResult:
+def period_elliptic(lam: float, P: float, B: float) -> SpanResult:
     """Full period of the closed orbit of (lam, P, B).
 
     The period is T = 2 int_0^u1 du / sqrt(V(u)) in u = ln(x/x0), x0 the
@@ -332,8 +394,6 @@ def period_elliptic(lam: float, P: float, B: float,
         Pressure constant, 0 < P < P_max(B).
     B : float
         Bernoulli constant, B > 0.
-    tol : float, optional
-        Quadrature error target for the half-period integral.
 
     Raises
     ------
@@ -347,60 +407,11 @@ def period_elliptic(lam: float, P: float, B: float,
     """
     if lam <= 1.0:
         raise DomainError(f"period_elliptic requires lam > 1, got {lam!r}")
-    ic = find_intercepts(FlowParams(lam, P, B))
-    if ic.kind is InterceptKind.Center:
-        raise SteadyStateError("parameters sit at the center; no orbit")
-    if ic.kind is not InterceptKind.EllipticPair:
-        raise DomainError(f"expected two turning points, got {ic.kind}")
-    return _quadrature(lam, P, B, ic, tol)
+    ic = _turning_points(FlowParams(lam, P, B), InterceptKind.EllipticPair)
+    return _quadrature(lam, P, B, ic, _TOL)
 
 
-def span_any(p: FlowParams, tol: float = 1e-10) -> SpanResult:
-    """Life-span/period dispatch over the whole parameter plane.
-
-    lam > 1 goes to direct quadrature of (lam, P, B) as given: an arch
-    (P < 0) to span_hyperbolic, a closed orbit (P, B > 0) to
-    period_elliptic; lam < 1 is conjugated to 1/lam and the span scaled by
-    1/lam, lam = 1 is the parallel shear closed form pi.
-
-    Raises
-    ------
-    SteadyStateError
-        If (P, B) sits at the center.
-    InconsistentParams
-        If B < 0 with P >= 0 (empty level set).
-    NoSolution
-        If no orbit exists (B = 0 with P >= 0).
-    DomainError
-        If P exceeds P_max, or a turning point or the scaled Bernoulli
-        constant overflows a double.
-    """
-    lam = p.lam
-    if lam == 1.0:
-        return SpanResult(math.pi, SpanMethod.ClosedForm, 0.0)
-    if lam < 1.0:
-        q = conjugate(p)
-        lam_t = q.lam
-        inner = span_any(q, tol=0.5 * tol / max(lam_t, 1.0))
-        return SpanResult(lam_t * inner.T, SpanMethod.Conjugacy,
-                          lam_t * inner.est_error)
-    if p.B == 0.0 and p.P >= 0.0:
-        raise NoSolution("B = 0 with P >= 0 admits no arch")
-    if p.P < 0.0:
-        # B = 0 arches are harmonic; span_hyperbolic returns their closed
-        # form
-        return span_hyperbolic(lam, p.P, p.B, tol)
-    if p.B > 0.0:
-        if p.P == 0.0:
-            # separatrix: the parallel shear arch with span pi
-            return SpanResult(math.pi, SpanMethod.ClosedForm, 0.0)
-        return period_elliptic(lam, p.P, p.B, tol)
-    raise InconsistentParams(
-        f"B < 0 with P >= 0 has an empty level set (lam={lam!r})")
-
-
-def span_quadrature(lam: float, P: float, B: float,
-                    tol: float = 1e-10) -> SpanResult:
+def span_quadrature(lam: float, P: float, B: float) -> SpanResult:
     """Direct quadrature at the given lam, with no conjugacy routing.
 
     Unlike span_any this evaluates the raw radicand -2P - lam^2 x^2
@@ -412,7 +423,7 @@ def span_quadrature(lam: float, P: float, B: float,
         raise SteadyStateError("parameters sit at the center; no orbit")
     if ic.kind is InterceptKind.Empty:
         raise DomainError("empty level set; no span defined")
-    return _quadrature(lam, P, B, ic, tol)
+    return _quadrature(lam, P, B, ic, _TOL)
 
 
 def limit_values(lam: float) -> LimitValues:
