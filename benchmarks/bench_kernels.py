@@ -4,7 +4,9 @@ turning points, orbits, census roots and arcs.
 Each workload runs once as a warmup, then --reps times; the best time is
 printed, in seconds.  The period-scan rows are timed both as period-scan
 evaluates them, one `span_rows` call per 200-row table, and as a loop over
-`span_any`.  Then come the radicand evaluations per turning point over the
+`span_any`; `span_rows` is also timed in its two parts, the row set-up
+(`periods._route` with its turning points, and `periods._plan`) and the
+batched quadratures of the rows set up.  Then come the radicand evaluations per turning point over the
 period-scan rows, the Gauss-Kronrod panels each way evaluates over the
 same rows, and for each workload the number of `adaptive_gk` calls with a
 histogram of their final panel counts (1 + bisections; the panels are
@@ -162,6 +164,7 @@ def _panels_per_call(workloads) -> list:
 
 
 def _workloads():
+    from homoeuler import _rows
     from homoeuler._rows import span_rows
     from homoeuler.assemble import elliptic_arc, hyperbolic_arc
     from homoeuler.classify import solve_elliptic
@@ -187,6 +190,16 @@ def _workloads():
     def period_scan_tables():
         for table in scan_tables:
             span_rows(*table)
+
+    def scan_setup():
+        for table in scan_tables:
+            _rows._setup(*table)
+
+    set_up = [_rows._setup(*table) for table in scan_tables]
+
+    def scan_quadrature():
+        for out, jobs in set_up:
+            _rows._batch(out, jobs)
 
     # B < 0 arches: the apex is bracketed where lam^2 x^2, or -B x^alpha,
     # alone reaches -2P and where both stay below -P
@@ -248,6 +261,8 @@ def _workloads():
     return [("span quadrature x21", spans),
             ("period-scan rows x600", period_scan_rows),
             ("span_rows tables x3", period_scan_tables),
+            ("  row set-up x3", scan_setup),
+            ("  batched quadrature x3", scan_quadrature),
             ("turning points x20", turning_points),
             ("near-centre period x3", near_centre_periods),
             ("orbit events x2", events),

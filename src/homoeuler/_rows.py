@@ -282,6 +282,12 @@ def span_rows(lam: float, ps, B: float) -> list:
 
 
 def _span_rows(lam: float, ps, B: float) -> list:
+    return _batch(*_setup(lam, ps, B))
+
+
+def _setup(lam: float, ps, B: float):
+    """(out, jobs): the closed-form rows of the table in out, and per
+    integrand kind the rows that take a quadrature, set up."""
     out = [None] * len(ps)
     # kind -> (row indices, flat integrand arguments, flat (lam, P, B, half
     # target, scale) of the quadratures): arrays of doubles, not per-row
@@ -300,6 +306,12 @@ def _span_rows(lam: float, ps, B: float) -> list:
         rows.append(i)
         args.extend(a)
         own.extend((q_lam, q_P, q_B, 0.5 * tol, scale))
+    return out, jobs
+
+
+def _batch(out: list, jobs: dict) -> list:
+    """out with the rows of jobs filled in by one batched quadrature per
+    integrand kind."""
     for kind, (rows, args, own) in jobs.items():
         args = np.frombuffer(args).reshape(len(rows), -1)
         own = np.frombuffer(own).reshape(len(rows), 5)

@@ -49,6 +49,8 @@ TWO_PI = 2.0 * math.pi
 _SPAN_TOL = 1e-9
 _PANEL_TOL = 1e-13
 _MAX_PANELS = 4096
+# bernoulli_drift rescales arcs whose psi_max is below this
+_SMALL_PSI = 2.0 ** -500
 
 
 class SmoothnessKind(enum.Enum):
@@ -502,19 +504,37 @@ def bernoulli_drift(arc: LocalArc) -> float:
     weighted sum with all terms taken positive (it reduces to ~|B| when B
     dominates and stays meaningful on B = 0 arcs, where the exact constant
     is the zero of a cancellation).
+
+    The drift does not change under psi -> s psi, psi' -> s psi',
+    P -> s^2 P, which takes the weighted terms and |B| to s^(2/lam) times
+    themselves.  Where psi_max is below 2^-500, so that psi^2 nears the
+    subnormals, the terms are formed at s = 2^k that brings psi_max to
+    [1/2, 1); s^(2/lam) |B| is formed by ldexp, as 2^(2k/lam) alone
+    overflows for k near 500 and lam near 1.
     """
     p = arc.params
     lam = p.lam
     _th, psi, dpsi = arc.profile.T
-    mask = psi >= 0.25 * psi.max()
+    top = float(psi.max())
+    mask = psi >= 0.25 * top
     v, d = psi[mask], dpsi[mask]
     if not v.min() > 0.0:
         raise DomainError(
             f"bernoulli requires psi > 0, got psi = {float(v.min())!r}")
+    P, B = p.P, abs(p.B)
+    if top < _SMALL_PSI:
+        k = -math.frexp(top)[1]
+        v, d, P = np.ldexp(v, k), np.ldexp(d, k), math.ldexp(P, 2 * k)
+        t = k * (2.0 / lam)
+        n = math.floor(t)
+        try:
+            B = math.ldexp(B, n) * 2.0 ** (t - n)
+        except OverflowError:
+            B = math.inf
     weight = np.power(v, 2.0 / lam - 2.0)
-    vals = (2.0 * p.P + lam * lam * v * v + d * d) * weight
-    cond = (2.0 * abs(p.P) + lam * lam * v * v + d * d) * weight
-    scale = max(abs(p.B), float(cond.max()))
+    vals = (2.0 * P + lam * lam * v * v + d * d) * weight
+    cond = (2.0 * abs(P) + lam * lam * v * v + d * d) * weight
+    scale = max(B, float(cond.max()))
     return float(vals.max() - vals.min()) / scale
 
 
@@ -539,18 +559,21 @@ def _mirrored_arc(p: FlowParams, span: float, th: np.ndarray,
 
 
 def _check_arc(arc: LocalArc) -> None:
+    p = arc.params
+    at = f"at (lam={p.lam!r}, P={p.P!r}, B={p.B!r})"
     psi = arc.profile[:, 1]
     sym = float(np.max(np.abs(psi - psi[::-1])))
     if sym > 1e-7 * max(1.0, float(psi.max())):
-        raise NumericalError(f"arch symmetry defect {sym:.3e} exceeds 1e-7")
+        raise NumericalError(
+            f"arch symmetry defect {sym:.3e} exceeds 1e-7 {at}")
     # cusp arcs omit their psi = 0 end nodes, so every stored node is interior
     interior = psi if arc.endpoint_slope == math.inf else psi[1:-1]
     if np.any(interior <= 0.0):
-        raise NumericalError("profile lost interior positivity")
+        raise NumericalError(f"profile lost interior positivity {at}")
     drift = bernoulli_drift(arc)
     if drift > 1e-9:
         raise NumericalError(
-            f"Bernoulli drift {drift:.3e} exceeds 1e-9 along the arc")
+            f"Bernoulli drift {drift:.3e} exceeds 1e-9 along the arc {at}")
 
 
 def stitch(lam: float, P: float,

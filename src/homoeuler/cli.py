@@ -31,6 +31,7 @@ from .assemble import (
     elliptic_global,
     energy_flux,
     h1_seminorm,
+    hyperbolic_arc,
     residual_max,
     stitch,
     weak_residuals,
@@ -578,6 +579,24 @@ def _cmd_export_field(args) -> int:
     return 0
 
 
+def _arch_samples(p: FlowParams, x0: float) -> np.ndarray:
+    """(t, x, y) rows of the arch of p from its apex x0 toward the axis.
+
+    The Dormand-Prince integrator in (x, y) cannot reach the axis for
+    1/2 < lam < 2 with B != 0, where the power term of the phase system is
+    singular; there the rows are the half profile of hyperbolic_arc, apex
+    to axis, as (span/2 - theta, psi, -psi'), which has no axis row below
+    lam = 1, where the slope is infinite.  Nodes next to the apex lie
+    within rounding of span/2, and their t is clamped to 0.
+    """
+    if not (0.5 < p.lam < 2.0 and p.B != 0.0):
+        return integrate_orbit(p, x0).samples
+    arc = hyperbolic_arc(p.lam, p.P, p.B)
+    th, psi, dpsi = arc.profile[len(arc.profile) // 2::-1].T
+    return np.column_stack((np.maximum(0.5 * arc.span - th, 0.0), psi,
+                            0.0 - dpsi))
+
+
 def _cmd_phase_portrait(args) -> int:
     try:
         bs = [_finite_float(b) for b in args.b_values.split(",")]
@@ -595,11 +614,11 @@ def _cmd_phase_portrait(args) -> int:
             raise DomainError(
                 f"the level set of {p} is empty: no orbit to sample")
         if ic.kind is InterceptKind.HyperbolicSingle:
-            orbit = integrate_orbit(p, ic.x0)
+            samples = _arch_samples(p, ic.x0)
         else:
             # a closed orbit; closed_orbit refuses the centre's single point
-            orbit = closed_orbit(p, ic.x0)
-        for t, x, y in orbit.samples.tolist():
+            samples = closed_orbit(p, ic.x0).samples
+        for t, x, y in samples.tolist():
             w.writerow([_fmt(B), _fmt(t), _fmt(x), _fmt(y)])
     _write(buf.getvalue(), args.out)
     return 0

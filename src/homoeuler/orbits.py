@@ -57,7 +57,9 @@ _TINY_TERMS = 2.0 ** -960
 # the most doubles _turning_point's last step walks in one direction.  In
 # two seeded 20,000-triple sweeps most walks took 0-3 and 0.7 % over 64;
 # the longest that returned took 3,197,920, and 36 had not ended after
-# 2^23.  A refused walk costs 1.1-1.6 s (Python 3.11, 2-CPU x86-64)
+# 2^23, all from bracket ends formed from subnormal quotients, which
+# _ratio_power now forms from logs.  A refused walk costs 1.1-1.6 s
+# (Python 3.11, 2-CPU x86-64)
 _WALK_ULPS = 2 ** 22
 
 MAX_SAMPLE_STEP = 2.0 * math.pi / 1024.0
@@ -138,6 +140,19 @@ def _power(a: float, b: float) -> float:
         return a ** b
     except (OverflowError, ZeroDivisionError):
         return math.inf
+
+
+def _ratio_power(num: float, den: float, e: float) -> float:
+    """(num/den)^e as _power forms it, for num/den >= 0; where the quotient
+    is below the smallest normal double, and so keeps few digits or none,
+    from the logs of num and den instead."""
+    q = num / den
+    if q < _MIN_NORMAL and num != 0.0:
+        try:
+            return math.exp(e * (math.log(abs(num)) - math.log(abs(den))))
+        except OverflowError:
+            return math.inf
+    return _power(q, e)
 
 
 def _turning_point(R, lo: float, hi: float, x: float, rising: bool,
@@ -321,8 +336,9 @@ def _intercepts(p: FlowParams) -> Intercepts:
     if B > 0.0 and P < 0.0 and lam != 1.0:
         # lam^2 x^2 balances -2P or B x^alpha at the lower end, and outgrows
         # their sum at the upper end; the larger balance is the asymptote
-        lo = max(math.sqrt(-2.0 * P) / lam, _power(B / lam2, 0.5 * lam))
-        hi = max(2.0 * math.sqrt(-P) / lam, _power(2.0 * B / lam2, 0.5 * lam))
+        lo = max(math.sqrt(-2.0 * P) / lam, _ratio_power(B, lam2, 0.5 * lam))
+        hi = max(2.0 * math.sqrt(-P) / lam,
+                 _ratio_power(2.0 * B, lam2, 0.5 * lam))
         return Intercepts(single, root(lo, hi, lo, False))
 
     if alpha * B > 0.0:
@@ -347,13 +363,13 @@ def _intercepts(p: FlowParams) -> Intercepts:
         shift = (alpha + 2.0) * u0 * u0 / 6.0
         # the outer root: R <= -2P where lam^2 x^2 = B x^alpha (B > 0, so
         # P >= 0 here), R <= -2P - lam^2 x^2 for B < 0
-        hi = (_power(B / lam2, 0.5 * lam) if B > 0.0
+        hi = (_ratio_power(B, lam2, 0.5 * lam) if B > 0.0
               else math.sqrt(-2.0 * P) / lam)
         x1 = root(x_c, hi, x_c * math.exp(u0 - shift) if near else hi, False)
         # the inner root, where R is negative at the axis: R = -lam^2 x^2
         # where B x^alpha = 2P
         if P > 0.0 or lam < 1.0:
-            lo = _power(2.0 * P / B, 1.0 / alpha)
+            lo = _ratio_power(2.0 * P, B, 1.0 / alpha)
             x0 = root(lo, x_c, x_c * math.exp(-u0 - shift) if near else lo,
                       True)
             return Intercepts(InterceptKind.EllipticPair, x0, x1)
@@ -365,11 +381,11 @@ def _intercepts(p: FlowParams) -> Intercepts:
     if lam < 1.0 and B > 0.0:
         # P >= 0, alpha < 0: R <= -2P where B x^alpha falls to lam^2 x^2,
         # or to 2P; R >= 0 where it is at least twice both
-        hi = _power(B / lam2, 0.5 * lam)
-        lo = _power(0.5 * B / lam2, 0.5 * lam)
+        hi = _ratio_power(B, lam2, 0.5 * lam)
+        lo = _ratio_power(B, 2.0 * lam2, 0.5 * lam)
         if P > 0.0:
-            hi = min(hi, _power(2.0 * P / B, 1.0 / alpha))
-            lo = min(lo, _power(4.0 * P / B, 1.0 / alpha))
+            hi = min(hi, _ratio_power(2.0 * P, B, 1.0 / alpha))
+            lo = min(lo, _ratio_power(4.0 * P, B, 1.0 / alpha))
     elif c <= 0.0:
         return Intercepts(InterceptKind.Empty)
     else:
@@ -378,8 +394,8 @@ def _intercepts(p: FlowParams) -> Intercepts:
         hi = math.sqrt(c) / lam
         lo = math.sqrt(0.5 * c) / lam
         if B < 0.0 and lam != 1.0:
-            hi = min(hi, _power(-c / B, 1.0 / alpha))
-            lo = min(lo, _power(-0.5 * c / B, 1.0 / alpha))
+            hi = min(hi, _ratio_power(-c, B, 1.0 / alpha))
+            lo = min(lo, _ratio_power(-0.5 * c, B, 1.0 / alpha))
     return Intercepts(single, root(lo, hi, hi, False))
 
 

@@ -226,10 +226,56 @@ class TestLocalArc:
                 find_intercepts(FlowParams(1.01, P, B)).x0 ** (-2.0 / 1.01)
         arc = hyperbolic_arc(1.01, -2e-322, 1e-321)
         assert arc.span == span_any(FlowParams(1.01, -2e-322, 1e-321)).T
-        # this arc's mesh misses its Bernoulli gate: a typed error, not an
-        # OverflowError from the power
-        with pytest.raises(NumericalError, match="Bernoulli drift"):
-            hyperbolic_arc(1.01, -1e-320, 1e-318)
+        # this arc's Bernoulli terms are subnormal (apex 1.4e-160), and its
+        # drift is formed on the rescaled profile (bernoulli_drift)
+        arc = hyperbolic_arc(1.01, -1e-320, 1e-318)
+        assert arc.span == span_any(FlowParams(1.01, -1e-320, 1e-318)).T
+        assert bernoulli_drift(arc) <= 1e-15
+
+    @staticmethod
+    def scaled_arc(arc, k):
+        # the arc with psi, psi' times 2^k and P times 2^(2k); its Bernoulli
+        # constant is B times 2^(2k/lam)
+        lam, P, B = arc.params.lam, arc.params.P, arc.params.B
+        th, psi, dpsi = arc.profile.T
+        return LocalArc(
+            FlowParams(lam, math.ldexp(P, 2 * k), B * 2.0 ** (2.0 * k / lam)),
+            arc.span, np.column_stack((th, np.ldexp(psi, k),
+                                       np.ldexp(dpsi, k))),
+            arc.endpoint_slope, arc.type, arc.mesh_dtheta)
+
+    def test_bernoulli_drift_of_subnormal_terms(self):
+        # formed directly on this arc, 2P + lam^2 psi^2 + psi'^2 has few
+        # digits: the drift read 5.7e-5.  Formed at its own scale (2^530 here)
+        # it is rounding, as on the same arrays scaled by 2^500, whose
+        # terms are normal (1.874e-16 and 1.884e-16)
+        arc = assemble._quad_arc(1.01, -1e-320, 1e-318, 512)
+        drift = bernoulli_drift(arc)
+        assert drift <= 1e-15
+        assert drift == pytest.approx(
+            bernoulli_drift(self.scaled_arc(arc, 500)), rel=0.05, abs=0.0)
+
+    def test_bernoulli_drift_of_normal_terms_as_formed(self):
+        # arcs with psi_max >= 2^-500 take the unscaled formula, bit for bit
+        for arc in (hyperbolic_arc(3.0, -1.0, 4.0),
+                    hyperbolic_arc(1.01, -1e-200, 1e-198)):
+            lam, P, B = arc.params.lam, arc.params.P, arc.params.B
+            _th, psi, dpsi = arc.profile.T
+            mask = psi >= 0.25 * psi.max()
+            v, d = psi[mask], dpsi[mask]
+            weight = np.power(v, 2.0 / lam - 2.0)
+            vals = (2.0 * P + lam * lam * v * v + d * d) * weight
+            cond = (2.0 * abs(P) + lam * lam * v * v + d * d) * weight
+            want = float(vals.max() - vals.min()) / max(abs(B),
+                                                        float(cond.max()))
+            assert bernoulli_drift(arc) == want
+
+    def test_arc_checks_name_the_parameters(self, monkeypatch):
+        monkeypatch.setattr(assemble, "bernoulli_drift", lambda arc: 1e-8)
+        with pytest.raises(NumericalError, match=re.escape(
+                "Bernoulli drift 1.000e-08 exceeds 1e-9 along the arc at"
+                " (lam=3.0, P=-1.0, B=4.0)")):
+            hyperbolic_arc(3.0, -1.0, 4.0)
 
     def test_theta_budget_names_the_arc(self, monkeypatch):
         # a theta mesh that runs out of panels names the arc it was for

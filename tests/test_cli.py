@@ -814,6 +814,30 @@ class TestPhasePortrait:
         bs = {line.split(",")[0] for line in out.strip().split("\n")[1:]}
         assert bs == {"1", "2"}
 
+    @pytest.mark.parametrize("lam,pressure,b", [
+        ("1.5", "-1", "1"), ("1.5", "-1", "-1"), ("0.75", "1", "1")])
+    def test_arch_below_lam2(self, capsys, lam, pressure, b):
+        # the (x, y) integrator cannot reach the axis for 1/2 < lam < 2
+        # with B != 0; these arches come from hyperbolic_arc's half profile
+        rc, out, err = run(capsys, "phase-portrait", "--lambda", lam,
+                           f"--pressure={pressure}", f"--b-values={b}")
+        assert (rc, err) == (0, "")
+        t, x, y = np.array([[float(v) for v in line.split(",")[1:]]
+                            for line in out.strip().split("\n")[1:]]).T
+        p = FlowParams(float(lam), float(pressure), float(b))
+        # from the apex (x0, 0) at t = 0 toward the axis
+        assert (t[0], x[0], y[0]) == (0.0, periods.find_intercepts(p).x0, 0.0)
+        assert np.all(np.diff(t) >= 0.0) and np.all(np.diff(x) <= 0.0)
+        assert np.all(x >= 0.0) and np.all(y <= 0.0)
+        half = 0.5 * span_any(p).T
+        if p.lam > 1.0:
+            # the axis row, with the exact slope -sqrt(-2P)
+            assert (t[-1], x[-1]) == (half, 0.0)
+            assert y[-1] == -math.sqrt(-2.0 * p.P)
+        else:
+            # no axis row: the slope is infinite there
+            assert 0.0 < x[-1] <= 1e-12 * x[0] and half - t[-1] <= 1e-12
+
 
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):

@@ -311,30 +311,52 @@ class TestTurningPointSolve:
         assert ic.x0 == pytest.approx(want, rel=4.5e-16, abs=0.0)
 
     # triples below lam = 1 with subnormal B whose bracket end
-    # (B/lam^2)^(lam/2), formed from a subnormal quotient, misses the
-    # turning point by millions of doubles: the last step's walk toward the
-    # least |R| went on for minutes
+    # (B/lam^2)^(lam/2), formed from the subnormal quotient, missed the
+    # turning point by millions of doubles, so the last step's walk toward
+    # the least |R| ran to its bound; the ends are now formed from logs.
+    # Each x0 is that of the rescaled level set (_intercepts(_rescaled(p)))
     LONG_WALK = (
-        FlowParams(0.6991776076681748, -2.614380699731755e-286, 1.47069e-317),
-        FlowParams(0.7171304726388666, 1.270491011477e-311, 5.4e-323),
-        FlowParams(0.7517996048365357, 1.2420616589977142e-293,
-                   2.0311067e-316))
+        (FlowParams(0.6991776076681748, -2.614380699731755e-286, 1.47069e-317),
+         2.226248536946111e-111),
+        (FlowParams(0.7171304726388666, 1.270491011477e-311, 5.4e-323),
+         3.552979107212978e-116),
+        (FlowParams(0.7517996048365357, 1.2420616589977142e-293,
+                    2.0311067e-316), 2.6575748664757556e-119))
 
-    @pytest.mark.parametrize("p", LONG_WALK,
+    @pytest.mark.parametrize("p,x0", LONG_WALK,
                              ids=["P<0", "P>0", "P>0-B-2e-316"])
-    def test_walk_is_bounded(self, p):
+    def test_subnormal_quotient_brackets(self, p, x0):
+        start = time.perf_counter()
+        ic = find_intercepts(p)
+        assert time.perf_counter() - start < 0.1
+        assert ic.kind is InterceptKind.HyperbolicSingle
+        assert abs(ic.x0 - x0) <= 4 * math.ulp(x0)
+
+    # triples whose walk from the solve's last step passes 8 doubles (and
+    # stops within 64 at the first two, within 256 at the third)
+    WALKS_PAST_8 = (
+        FlowParams(14.083928609796525, -2.5387611802293193e-24,
+                   -1.1850609023692172e+26),
+        FlowParams(7.975347388192293, 2.3468059949301935e-21,
+                   6.98357313896493e+23),
+        FlowParams(0.8107911796160658, 2.6483187256110187e-292,
+                   2.1551481e-316))
+
+    @pytest.mark.parametrize("p", WALKS_PAST_8,
+                             ids=["P<0", "P>0", "P>0-B-2e-316"])
+    def test_walk_is_bounded(self, p, monkeypatch):
         # a walk that is not bounded fails the test by the timer instead of
-        # hanging it (one bounded walk takes 1.1-1.6 s)
+        # hanging it
         def too_long(signum, frame):
             raise TimeoutError(f"find_intercepts({p}) ran past 10 s")
 
+        monkeypatch.setattr(orbits, "_WALK_ULPS", 8)
         handler = signal.signal(signal.SIGALRM, too_long)
         signal.setitimer(signal.ITIMER_REAL, 10.0)
         try:
             with pytest.raises(NumericalError, match=re.escape(
                     f"turning points of lam={p.lam!r}, P={p.P!r},"
-                    f" B={p.B!r}: |R| still falls {orbits._WALK_ULPS}"
-                    " doubles")):
+                    f" B={p.B!r}: |R| still falls 8 doubles")):
                 find_intercepts(p)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)

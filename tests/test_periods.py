@@ -239,6 +239,68 @@ class TestSpanAny:
         assert type(r.est_error) is float
 
 
+class TestOneRoute:
+    """span_any, span_hyperbolic, period_elliptic and the batched rows of
+    period-scan take their spans from one route (periods._route)."""
+
+    @pytest.mark.parametrize("lam", [1.2, 2.0, 3.7, 13.0])
+    def test_wrappers_are_span_any_on_their_domains(self, lam):
+        for B in (-2.0, -0.3, 0.0, 0.5, 4.0):
+            for P in (-30.0, -1.0, -1e-3):
+                p = FlowParams(lam, P, B)
+                assert span_hyperbolic(lam, P, B) == span_any(p)
+        for B in (0.5, 4.0):
+            pm = steady_state(lam, B).P_max
+            for f in (1e-9, 0.3, 0.9, 1.0 - 1e-7):
+                p = FlowParams(lam, f * pm, B)
+                assert period_elliptic(lam, f * pm, B) == span_any(p)
+
+    def test_span_any_calls_itself_once(self, monkeypatch):
+        # below lam = 1 the conjugate is routed, not passed to span_any
+        calls = []
+        real = periods.span_any
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(periods, "span_any", counting)
+        periods.span_any(FlowParams(2 / 3, 1.0, 2.0))
+        periods.span_any(FlowParams(0.75, 0.0, 1.0))
+        assert calls == [FlowParams(2 / 3, 1.0, 2.0),
+                         FlowParams(0.75, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("lam,ps,B,closed", [
+        # lam = 1: pi for every P
+        (1.0, [-1.0, 0.5, 2.0], 1.0, [0, 1, 2]),
+        # P = 0 with B > 0 (the separatrix) among an arch and a closed orbit
+        (3.0, [-1.0, 0.0, 1e-4], 1.0, [1]),
+        # B = 0 with P < 0: the harmonic arch pi/lam
+        (3.0, [-2.0, -0.5], 0.0, [0, 1]),
+        # closed forms of the conjugate at lam = 4/3: P = 0 with B > 0
+        # conjugates to B = 0 with P < 0, and B = 0 with P < 0 to the
+        # separatrix
+        (0.75, [0.0, 0.5], 1.0, [0]),
+        (0.75, [-1.0, -0.25], 0.0, [0, 1]),
+    ])
+    def test_closed_form_rows_of_a_scan(self, monkeypatch, lam, ps, B,
+                                        closed):
+        from homoeuler import _rows
+        want = [span_any(FlowParams(lam, P, B)) for P in ps]
+        # no row falls back to span_any
+        monkeypatch.setattr(periods, "span_any", None)
+        got = _rows.span_rows(lam, ps, B)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if i in closed:
+                assert w.method in (SpanMethod.ClosedForm,
+                                    SpanMethod.Conjugacy)
+                assert w.est_error == 0.0
+                assert g == w
+            else:
+                assert g.method is w.method
+                assert g.T == pytest.approx(w.T, rel=2e-15, abs=0.0)
+
+
 class TestConjugacyIdentity:
     @pytest.mark.parametrize("lam", [1.2, 2.0, 3.7, 6.0])
     @pytest.mark.parametrize("Pfrac", [0.1, 0.5, 0.9])
