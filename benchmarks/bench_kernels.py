@@ -6,9 +6,9 @@ printed, in seconds.  The period-scan rows are timed both as period-scan
 evaluates them, one `span_rows` call per 200-row table, and as a loop over
 `span_any`; `span_rows` is also timed in its two parts, the row set-up
 (`periods._route` with its turning points, and `periods._plan`) and the
-batched quadratures of the rows set up.  Then come the radicand evaluations per turning point over the
-period-scan rows, the Gauss-Kronrod panels each way evaluates over the
-same rows, and for each workload the number of `adaptive_gk` calls with a
+batched quadratures of the rows set up.  Then come the radicand
+evaluations per turning point over the period-scan rows, the
+Gauss-Kronrod panels each way evaluates over the same rows, and for each workload the number of `adaptive_gk` calls with a
 histogram of their final panel counts (1 + bisections; the panels are
 counted at `_kernels._gk_panel`, which evaluates 2n - 1 of them for n).
 

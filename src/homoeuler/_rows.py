@@ -276,49 +276,45 @@ def span_rows(lam: float, ps, B: float) -> list:
     its row.
     """
     try:
-        return _span_rows(lam, ps, B)
+        return _batch(*_setup(lam, ps, B))
     except Exception:
         return [periods.span_any(FlowParams(lam, P, B)) for P in ps]
-
-
-def _span_rows(lam: float, ps, B: float) -> list:
-    return _batch(*_setup(lam, ps, B))
 
 
 def _setup(lam: float, ps, B: float):
     """(out, jobs): the closed-form rows of the table in out, and per
     integrand kind the rows that take a quadrature, set up."""
     out = [None] * len(ps)
-    # kind -> (row indices, flat integrand arguments, flat (lam, P, B, half
-    # target, scale) of the quadratures): arrays of doubles, not per-row
-    # tuples, keep the working set of a scan small
+    # kind -> (row indices, flat integrand arguments, the route of each
+    # row): the arguments as an array of doubles, not per-row tuples, keep
+    # the working set of a scan small
     jobs = {}
     for i, P in enumerate(ps):
-        r, scale = periods._route(FlowParams(lam, P, B))
+        route = periods._route(FlowParams(lam, P, B))
+        r, scale = route
         if isinstance(r, SpanResult):
             out[i] = periods._scaled(r, scale)
             continue
-        q_lam, q_P, q_B, ic, tol = r
-        kind, a = periods._plan(q_lam, q_P, q_B, ic)
+        kind, a = periods._plan(*r[:4])
         if kind not in jobs:
-            jobs[kind] = ([], array.array("d"), array.array("d"))
-        rows, args, own = jobs[kind]
+            jobs[kind] = ([], array.array("d"), [])
+        rows, args, routes = jobs[kind]
         rows.append(i)
         args.extend(a)
-        own.extend((q_lam, q_P, q_B, 0.5 * tol, scale))
+        routes.append(route)
     return out, jobs
 
 
 def _batch(out: list, jobs: dict) -> list:
     """out with the rows of jobs filled in by one batched quadrature per
     integrand kind."""
-    for kind, (rows, args, own) in jobs.items():
+    for kind, (rows, args, routes) in jobs.items():
         args = np.frombuffer(args).reshape(len(rows), -1)
-        own = np.frombuffer(own).reshape(len(rows), 5)
+        half = [0.5 * r[4] for r, _scale in routes]
         v, e = adaptive_gk_rows(_ARRAY[kind](args), kind.a, kind.b,
-                                own[:, 3], periods._MAX_PANELS)
-        for i, vi, ei, (q_lam, q_P, q_B, t, scale) in zip(
-                rows, v.tolist(), e.tolist(), own.tolist()):
+                                np.array(half), periods._MAX_PANELS)
+        for i, vi, ei, t, ((q_lam, q_P, q_B, _ic, _tol), scale) in zip(
+                rows, v.tolist(), e.tolist(), half, routes):
             if not ei <= t:
                 raise QuadratureFailure("a batched quadrature failed")
             r = periods._finish(q_lam, q_P, q_B, vi, ei, 0, kind.method)
