@@ -8,9 +8,10 @@ evaluates them, one `span_rows` call per 200-row table, and as a loop over
 (`periods._route` with its turning points, and `periods._plan`) and the
 batched quadratures of the rows set up.  Then come the radicand
 evaluations per turning point over the period-scan rows, the
-Gauss-Kronrod panels each way evaluates over the same rows, and for each workload the number of `adaptive_gk` calls with a
-histogram of their final panel counts (1 + bisections; the panels are
-counted at `_kernels._gk_panel`, which evaluates 2n - 1 of them for n).
+Gauss-Kronrod panels each way evaluates over the same rows, and for each
+workload the number of `adaptive_gk` calls with a histogram of their
+final panel counts (1 + bisections; the panels are counted at
+`_kernels._gk_panel`, which evaluates 2n - 1 of them for n).
 
     python3 benchmarks/bench_kernels.py --reps 5
 """

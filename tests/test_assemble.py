@@ -246,9 +246,9 @@ class TestLocalArc:
 
     def test_bernoulli_drift_of_subnormal_terms(self):
         # formed directly on this arc, 2P + lam^2 psi^2 + psi'^2 has few
-        # digits: the drift read 5.7e-5.  Formed at its own scale (2^530 here)
-        # it is rounding, as on the same arrays scaled by 2^500, whose
-        # terms are normal (1.874e-16 and 1.884e-16)
+        # digits (a drift of 5.7e-5).  Formed at its own scale (2^530 here)
+        # the drift is rounding, as on the same arrays scaled by 2^500,
+        # whose terms are normal (1.874e-16 and 1.884e-16)
         arc = assemble._quad_arc(1.01, -1e-320, 1e-318, 512)
         drift = bernoulli_drift(arc)
         assert drift <= 1e-15

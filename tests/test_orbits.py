@@ -310,10 +310,10 @@ class TestTurningPointSolve:
         # its 1-ulp rounding times |alpha ln x| = 725
         assert ic.x0 == pytest.approx(want, rel=4.5e-16, abs=0.0)
 
-    # triples below lam = 1 with subnormal B whose bracket end
-    # (B/lam^2)^(lam/2), formed from the subnormal quotient, missed the
-    # turning point by millions of doubles, so the last step's walk toward
-    # the least |R| ran to its bound; the ends are now formed from logs.
+    # triples below lam = 1 with subnormal B, whose bracket end
+    # (B/lam^2)^(lam/2) formed from the subnormal quotient misses the
+    # turning point by millions of doubles, and the last step's walk toward
+    # the least |R| runs to its bound (orbits._ratio_power takes logs).
     # Each x0 is that of the rescaled level set (_intercepts(_rescaled(p)))
     LONG_WALK = (
         (FlowParams(0.6991776076681748, -2.614380699731755e-286, 1.47069e-317),

@@ -16,6 +16,7 @@ from homoeuler import (
     QuadratureFailure,
     SteadyStateError,
     _kernels,
+    _rows,
     conjugate,
     periods,
     steady_state,
@@ -285,7 +286,6 @@ class TestOneRoute:
     ])
     def test_closed_form_rows_of_a_scan(self, monkeypatch, lam, ps, B,
                                         closed):
-        from homoeuler import _rows
         want = [span_any(FlowParams(lam, P, B)) for P in ps]
         # no row falls back to span_any
         monkeypatch.setattr(periods, "span_any", None)
