@@ -295,7 +295,8 @@ def _setup(lam: float, ps, B: float):
         if isinstance(r, SpanResult):
             out[i] = periods._scaled(r, scale)
             continue
-        kind, a = periods._plan(*r[:4])
+        q_lam, q_P, q_B, ic, _tol = r
+        kind, a = periods._plan(q_lam, q_P, q_B, ic)
         if kind not in jobs:
             jobs[kind] = ([], array.array("d"), [])
         rows, args, routes = jobs[kind]
