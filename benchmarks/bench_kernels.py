@@ -5,9 +5,12 @@ Each workload runs once as a warmup, then --reps times; the best time is
 printed, in seconds.  The period-scan rows are timed both as period-scan
 evaluates them, one `span_rows` call per 200-row table, and as a loop over
 `span_any`; `span_rows` is also timed in its two parts, the row set-up
-(`periods._route` with its turning points, and `periods._plan`) and the
-batched quadratures of the rows set up.  Then come the radicand
-evaluations per turning point over the period-scan rows, the
+(`periods._route` with its turning points, `periods._plan`, and the scalar
+quadrature of a near-centre row) and the batched quadratures of the rows
+set up.  Then come the radicand
+evaluations per turning point over the period-scan rows, those rows per
+integrand kind (elliptic, near-centre series, arch, closed form), the span
+evaluations of each `solve_hyperbolic_span` the construct cases make, the
 Gauss-Kronrod panels each way evaluates over the same rows, and for each
 workload the number of `adaptive_gk` calls with a histogram of their
 final panel counts (1 + bisections; the panels are counted at
@@ -19,6 +22,7 @@ final panel counts (1 + bisections; the panels are counted at
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -38,6 +42,13 @@ DEFAULT_SCANS = ((5.0, "elliptic", "plus", None),
 # elliptic tables that reach to 1e-6 of the centre pressure
 NEAR_CENTRE_SCANS = ((3.0, "elliptic", "plus", 1.0 - 1e-6),
                      (5.0, "elliptic", "plus", 1.0 - 1e-6))
+# the span solves of the construct cases cusp, quad15 and ode3 (lam, P,
+# target span), and the Bernoulli factors of the four arcs repair15 stitches
+# at lam = 1.5, P = -1 from quad15's B before it re-solves the last
+SPAN_SOLVES = (("cusp", 2.0 / 3.0, 1.0, 2.0 * math.pi / 3.0),
+               ("quad15", 1.5, -1.0, 0.5 * math.pi),
+               ("ode3", 3.0, -1.0, 2.0 * math.pi / 3.0))
+REPAIR_FACTORS = (1.02, 0.97, 1.04, 0.99)
 
 
 def _scan_tables(scans):
@@ -95,19 +106,71 @@ def _evaluations_per_turning_point() -> str:
             f" max {max(per_point):.1f} over {len(per_point)} rows")
 
 
+def _rows_per_kind() -> str:
+    """Rows of the default and near-centre period-scan tables by how
+    span_rows takes them: the integrand kind of periods._plan, or a closed
+    form."""
+    from homoeuler import periods
+
+    names = {periods._ELLIPTIC: "elliptic",
+             periods._CENTRE: "near-centre series", periods._ARCH: "arch"}
+    count = Counter()
+    for p in _scan_rows_params(DEFAULT_SCANS + NEAR_CENTRE_SCANS):
+        r, _scale = periods._route(p)
+        if isinstance(r, periods.SpanResult):
+            count["closed form"] += 1
+        else:
+            count[names[periods._plan(*r[:4])[0]]] += 1
+    kinds = ("elliptic", "near-centre series", "arch", "closed form")
+    return "scan rows per integrand kind: " + ", ".join(
+        f"{k} {count[k]}" for k in kinds)
+
+
+def _span_evaluations_per_solve() -> str:
+    """classify._span calls of each solve_hyperbolic_span that the
+    construct cases cusp, quad15, ode3 and repair15 (its re-solve of the
+    last arc, inside stitch) make."""
+    from homoeuler import classify
+    from homoeuler.assemble import stitch
+
+    span = classify._span
+    calls = [0]
+
+    def counting(lam, P, B):
+        calls[0] += 1
+        return span(lam, P, B)
+
+    counts, roots = [], {}
+    classify._span = counting
+    try:
+        for name, lam, P, target in SPAN_SOLVES:
+            calls[0] = 0
+            roots[name] = classify.solve_hyperbolic_span(lam, P, target)
+            counts.append(f"{name} {calls[0]}")
+        calls[0] = 0
+        stitch(1.5, -1.0, [(f * roots["quad15"], s) for f, s in zip(
+            REPAIR_FACTORS, (1, -1, 1, -1))], auto_repair=True)
+        counts.append(f"repair15 {calls[0]}")
+    finally:
+        classify._span = span
+    return "span evaluations per solve_hyperbolic_span: " + ", ".join(counts)
+
+
 def _panels_per_route() -> str:
     """Gauss-Kronrod panels over the rows of the default period-scan
     tables: span_any row by row (counted at _kernels._gk_panel) and
-    span_rows per table (counted at _rows._gk_rows)."""
+    span_rows per table (counted at _rows._gk_rows, and at _gk_panel for
+    its near-centre rows)."""
     from homoeuler import _kernels, _rows
     from homoeuler.core import FlowParams
     from homoeuler.periods import span_any
 
     count = [0, 0]
+    route = [0]
     gk_panel, gk_rows = _kernels._gk_panel, _rows._gk_rows
 
     def panel(*args):
-        count[0] += 1
+        count[route[0]] += 1
         return gk_panel(*args)
 
     def panels(f, a, b, rows):
@@ -118,8 +181,10 @@ def _panels_per_route() -> str:
     _kernels._gk_panel, _rows._gk_rows = panel, panels
     try:
         for lam, ps, B in tables:
+            route[0] = 0
             for P in ps:
                 span_any(FlowParams(lam, P, B))
+            route[0] = 1
             _rows.span_rows(lam, ps, B)
     finally:
         _kernels._gk_panel, _rows._gk_rows = gk_panel, gk_rows
@@ -292,6 +357,8 @@ def main(argv=None) -> int:
     for name, fn in workloads:
         print(f"{name:<26} {_best_of(fn, args.reps):.6f} s")
     print(_evaluations_per_turning_point())
+    print(_rows_per_kind())
+    print(_span_evaluations_per_solve())
     print(_panels_per_route())
     print("adaptive_gk calls, histogram of final panels per call:")
     for line in _panels_per_call(workloads):

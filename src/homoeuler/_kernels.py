@@ -4,7 +4,8 @@ These are the one-span hot loops, written as scalar code on Python floats
 (math.*, tuple rule constants, an unrolled Dormand-Prince step), since
 NumPy scalar indexing and ufuncs on single floats cost several times the
 arithmetic.  The spans of a whole period-scan table are the exception:
-_rows evaluates them together, with array forms of the integrands here.
+_rows evaluates them together, with array forms of the elliptic and arch
+integrands here; a table's near-centre row takes the scalar series.
 _gk_panel, _dp_step and hyp_integrand are bit-identical to the
 array-and-loop forms kept as oracles in tests/test_kernels.py, except that
 a _dp_step trial stage whose x**beta overflows raises OverflowError instead

@@ -8,28 +8,28 @@ here.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Tuple
 
 from .errors import NoBracket
 
+# iterations before brent returns the point it holds
+_MAXITER = 200
 
-def brent(f: Callable[[float], float], a: float, b: float,
-          fa: Optional[float] = None, fb: Optional[float] = None,
-          xtol: float = 1e-13, maxiter: int = 200) -> float:
-    """Root of f in [a, b] by Brent's method; f(a), f(b) must straddle zero."""
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
+
+def brent(f: Callable[[float], float], a: float, b: float, fa: float,
+          fb: float, xtol: float) -> Tuple[float, float]:
+    """(x, f(x)) at the root of f in [a, b] by Brent's method, where
+    fa = f(a) and fb = f(b) straddle zero; f(x) is the value f returned at
+    x, so a caller need not evaluate f there again."""
     if fa == 0.0:
-        return a
+        return a, fa
     if fb == 0.0:
-        return b
+        return b, fb
     if (fa < 0.0) == (fb < 0.0):
         raise NoBracket(f"no sign change on [{a!r}, {b!r}]")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -39,7 +39,7 @@ def brent(f: Callable[[float], float], a: float, b: float,
         tol1 = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * xtol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
-            return b
+            return b, fb
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -68,5 +68,5 @@ def brent(f: Callable[[float], float], a: float, b: float,
         else:
             b += tol1 if xm > 0.0 else -tol1
         fb = f(b)
-    return b
+    return b, fb
 

@@ -5,10 +5,12 @@ The scalar kernels in _kernels evaluate one node per Python call.  Here the
 array integrands take the nodes of many panels of many rows at once: an
 array integrand f(x, rows) takes the nodes x of k panels as a (k, 15) array
 and the row each panel belongs to as a (k,) index array, and gathers its
-per-row constants by that index.  period_rows, centre_rows and hyp_rows are
-the array forms of _kernels.period_integrand, centre_integrand and
-hyp_integrand, built from the same per-row arguments; they agree with them
-to a few ulps, since NumPy's exp, expm1, log1p and power are not math's.
+per-row constants by that index.  period_rows and hyp_rows are the array
+forms of _kernels.period_integrand and hyp_integrand, built from the same
+per-row arguments; they agree with them to a few ulps, since NumPy's exp,
+expm1, log1p and power are not math's.  A near-centre row (the series
+_kernels.centre_integrand; mostly one per table, next to its centre) takes
+span_any's scalar quadrature, and so its bits.
 Numerical errors (an overflowing power, 0/0 at a node on an end) give inf
 or nan as NumPy defines them; adaptive_gk_rows evaluates the integrands
 under np.errstate(all="ignore").  Where the scalar integrands return inf
@@ -37,13 +39,6 @@ from .periods import SpanResult
 _XK15 = np.array([-x for x in _XGK[:7]] + list(_XGK[7::-1]))
 _WK15 = np.array(_WGK[:7] + _WGK[7::-1])
 _WG7 = np.array(_WG[:3] + _WG[3::-1])
-
-
-def _inv_sqrt(v):
-    """1/sqrt(v) in place, inf where v <= 0 (nan stays nan)."""
-    np.copyto(v, 0.0, where=v <= 0.0)
-    np.sqrt(v, out=v)
-    return np.divide(1.0, v, out=v)
 
 
 def period_rows(args):
@@ -88,24 +83,10 @@ def period_rows(args):
         e2 += eb
         np.copyto(e2, v, where=near)
         e2 /= x
-        return _inv_sqrt(e2)
-    return f
-
-
-def centre_rows(args):
-    """centre_integrand of each row (e0, ..., e9) of the array args, as
-    one array integrand."""
-    k = args
-
-    def f(x, rows):
-        e = k[rows].T[:, :, None]
-        y = np.sin(x, out=x)
-        g = e[9] * y
-        for n in range(8, 0, -1):
-            g += e[n]
-            g *= y
-        g += e[0]
-        return _inv_sqrt(g)
+        # 1/sqrt, inf where V <= 0 (nan stays nan)
+        np.copyto(e2, 0.0, where=e2 <= 0.0)
+        np.sqrt(e2, out=e2)
+        return np.divide(1.0, e2, out=e2)
     return f
 
 
@@ -256,7 +237,6 @@ def _adaptive_rows(f, a, b, tol, max_panels):
 # the array form of each integrand kind of periods._plan
 _ARRAY = {
     periods._ELLIPTIC: period_rows,
-    periods._CENTRE: centre_rows,
     periods._ARCH: lambda args: periods._arch(hyp_rows(args)),
 }
 
@@ -268,12 +248,13 @@ def span_rows(lam: float, ps, B: float) -> list:
     Each row is routed by span_any's own periods._route: its closed forms
     and refusals, and for a quadrature its (lam, P, B), turning points,
     target and conjugation scale.  A quadrature row is set up by
-    periods._plan, the rows of each integrand kind go through one
-    adaptive_gk_rows call, each to its own target and panel budget, and
-    each row then through periods._finish.  Where any row raises, or its
-    batched quadrature fails, the rows are evaluated again in order by
-    span_any, so the exception is the one a loop over span_any raises, at
-    its row.
+    periods._plan; a near-centre row is integrated there by
+    periods._quadrature, and the rows of each other integrand kind go
+    through one adaptive_gk_rows call, each to its own target and panel
+    budget, and each row then through periods._finish.  Where any row
+    raises, or its batched quadrature fails, the rows are evaluated again
+    in order by span_any, so the exception is the one a loop over span_any
+    raises, at its row.
     """
     try:
         return _batch(*_setup(lam, ps, B))
@@ -282,8 +263,9 @@ def span_rows(lam: float, ps, B: float) -> list:
 
 
 def _setup(lam: float, ps, B: float):
-    """(out, jobs): the closed-form rows of the table in out, and per
-    integrand kind the rows that take a quadrature, set up."""
+    """(out, jobs): the closed-form and near-centre rows of the table in
+    out, and per integrand kind the rows that take a batched quadrature,
+    set up."""
     out = [None] * len(ps)
     # kind -> (row indices, flat integrand arguments, the route of each
     # row): the arguments as an array of doubles, not per-row tuples, keep
@@ -297,6 +279,9 @@ def _setup(lam: float, ps, B: float):
             continue
         q_lam, q_P, q_B, ic, _tol = r
         kind, a = periods._plan(q_lam, q_P, q_B, ic)
+        if kind not in _ARRAY:
+            out[i] = periods._scaled(periods._quadrature(*r), scale)
+            continue
         if kind not in jobs:
             jobs[kind] = ([], array.array("d"), [])
         rows, args, routes = jobs[kind]

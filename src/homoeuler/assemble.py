@@ -77,7 +77,7 @@ class LocalArc:
     (cusp arcs) place end nodes closer than one ulp of the span, so theta
     differencing is meaningless there; the quadratures divide through by
     this exact weight instead.  Arcs built by hand may leave it empty,
-    falling back to differencing.
+    falling back to differencing.  type is solution_type(params).
 
     Equality is exact: every scalar field compares with == and both arrays
     element by element.  Arcs are not hashable.
@@ -87,7 +87,6 @@ class LocalArc:
     span: float
     profile: np.ndarray
     endpoint_slope: float
-    type: SolutionType
     mesh_dtheta: np.ndarray = ()
 
     def __post_init__(self):
@@ -105,12 +104,15 @@ class LocalArc:
         object.__setattr__(self, "profile", prof)
         object.__setattr__(self, "mesh_dtheta", w)
 
+    @property
+    def type(self) -> SolutionType:
+        return solution_type(self.params)
+
     def __eq__(self, other):
         if not isinstance(other, LocalArc):
             return NotImplemented
         return (self.params == other.params and self.span == other.span
                 and self.endpoint_slope == other.endpoint_slope
-                and self.type == other.type
                 and np.array_equal(self.profile, other.profile)
                 and np.array_equal(self.mesh_dtheta, other.mesh_dtheta))
 
@@ -127,14 +129,18 @@ class GlobalSolution:
     """Arcs laid end to end from offset 0, covering [0, 2 pi).
 
     All pieces share lam and P exactly; B may change arc to arc.  smoothness
-    records whether the junction slopes chain continuously (C1), jump
-    (VortexSheet), or are infinite (CuspEndpoints, lam < 1).
+    is read from the pieces' junction slopes: whether they chain
+    continuously (C1), jump (VortexSheet), or are infinite (CuspEndpoints,
+    lam < 1).
     """
 
     lam: float
     P: float
     pieces: Tuple[Piece, ...]
-    smoothness: SmoothnessKind
+
+    @property
+    def smoothness(self) -> SmoothnessKind:
+        return _smoothness(self.pieces)
 
 
 @dataclass(frozen=True)
@@ -301,8 +307,7 @@ def _harmonic_arc(lam: float, P: float, n: int) -> LocalArc:
     psi[m + 1:] = psi[:m][::-1]
     dpsi[m + 1:] = -dpsi[:m][::-1]
     w = np.full(n + 1, span / n)
-    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), c,
-                   solution_type(p), w)
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), c, w)
     _check_arc(arc)
     return arc
 
@@ -455,8 +460,7 @@ def _rotational_arc(p: FlowParams, x_c: float, n: int) -> LocalArc:
     psi = np.full(n + 1, x_c)
     dpsi = np.zeros(n + 1)
     w = np.full(n + 1, TWO_PI / n)
-    return LocalArc(p, TWO_PI, np.column_stack((th, psi, dpsi)), 0.0,
-                    solution_type(p), w)
+    return LocalArc(p, TWO_PI, np.column_stack((th, psi, dpsi)), 0.0, w)
 
 
 def elliptic_global(lam: float, P: float, B: float = 1.0,
@@ -476,8 +480,7 @@ def elliptic_global(lam: float, P: float, B: float = 1.0,
     """
     arc = elliptic_arc(lam, P, B, n_points)
     if arc.span == TWO_PI:
-        pieces = (Piece(arc, 1, 0.0),)
-        return GlobalSolution(lam, P, pieces, SmoothnessKind.C1)
+        return GlobalSolution(lam, P, (Piece(arc, 1, 0.0),))
     m = int(round(TWO_PI / arc.span))
     if m < 1 or abs(m * arc.span - TWO_PI) > 1e-8:
         raise InadmissibleArc(
@@ -488,9 +491,9 @@ def elliptic_global(lam: float, P: float, B: float = 1.0,
     w = _arc_weights(arc) * scale
     arc = LocalArc(arc.params, T,
                    np.column_stack((th * scale, psi, dpsi)),
-                   arc.endpoint_slope, arc.type, w)
+                   arc.endpoint_slope, w)
     pieces = tuple(Piece(arc, 1, k * T) for k in range(m))
-    return GlobalSolution(lam, P, pieces, SmoothnessKind.C1)
+    return GlobalSolution(lam, P, pieces)
 
 
 def bernoulli_drift(arc: LocalArc) -> float:
@@ -552,8 +555,7 @@ def _mirrored_arc(p: FlowParams, span: float, th: np.ndarray,
     psi = np.concatenate([psi, psi[:-1][::-1]])
     dpsi = np.concatenate([dpsi[:-1], [0.0], -dpsi[:-1][::-1]])
     w = np.concatenate([w, w[:-1][::-1]])
-    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), end_slope,
-                   solution_type(p), w)
+    arc = LocalArc(p, span, np.column_stack((th, psi, dpsi)), end_slope, w)
     _check_arc(arc)
     return arc
 
@@ -620,7 +622,7 @@ def stitch(lam: float, P: float,
     for arc, (_, s) in zip(arcs, specs):
         pieces.append(Piece(arc, s, off))
         off += arc.span
-    return GlobalSolution(lam, P, tuple(pieces), _smoothness(pieces))
+    return GlobalSolution(lam, P, tuple(pieces))
 
 
 def _repair_last(lam: float, P: float, arcs: List[LocalArc],

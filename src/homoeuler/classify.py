@@ -230,8 +230,8 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
     Brent's method on u = ln P over [ln(1e-12 P_max), ln((1 - 1e-12) P_max)],
     using the monotone dependence of the period on the pressure, to an x
     tolerance of 1e-14 in u.  The low end is scored by its quadrature
-    period, the centre end by the limit 2 pi/sqrt(2 lam).  The period of
-    every evaluated u is kept, so the root's period is never computed twice.
+    period, the centre end by the limit 2 pi/sqrt(2 lam).  Brent returns
+    the period it evaluated at the root, which is not computed again.
     Up to lam = 24.5 a root takes 6-9 period evaluations and lands within
     3e-15 of 2 pi/n (425 roots at lam = 12.55, 12.65, ..., 24.45), a few
     ulps of the period.  tol is the acceptance gate on |T - 2 pi/n| at the
@@ -280,28 +280,25 @@ def solve_elliptic(lam: float, n: int, *, tol: float = 1e-10) -> EllipticRoot:
             " underflows, so (1e-12 P_max, P_max) holds no positive double")
     u_lo = math.log(lo)
     u_hi = math.log((1.0 - 1e-12) * pm)
-    periods = {}
 
     def f(u):
-        T = periods[u] = _span(lam, math.exp(u), 1.0)
-        return T - target
+        return _span(lam, math.exp(u), 1.0) - target
 
     f_lo = f(u_lo)
     # the center endpoint is scored by its analytic limit 2 pi / sqrt(2 lam):
     # within 1e-12 of P_max the orbit collapses and the quadrature loses all
     # digits, while n < sqrt(2 lam) already fixes the sign there
-    periods[u_hi] = 2.0 * math.pi / math.sqrt(2.0 * lam)
-    f_hi = periods[u_hi] - target
+    f_hi = 2.0 * math.pi / math.sqrt(2.0 * lam) - target
     if f_lo * f_hi > 0.0:
         raise NonMonotoneDetected(
             f"no sign change on the pressure bracket at lam = {lam!r},"
             f" n = {n}: f(lo) = {f_lo:.3e}, f(hi) = {f_hi:.3e}")
-    u_star = brent(f, u_lo, u_hi, f_lo, f_hi, xtol=1e-14)
-    p_star, T = math.exp(u_star), periods[u_star]
-    if not abs(T - target) <= tol:
+    u_star, f_star = brent(f, u_lo, u_hi, f_lo, f_hi, 1e-14)
+    p_star, T = math.exp(u_star), target + f_star
+    if not abs(f_star) <= tol:
         raise NonMonotoneDetected(
             f"Brent on ln P at lam = {lam!r}, n = {n} stopped at"
-            f" P = {p_star!r} with |T - 2 pi/{n}| = {abs(T - target):.3e}"
+            f" P = {p_star!r} with |T - 2 pi/{n}| = {abs(f_star):.3e}"
             f" > {tol!r}")
     orbit = _elliptic_orbit(lam, p_star)
     if abs(orbit.measured_span - T) > 1e-7:
@@ -375,23 +372,24 @@ def solve_hyperbolic_span(lam: float, P: float, target_T: float, *,
                 f"no hyperbolic solutions with P > 0 at lam = {lam!r} > 1")
         t_mid = math.pi / lam
         if target_T == t_mid:
-            b_unit, span = 0.0, t_mid
+            b_unit, miss = 0.0, 0.0
         else:
-            b_unit, span = _solve_span(
+            b_unit, miss = _solve_span(
                 lam, -1.0, 1.0 if target_T > t_mid else -1.0, target_T, tol)
     else:
         if P < 0.0:
             raise OutOfRange(
                 f"no hyperbolic solutions with P < 0 at lam = {lam!r} < 1")
-        b_unit, span = _solve_span(lam, 1.0, 1.0, target_T, tol)
-    if abs(span - target_T) > 1e-9:
-        raise NumericalError(
-            f"solved span {span!r} misses target {target_T!r} beyond 1e-9")
+        b_unit, miss = _solve_span(lam, 1.0, 1.0, target_T, tol)
+    if abs(miss) > 1e-9:
+        raise NumericalError(f"solved span {target_T + miss!r} misses target"
+                             f" {target_T!r} beyond 1e-9")
     return abs(P) ** (1.0 / lam) * b_unit
 
 
 def _solve_span(lam, P, sign, target, tol):
-    """(B, T(B)) at the span root on the side of B given by sign."""
+    """(B, T(B) - target) at the span root on the side of B given by
+    sign, T(B) as Brent evaluated it."""
     # T(B) increases with B on either side of B = 0: on B > 0 toward pi
     # (from 0 when lam < 1), on B < 0 from 0 (B -> -inf) up to pi/lam
     # (B -> 0-).  Expand a geometric bracket from B = sign by factors of 4,
@@ -415,18 +413,13 @@ def _solve_span(lam, P, sign, target, tol):
         f_hi = _span(lam, P, hi) - target
     else:
         raise NumericalError(f"upper bracket expansion failed on {side}")
-    if f_lo == 0.0:
-        return lo, target
-    if f_hi == 0.0:
-        return hi, target
     if f_lo * f_hi > 0.0:
         raise NonMonotoneDetected(
             f"span bracket lost its sign change on [{lo!r}, {hi!r}] ({side})")
-    B = brent(lambda b: _span(lam, P, b) - target, lo, hi, f_lo, f_hi,
-              xtol=1e-15 * max(abs(lo), abs(hi)))
-    span = _span(lam, P, B)
-    if abs(span - target) > tol:
+    B, miss = brent(lambda b: _span(lam, P, b) - target, lo, hi, f_lo, f_hi,
+                    1e-15 * max(abs(lo), abs(hi)))
+    if abs(miss) > tol:
         raise NumericalError(
             f"span root at B = {B!r} misses the target beyond {tol!r}"
             f" ({side})")
-    return B, span
+    return B, miss

@@ -27,7 +27,6 @@ from .assemble import (
     GridSpec,
     LocalArc,
     Piece,
-    SmoothnessKind,
     elliptic_global,
     energy_flux,
     h1_seminorm,
@@ -192,9 +191,11 @@ def _json_int(text: str):
 def parse_solution(source) -> GlobalSolution:
     """Rebuild a GlobalSolution from serialized form (dict or JSON text).
 
-    Inverse of serialize_solution up to dataclass equality; the type tag
-    is recomputed from the parameters, diagnostics are ignored.  JSON text
-    keeps the sign of zero, so re-serializing it reproduces its bytes.
+    Inverse of serialize_solution up to dataclass equality; each piece's
+    parameters are checked by solution_type, and the smoothness and
+    diagnostics stored are ignored, as the solution derives the one and
+    recomputes the other.  JSON text keeps the sign of zero, so
+    re-serializing it reproduces its bytes.
     """
     d = (json.loads(source, parse_int=_json_int) if isinstance(source, str)
          else source)
@@ -208,11 +209,11 @@ def parse_solution(source) -> GlobalSolution:
         fp = FlowParams(lam, P, float(pc["B"]))
         slope = pc["endpoint_slope"]
         slope = math.inf if slope is None else float(slope)
+        solution_type(fp)
         arc = LocalArc(fp, float(pc["span"]), pc["profile"], slope,
-                       solution_type(fp), pc["mesh_dtheta"])
+                       pc["mesh_dtheta"])
         pieces.append(Piece(arc, int(pc["sign"]), float(pc["offset"])))
-    return GlobalSolution(lam, P, tuple(pieces),
-                          SmoothnessKind[d["smoothness"]])
+    return GlobalSolution(lam, P, tuple(pieces))
 
 
 FIELD_COLUMNS = ["r", "theta", "x", "y", "u_x", "u_y",

@@ -222,9 +222,13 @@ def _turning_point(R, lo: float, hi: float, x: float, rising: bool,
     return x, f
 
 
+class _Unresolved(NumericalError):
+    """A turning point's residual misses _check_residual's tolerance."""
+
+
 def _check_residual(x: float, f: float, lam2: float, alpha: float, B: float,
                     P: float) -> None:
-    """NumericalError unless f = R(x) is within 1e-12 of R's largest term."""
+    """_Unresolved unless f = R(x) is within 1e-12 of R's largest term."""
     pw = 0.0
     if B != 0.0:
         pw = x ** alpha
@@ -235,7 +239,7 @@ def _check_residual(x: float, f: float, lam2: float, alpha: float, B: float,
             pw *= abs(B)
     scale = max(lam2 * x * x, pw, 2.0 * abs(P))
     if abs(f) > 1e-12 * scale:
-        raise NumericalError(
+        raise _Unresolved(
             f"turning point residual {f:.3e} exceeds tolerance at x={x!r}")
 
 
@@ -274,19 +278,30 @@ def find_intercepts(p: FlowParams) -> Intercepts:
     subnormal at the (inner) turning point x0 found, R cannot resolve it.
     There the turning points are those of the rescaled level set
     (_rescaled) over its scale s = 2^h.  A centre or an empty level set
-    stands as found.
+    stands as found.  Where 2|P| or |B| is subnormal and a turning point
+    misses its residual tolerance, they are those of the rescaled level
+    set too, unless its P or B is 0.
     """
     try:
-        ic = _intercepts(p)
-        if not 0.0 < max(2.0 * abs(p.P), abs(p.B)) < _TINY_TERMS:
-            return ic
-        x0 = ic.x0
-        if (ic.kind in (InterceptKind.Center, InterceptKind.Empty)
-                or max(p.lam * p.lam * x0 * x0, 2.0 * abs(p.P),
-                       abs(p.B) * _power(x0, 2.0 - 2.0 / p.lam))
-                >= _MIN_NORMAL):
-            return ic
-        q, h = _rescaled(p)
+        try:
+            ic = _intercepts(p)
+        except _Unresolved:
+            if not (0.0 < 2.0 * abs(p.P) < _MIN_NORMAL
+                    or 0.0 < abs(p.B) < _MIN_NORMAL):
+                raise
+            q, h = _rescaled(p)
+            if q.P == 0.0 or q.B == 0.0:
+                raise
+        else:
+            if not 0.0 < max(2.0 * abs(p.P), abs(p.B)) < _TINY_TERMS:
+                return ic
+            x0 = ic.x0
+            if (ic.kind in (InterceptKind.Center, InterceptKind.Empty)
+                    or max(p.lam * p.lam * x0 * x0, 2.0 * abs(p.P),
+                           abs(p.B) * _power(x0, 2.0 - 2.0 / p.lam))
+                    >= _MIN_NORMAL):
+                return ic
+            q, h = _rescaled(p)
         ic = _intercepts(q)
         return Intercepts(ic.kind, math.ldexp(ic.x0, -h),
                           None if ic.x1 is None else math.ldexp(ic.x1, -h))
@@ -294,8 +309,9 @@ def find_intercepts(p: FlowParams) -> Intercepts:
         exc = DomainError("a power in the radicand overflows a double")
     except (DomainError, NumericalError) as e:
         exc = e
-    raise type(exc)(f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
-                    f" {exc}") from None
+    kind = NumericalError if isinstance(exc, _Unresolved) else type(exc)
+    raise kind(f"turning points of lam={p.lam!r}, P={p.P!r}, B={p.B!r}:"
+               f" {exc}") from None
 
 
 def _rescaled(p: FlowParams):

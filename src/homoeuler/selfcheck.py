@@ -16,7 +16,6 @@ from .assemble import (
     GlobalSolution,
     LocalArc,
     Piece,
-    SmoothnessKind,
     bernoulli_drift,
     elliptic_arc,
     elliptic_global,
@@ -30,7 +29,6 @@ from .assemble import (
 from .classify import (
     bernoulli,
     count_elliptic,
-    solution_type,
     solve_elliptic,
     solve_hyperbolic_span,
 )
@@ -239,9 +237,8 @@ def _corrupted_flux() -> float:
     dpsi = dwarp * np.cos(2.0 * warped)
     profile = tuple((float(a), float(b), float(c))
                     for a, b, c in zip(th, psi, dpsi))
-    arc = LocalArc(params, span, profile, 1.0, solution_type(params))
-    bad = GlobalSolution(2.0, -0.5, (Piece(arc, 1, 0.0),),
-                         SmoothnessKind.C1)
+    arc = LocalArc(params, span, profile, 1.0)
+    bad = GlobalSolution(2.0, -0.5, (Piece(arc, 1, 0.0),))
     return energy_flux(bad)
 
 

@@ -242,7 +242,7 @@ class TestLocalArc:
             FlowParams(lam, math.ldexp(P, 2 * k), B * 2.0 ** (2.0 * k / lam)),
             arc.span, np.column_stack((th, np.ldexp(psi, k),
                                        np.ldexp(dpsi, k))),
-            arc.endpoint_slope, arc.type, arc.mesh_dtheta)
+            arc.endpoint_slope, arc.mesh_dtheta)
 
     def test_bernoulli_drift_of_subnormal_terms(self):
         # formed directly on this arc, 2P + lam^2 psi^2 + psi'^2 has few
@@ -389,18 +389,21 @@ class TestDiagnostics:
             dpsi = slopes * np.cos(2.0 * angles)
             profile = tuple((float(a), float(b), float(c))
                             for a, b, c in zip(th, psi, dpsi))
-            return LocalArc(params, span, profile, 1.0,
-                            solution_type(params))
+            return LocalArc(params, span, profile, 1.0)
 
         bad = GlobalSolution(2.0, -0.5,
-                             (Piece(hand_arc(warped, dwarp), 1, 0.0),),
-                             SmoothnessKind.C1)
+                             (Piece(hand_arc(warped, dwarp), 1, 0.0),))
         good = GlobalSolution(2.0, -0.5,
                               (Piece(hand_arc(th, np.ones_like(th)), 1,
-                                     0.0),),
-                              SmoothnessKind.C1)
+                                     0.0),))
         assert abs(energy_flux(bad)) > 0.1
         assert abs(energy_flux(good)) <= 1e-12
+        # the hand-built records derive their type and smoothness: one arc
+        # whose end slopes are both 1 jumps from -1 to 1 at the wrap-around
+        # junction, so each solution is a vortex sheet
+        assert bad.pieces[0].arc.type == solution_type(params)
+        assert bad.smoothness is SmoothnessKind.VortexSheet
+        assert good.smoothness is SmoothnessKind.VortexSheet
 
     def test_h1_exact_values(self):
         # psi = 0.5 sin(2 theta) and psi = 1 + 0.5 cos(2 theta) both have

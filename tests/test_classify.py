@@ -351,6 +351,30 @@ class TestSolveHyperbolicSpan:
             solve_hyperbolic_span(lam, sign.value, target)
 
 
+class TestOneSpanPerPoint:
+    @pytest.mark.parametrize("solve,args", [
+        (solve_hyperbolic_span, (2.0 / 3.0, 1.0, TWO_PI / 3.0)),
+        (solve_hyperbolic_span, (1.5, -1.0, TWO_PI / 4.0)),
+        (solve_hyperbolic_span, (3.0, -1.0, TWO_PI / 3.0)),
+        (solve_hyperbolic_span, (13.0, -1.0, TWO_PI / 3.0)),
+        (solve_elliptic, (5.0, 3)),
+        (solve_elliptic, (13.0, 4)),
+    ])
+    def test_no_span_is_evaluated_twice(self, monkeypatch, solve, args):
+        # Brent hands back the span it stopped on, so the root's is not
+        # computed again
+        calls = []
+        real = classify._span
+
+        def counting(lam, P, B):
+            calls.append((lam, P, B))
+            return real(lam, P, B)
+
+        monkeypatch.setattr(classify, "_span", counting)
+        solve(*args)
+        assert len(calls) == len(set(calls)) > 1
+
+
 class TestSolverErrorsNameTheirInputs:
     def test_census_cross_check(self, monkeypatch):
         p_star = solve_elliptic(5.0, 3).P_star

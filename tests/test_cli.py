@@ -538,6 +538,24 @@ class TestBatchedScan:
             assert T == pytest.approx(r.T, rel=2e-15, abs=0.0), P
             assert 0.0 <= e <= 1e-9
 
+    @pytest.mark.parametrize("lam,offset", [
+        (8.0, None), (13.0, None), (1.5, 1e-6), (2.5, 1e-6), (5.0, 1e-6)])
+    def test_near_centre_rows_are_span_any(self, monkeypatch, lam, offset):
+        # a row that takes the centre series has span_any's bits, on the
+        # default grid and on one whose top is (1 - offset) P_max
+        argv = ["--lambda", repr(lam)]
+        if offset is not None:
+            pm = steady_state(lam, 1.0).P_max
+            argv.append(f"--p-max={(1.0 - offset) * pm!r}")
+        params = scan_params(argv)
+        centre = [i for i, p in enumerate(params) if periods._plan(
+            p.lam, p.P, p.B, periods.find_intercepts(p))[0]
+            is periods._CENTRE]
+        want = [span_any(params[i]) for i in centre]
+        monkeypatch.setattr(periods, "span_any", None)
+        got = _rows.span_rows(lam, [p.P for p in params], 1.0)
+        assert centre and [got[i] for i in centre] == want
+
     def test_failed_batch_takes_span_any(self, capsys, monkeypatch):
         # a row whose batched quadrature fails, though span_any meets its
         # target, gets span_any's rows: the table is the scalar loop's

@@ -310,6 +310,25 @@ class TestTurningPointSolve:
         # its 1-ulp rounding times |alpha ln x| = 725
         assert ic.x0 == pytest.approx(want, rel=4.5e-16, abs=0.0)
 
+    def test_subnormal_pressure_with_normal_B(self):
+        # at lam = 74 every term of R is subnormal at the inner turning
+        # point, which R cannot resolve; the rescaled level set's turning
+        # points stand in (h = 36), x0 within an ulp of the exact one
+        p = FlowParams(73.71777775900794, 5.637208457e-315,
+                       0.3541080205066408)
+        ic = find_intercepts(p)
+        assert ic.kind is InterceptKind.EllipticPair
+        want = self.mp_turning_point(p, 0.5 * ic.x0, 2.0 * ic.x0)
+        assert ic.x0 == pytest.approx(want, rel=2.3e-16, abs=0.0)
+        assert 0.0 < span_any(p).T < math.pi
+        # where the rescaled P underflows to 0 (h = -1154) it raises
+        q = FlowParams(144.3148478943083, 5.9536128956e-313,
+                       41396.63325473251)
+        with pytest.raises(NumericalError,
+                           match="turning point residual") as info:
+            find_intercepts(q)
+        assert info.type is NumericalError
+
     # triples below lam = 1 with subnormal B, whose bracket end
     # (B/lam^2)^(lam/2) formed from the subnormal quotient misses the
     # turning point by millions of doubles, and the last step's walk toward
